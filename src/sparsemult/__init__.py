@@ -22,7 +22,6 @@ from .lattice import (
     LatticePolygon,
     SupportSet,
     UnimodularAffineMap,
-    apply_map,
     area2,
     convex_hull,
     erode,
@@ -45,9 +44,6 @@ from .algebra import (
     kernel_basis,
     rank,
     rational_roots,
-    series_int_pow,
-    series_inverse,
-    series_mul,
     squarefree_part,
     sylvester_resultant,
 )

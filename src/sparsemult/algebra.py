@@ -170,8 +170,8 @@ class MPoly:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def exact_div(self, other: "MPoly") -> "MPoly":
-        """Exact division; raises if the quotient is not polynomial."""
+    def __floordiv__(self, other) -> "MPoly":
+        """Exact division; raises ArithmeticError if the quotient is not polynomial."""
         other = self._coerce(other)
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
@@ -311,6 +311,13 @@ class UnivariatePolynomial:
             n >>= 1
         return out
 
+    def __floordiv__(self, other) -> "UnivariatePolynomial":
+        """Exact division; raises ArithmeticError on a non-zero remainder."""
+        q, r = _poly_divmod(self, self._coerce(other))
+        if not r.is_zero():
+            raise ArithmeticError("inexact polynomial division")
+        return q
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = UnivariatePolynomial([other], self.var)
@@ -382,20 +389,26 @@ def poly_gcd(p: UnivariatePolynomial, q: UnivariatePolynomial) -> UnivariatePoly
     """Monic gcd over Q (Euclid)."""
     a, b = p, q
     while not b.is_zero():
-        a, b = b, _poly_mod(a, b)
+        a, b = b, _poly_divmod(a, b)[1]
     return a.monic() if not a.is_zero() else a
 
 
-def _poly_mod(a: UnivariatePolynomial, b: UnivariatePolynomial) -> UnivariatePolynomial:
+def _poly_divmod(
+    a: UnivariatePolynomial, b: UnivariatePolynomial
+) -> Tuple[UnivariatePolynomial, UnivariatePolynomial]:
+    """Long division over Q: (quotient, remainder) with deg remainder < deg b."""
     if b.is_zero():
-        raise ZeroDivisionError
-    r = a
-    while not r.is_zero() and r.degree() >= b.degree():
-        shift = r.degree() - b.degree()
-        factor = r.leading() / b.leading()
-        sub = [Fraction(0)] * shift + [factor * c for c in b.coeffs]
-        r = r - UnivariatePolynomial(sub, a.var)
-    return r
+        raise ZeroDivisionError("division by zero polynomial")
+    db, lead = b.degree(), b.leading()
+    r = list(a.coeffs)
+    q = [Fraction(0)] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        factor = r[k + db] / lead
+        if factor:
+            q[k] = factor
+            for j, c in enumerate(b.coeffs):
+                r[k + j] -= factor * c
+    return UnivariatePolynomial(q, a.var), UnivariatePolynomial(r[:db], a.var)
 
 
 def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
@@ -405,24 +418,7 @@ def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
     g = poly_gcd(p, p.derivative())
     if g.degree() <= 0:
         return p.monic()
-    return _poly_exact_div(p, g).monic()
-
-
-def _poly_exact_div(a: UnivariatePolynomial, b: UnivariatePolynomial) -> UnivariatePolynomial:
-    out = []
-    r = a
-    while not r.is_zero() and r.degree() >= b.degree():
-        shift = r.degree() - b.degree()
-        factor = r.leading() / b.leading()
-        out.append((shift, factor))
-        sub = [Fraction(0)] * shift + [factor * c for c in b.coeffs]
-        r = r - UnivariatePolynomial(sub, a.var)
-    if not r.is_zero():
-        raise ArithmeticError("inexact polynomial division")
-    qc = [Fraction(0)] * (a.degree() - b.degree() + 1)
-    for shift, factor in out:
-        qc[shift] = factor
-    return UnivariatePolynomial(qc, a.var)
+    return (p // g).monic()
 
 
 def factor_out_roots(
@@ -444,61 +440,6 @@ def factor_out_roots(
             m += 1
         mults.append(m)
     return q, tuple(mults)
-
-
-class RationalFunction:
-    """Quotient of univariate polynomials over Q, reduced, denominator monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UnivariatePolynomial, den: Optional[UnivariatePolynomial] = None):
-        if den is None:
-            den = UnivariatePolynomial([1], num.var)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(num, den)
-        if not g.is_zero() and g.degree() > 0:
-            num = _poly_exact_div(num, g)
-            den = _poly_exact_div(den, g)
-        lead = den.leading()
-        num = num * (1 / lead)
-        den = den * (1 / lead)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def zero(cls, var: str = "t"):
-        return cls(UnivariatePolynomial((), var))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero():
-            raise ZeroDivisionError
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __repr__(self):
-        return f"({self.num!r})/({self.den!r})"
 
 
 def rational_roots(p: UnivariatePolynomial) -> List[Fraction]:
@@ -651,18 +592,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)})"
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    return s.inverse()
-
-
-def series_int_pow(s: TruncatedSeries, e: int) -> TruncatedSeries:
-    return s.int_pow(e)
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials in two variables
 
@@ -787,7 +716,7 @@ class LaurentPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free linear algebra over Q
+# fraction-free linear algebra over Z, Q[s] and parameter rings
 
 
 def _integerize_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
@@ -803,8 +732,13 @@ def _integerize_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
     return out
 
 
-def _bareiss_echelon(m: List[List[int]]) -> Tuple[List[List[int]], List[int], int]:
-    """Fraction-free row echelon; returns (matrix, pivot columns, sign)."""
+def _bareiss_echelon(m: List[List]) -> Tuple[List[List], List[int], int]:
+    """Fraction-free row echelon; returns (matrix, pivot columns, sign).
+
+    Entries are ints, UnivariatePolynomials or MPolys: any ring where ``//``
+    divides exactly.  The k-th pivot is the leading k x k minor of the
+    row-permuted matrix on the pivot columns (Bareiss 1968).
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     piv_cols: List[int] = []
@@ -867,6 +801,41 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None
     return basis
 
 
+def poly_kernel_basis(
+    rows: Sequence[Sequence[UnivariatePolynomial]],
+) -> Tuple[List[List[UnivariatePolynomial]], List[UnivariatePolynomial]]:
+    """Kernel basis of a non-empty matrix over Q[s], and its pivots.
+
+    One vector per free column, in ascending order; the other free entries
+    are 0.  Each vector is primitive (its entries have gcd 1) with a monic
+    free-column entry, and lies in the kernel as a polynomial identity.
+    The pivots are the leading minors of the echelon: away from their roots,
+    specializing s keeps the pivot structure and hence the kernel dimension.
+    """
+    ech, piv, _ = _bareiss_echelon([list(row) for row in rows])
+    pivots = [ech[k][c] for k, c in enumerate(piv)]
+    ncols = len(rows[0])
+    zero = UnivariatePolynomial.zero(rows[0][0].var)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in piv):
+        # with v[fc] = the last pivot, Cramer's rule makes every entry polynomial
+        v = [zero] * ncols
+        v[fc] = pivots[-1] if pivots else UnivariatePolynomial([1], zero.var)
+        for k in range(len(piv) - 1, -1, -1):
+            acc = zero
+            for j in range(piv[k] + 1, ncols):
+                if not v[j].is_zero():
+                    acc = acc + ech[k][j] * v[j]
+            v[piv[k]] = -acc // ech[k][piv[k]]
+        g = zero
+        for c in v:
+            g = poly_gcd(g, c)
+        v = [c // g for c in v]
+        lead = v[fc].leading()
+        basis.append([c * (1 / lead) for c in v])
+    return basis, pivots
+
+
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """One exact solution of rows * x = rhs, or None if inconsistent."""
     if not rows:
@@ -911,31 +880,6 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(sign * ech[n - 1][n - 1]) / scale
 
 
-def det_ring(rows: List[List[MPoly]]) -> MPoly:
-    """Bareiss determinant over a polynomial ring (exact division)."""
-    n = len(rows)
-    if n == 0:
-        raise InputError("empty matrix")
-    vars = rows[0][0].vars
-    m = [[c for c in row] for row in rows]
-    sign = 1
-    prev = MPoly.const(vars, 1)
-    for k in range(n - 1):
-        pr = next((i for i in range(k, n) if m[i][k]), None)
-        if pr is None:
-            return MPoly(vars, {})
-        if pr != k:
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = MPoly(vars, {})
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
-
-
 # ---------------------------------------------------------------------------
 # Sylvester resultants
 
@@ -949,6 +893,26 @@ def _collect_param_vars(*polys: LaurentPolynomial) -> Tuple[str, ...]:
                     if v not in names:
                         names.append(v)
     return tuple(sorted(names))
+
+
+def _sylvester(fc: List[MPoly], gc: List[MPoly], name: str) -> MPoly:
+    """Resultant of two polynomials in ``name`` from their ascending
+    coefficient lists (leading entries non-zero): the determinant of the
+    Sylvester matrix, by the fraction-free echelon."""
+    n, m = len(fc) - 1, len(gc) - 1
+    if n == 0 and m == 0:
+        raise InputError(f"both inputs independent of {name}")
+    if n == 0:
+        return fc[0] ** m
+    if m == 0:
+        return gc[0] ** n
+    zero = MPoly(fc[0].vars, {})
+    rows = [[zero] * j + fc[::-1] + [zero] * (m - 1 - j) for j in range(m)]
+    rows += [[zero] * j + gc[::-1] + [zero] * (n - 1 - j) for j in range(n)]
+    ech, piv, sign = _bareiss_echelon(rows)
+    if len(piv) < n + m:
+        return zero
+    return ech[-1][-1] if sign > 0 else -ech[-1][-1]
 
 
 def sylvester_resultant(
@@ -997,30 +961,7 @@ def sylvester_resultant(
             out[e[vi]] = out[e[vi]] + lifted
         return out
 
-    fc, gc = coeff_list(f), coeff_list(g)
-    n, m = len(fc) - 1, len(gc) - 1
-    if n == 0 and m == 0:
-        raise InputError(f"both inputs independent of {var}")
-    if n == 0:
-        res = fc[0] ** m
-    elif m == 0:
-        res = gc[0] ** n
-    else:
-        size = n + m
-        rows = []
-        for j in range(m):
-            row = [MPoly(ring_vars, {}) for _ in range(size)]
-            for i, c in enumerate(reversed(fc)):
-                row[j + i] = c
-            rows.append(row)
-        for j in range(n):
-            row = [MPoly(ring_vars, {}) for _ in range(size)]
-            for i, c in enumerate(reversed(gc)):
-                row[j + i] = c
-            rows.append(row)
-        res = det_ring(rows)
-
-    deg = res.degree(other) if res else -1
+    res = _sylvester(coeff_list(f), coeff_list(g), var)
     coeffs: List[object] = []
     rest = tuple(v for v in ring_vars if v != other)
     for part in res.coeffs_in(other) if res else []:
@@ -1038,25 +979,4 @@ def mpoly_resultant(f: MPoly, g: MPoly, name: str) -> MPoly:
         fc.pop()
     while len(gc) > 1 and not gc[-1]:
         gc.pop()
-    n, m = len(fc) - 1, len(gc) - 1
-    if n == 0 and m == 0:
-        raise InputError(f"both inputs independent of {name}")
-    if n == 0:
-        return fc[0] ** m
-    if m == 0:
-        return gc[0] ** n
-    size = n + m
-    vars = fc[0].vars
-    zero = MPoly(vars, {})
-    rows = []
-    for j in range(m):
-        row = [zero] * size
-        for i, c in enumerate(reversed(fc)):
-            row[j + i] = c
-        rows.append(row)
-    for j in range(n):
-        row = [zero] * size
-        for i, c in enumerate(reversed(gc)):
-            row[j + i] = c
-        rows.append(row)
-    return det_ring(rows)
+    return _sylvester(fc, gc, name)

@@ -36,8 +36,13 @@ from .errors import (
     VerificationError,
 )
 from .jsonio import (
+    _check_keys,
     certificate_to_json,
+    int_from_json,
+    ints_from_json,
     point_to_json,
+    points_from_json,
+    require_keys,
     support_from_json,
     support_to_json,
     system_from_json,
@@ -45,7 +50,7 @@ from .jsonio import (
     upoly_to_json,
     _value_to_json,
 )
-from .lattice import SupportSet, convex_hull, erode, mixed_volume
+from .lattice import convex_hull, erode, mixed_volume
 from .reproduce import run_scenario
 from .verify import (
     NON_ISOLATED,
@@ -86,15 +91,9 @@ def _emit(args, report: dict) -> None:
     print(text)
 
 
-def _require(obj: dict, keys, what: str):
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise InputError(f"missing fields {missing} in {what}")
-
-
 def cmd_bounds(args) -> int:
     req = _load_request(args)
-    _require(req, ["A", "B"], "bounds request")
+    require_keys(req, ["A", "B"], "bounds request")
     A = support_from_json(req["A"])
     B = support_from_json(req["B"])
     hull = convex_hull(A)
@@ -134,25 +133,25 @@ def cmd_bounds(args) -> int:
 
 def cmd_construct(args) -> int:
     req = _load_request(args)
-    _require(req, ["A", "B", "m"], "construct request")
+    require_keys(req, ["A", "B", "m"], "construct request")
     A = support_from_json(req["A"])
     B = support_from_json(req["B"])
+    m = int_from_json(req["m"], "m")
     system = construct_prescribed(
-        A, B, int(req["m"]), seed=args.seed, retries=args.retries,
-        truncation=args.truncation,
+        A, B, m, seed=args.seed, retries=args.retries, truncation=args.truncation,
     )
-    _emit(args, {"request": {"command": "construct", "m": int(req["m"]), "seed": args.seed},
+    _emit(args, {"request": {"command": "construct", "m": m, "seed": args.seed},
                  "system": system_to_json(system)})
     return EXIT_OK
 
 
 def cmd_multipoint(args) -> int:
     req = _load_request(args)
-    _require(req, ["A", "B", "multiplicities"], "multipoint request")
+    require_keys(req, ["A", "B", "multiplicities"], "multipoint request")
     system = construct_multipoint(
         support_from_json(req["A"]),
         support_from_json(req["B"]),
-        [int(m) for m in req["multiplicities"]],
+        ints_from_json(req["multiplicities"], "multiplicities"),
         seed=args.seed,
         retries=args.retries,
     )
@@ -163,6 +162,13 @@ def cmd_multipoint(args) -> int:
 
 def cmd_verify(args) -> int:
     req = _load_request(args)
+    if "system" in req:
+        # the report written by `construct --output`: verify the system it carries
+        _check_keys(req, {"version", "request", "system"}, "construct report")
+        request = req.get("request")
+        if not isinstance(request, dict) or request.get("command") != "construct":
+            raise InputError("a report with a 'system' field must come from 'construct'")
+        req = req["system"]
     system = system_from_json(req)
     results = []
     ok = True
@@ -186,7 +192,7 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     req = _load_request(args)
-    _require(req, ["A", "B"], "classify request")
+    require_keys(req, ["A", "B"], "classify request")
     report = decide_mult3(
         support_from_json(req["A"]), support_from_json(req["B"]),
         seed=args.seed, retries=args.retries,
@@ -210,8 +216,8 @@ def cmd_classify(args) -> int:
 
 def cmd_triangle(args) -> int:
     req = _load_request(args)
-    _require(req, ["points"], "triangle request")
-    T = SupportSet((int(p[0]), int(p[1])) for p in req["points"])
+    require_keys(req, ["points"], "triangle request")
+    T = points_from_json(req["points"])
     tc = triangle_inflection(T)
     out = {
         "request": {"command": "triangle"},
@@ -231,9 +237,9 @@ def cmd_triangle(args) -> int:
 
 def cmd_univariate(args) -> int:
     req = _load_request(args)
-    _require(req, ["exponents", "l"], "univariate request")
-    exponents = [int(e) for e in req["exponents"]]
-    l = int(req["l"])
+    require_keys(req, ["exponents", "l"], "univariate request")
+    exponents = ints_from_json(req["exponents"], "exponents")
+    l = int_from_json(req["l"], "l")
     result = construct_univariate(exponents, l)
     if isinstance(result, ImpossibilityCertificate):
         _emit(

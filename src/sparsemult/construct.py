@@ -16,16 +16,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
     LaurentPolynomial,
-    MPoly,
-    RationalFunction,
-    TruncatedSeries,
     UnivariatePolynomial,
     det,
     kernel_basis,
-    poly_gcd,
+    poly_kernel_basis,
     rational_roots,
     _frac,
-    _poly_exact_div as _poly_exact_div_external,
 )
 from .branches import (
     branch_series,
@@ -393,138 +389,30 @@ def construct_multipoint(
 # contact with a line (slope solved exactly)
 
 
-def _line_rows_symbolic(A: SupportSet, r: int) -> List[List[MPoly]]:
-    """t-expansions of the monomials of A along (1+t, 1+s*t), rows 0..r,
-    with the slope s symbolic."""
-    vars = ("s",)
-    s = MPoly.var(vars, "s")
-    one = MPoly.const(vars, 1)
-
-    def unit_series(scale: MPoly) -> List[MPoly]:
-        # series of (1 + scale*t) up to t^r
-        return [one] + [scale] + [MPoly(vars, {})] * (r - 1)
-
-    def mul(a: List[MPoly], b: List[MPoly]) -> List[MPoly]:
-        out = [MPoly(vars, {}) for _ in range(r + 1)]
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(0, r + 1 - i):
-                if b[j]:
-                    out[i + j] = out[i + j] + ai * b[j]
-        return out
-
-    def inv(a: List[MPoly]) -> List[MPoly]:
-        if not a[0].is_const() or a[0].const_value() == 0:
-            raise InputError("unit expected")
-        c0 = a[0].const_value()
-        out = [MPoly.const(vars, 1 / c0)] + [MPoly(vars, {})] * r
-        for k in range(1, r + 1):
-            acc = MPoly(vars, {})
-            for j in range(1, k + 1):
-                acc = acc + a[j] * out[k - j]
-            out[k] = acc * MPoly.const(vars, -1 / c0)
-        return out
-
-    def int_pow(a: List[MPoly], e: int) -> List[MPoly]:
-        base = a if e >= 0 else inv(a)
-        e = abs(e)
-        out = [one] + [MPoly(vars, {})] * r
-        while e:
-            if e & 1:
-                out = mul(out, base)
-            base = mul(base, base)
-            e >>= 1
-        return out
-
-    xs = unit_series(one)
-    ys = unit_series(s)
-    cols = []
-    for e in A.sorted_points():
-        cols.append(mul(int_pow(xs, e[0]), int_pow(ys, e[1])))
-    return [[col[i] for col in cols] for i in range(r + 1)]
+def _binom(n: int, k: int) -> int:
+    """Generalized binomial coefficient C(n, k) for any integer n and k >= 0."""
+    out = 1
+    for i in range(k):
+        out = out * (n - i) // (i + 1)
+    return out
 
 
-def _mpoly_to_upoly(p: MPoly) -> UnivariatePolynomial:
-    assert p.vars == ("s",)
-    d = p.degree("s")
-    coeffs = [Fraction(0)] * (d + 1 if d >= 0 else 0)
-    for e, c in p.terms.items():
-        coeffs[e[0]] = c
-    return UnivariatePolynomial(coeffs, "s")
+def _line_rows(A: SupportSet, r: int, dx, dy) -> List[list]:
+    """t-expansions of the monomials of A along (1 + dx*t, 1 + dy*t), rows 0..r.
 
-
-def _upoly_to_mpoly(p: UnivariatePolynomial) -> MPoly:
-    return MPoly(("s",), {(i,): c for i, c in enumerate(p.coeffs)})
-
-
-def _mpoly_kernel(rows: List[List[MPoly]], ncols: int) -> Tuple[List[List[MPoly]], List[MPoly]]:
-    """Kernel basis of a matrix over Q[s], entries cleared back to Q[s].
-
-    Elimination runs over the fraction field Q(s); the returned vectors
-    satisfy the kernel identity as polynomial identities in s.  Also returns
-    the pivot entries (as polynomials): away from their roots, specializing
-    s keeps the pivot structure and hence the kernel dimension.
+    Row i holds the t^i coefficient of x^a*y^b, which is
+    sum_j C(a, i-j) C(b, j) dx^(i-j) dy^j with generalized binomials (the
+    exponents may be negative).  dx and dy are rationals, or polynomials in
+    a symbolic slope.
     """
-    vars = ("s",)
-    if not rows:
-        eye = [
-            [MPoly.const(vars, 1 if i == j else 0) for i in range(ncols)] for j in range(ncols)
+    pts = A.sorted_points()
+    return [
+        [
+            sum(_binom(a, i - j) * _binom(b, j) * dx ** (i - j) * dy**j for j in range(i + 1))
+            for a, b in pts
         ]
-        return eye, []
-    rf_zero = RationalFunction.zero("s")
-    m = [[RationalFunction(_mpoly_to_upoly(c)) for c in row] for row in rows]
-    nrows = len(m)
-    piv: List[Tuple[int, int]] = []
-    r = 0
-    pivot_polys: List[MPoly] = []
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        for i in range(r + 1, nrows):
-            if m[i][c].is_zero():
-                continue
-            factor = m[i][c] / m[r][c]
-            for j in range(c, ncols):
-                m[i][j] = m[i][j] - factor * m[r][j]
-        pivot_polys.append(_upoly_to_mpoly(m[r][c].num))
-        piv.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    piv_cols = [c for _, c in piv]
-    free = [c for c in range(ncols) if c not in piv_cols]
-    basis: List[List[MPoly]] = []
-    one = RationalFunction(UnivariatePolynomial([1], "s"))
-    for fc in free:
-        v: List[RationalFunction] = [rf_zero] * ncols
-        v[fc] = one
-        for rr in range(len(piv) - 1, -1, -1):
-            prow, pcol = piv[rr]
-            acc = rf_zero
-            for j in range(pcol + 1, ncols):
-                if not v[j].is_zero():
-                    acc = acc + m[prow][j] * v[j]
-            v[pcol] = -(acc / m[prow][pcol])
-        # clear denominators to polynomials in s
-        den = UnivariatePolynomial([1], "s")
-        for entry in v:
-            if not entry.is_zero():
-                g = poly_gcd(den, entry.den)
-                den = _poly_exact_div_external(den * entry.den, g)
-        cleared = []
-        for entry in v:
-            if entry.is_zero():
-                cleared.append(MPoly(vars, {}))
-            else:
-                cleared.append(
-                    _upoly_to_mpoly(entry.num * _poly_exact_div_external(den, entry.den))
-                )
-        basis.append(cleared)
-    return basis, pivot_polys
+        for i in range(r + 1)
+    ]
 
 
 def line_contact_construct(
@@ -574,15 +462,10 @@ def _line_contact_on(
     from .verify import intersection_multiplicity_smooth
 
     rng = random.Random(seed)
-    rows = _line_rows_symbolic(A, r)
+    rows = _line_rows(A, r, 1, UnivariatePolynomial([0, 1], "s"))
     cols = A.sorted_points()
-    basis, minors = _mpoly_kernel(rows[:r], len(cols))
-    residual_polys = []
-    for v in basis:
-        acc = MPoly(("s",), {})
-        for rr, vv in zip(rows[r], v):
-            acc = acc + rr * vv
-        residual_polys.append(acc)
+    basis, minors = poly_kernel_basis(rows[:r])
+    residual_polys = [sum(rr * vv for rr, vv in zip(rows[r], v)) for v in basis]
 
     transcript: Dict[str, object] = {
         "support": [list(p) for p in cols],
@@ -595,89 +478,64 @@ def _line_contact_on(
             {(0, 1): Fraction(1), (1, 0): -slope, (0, 0): slope - 1}
         )
 
-    def try_slope(s0: Fraction, vectors: List[List[Fraction]], res_row: List[Fraction]):
+    def candidates():
+        """(line, kernel vectors, residual row) for each line to try, in order."""
+        # generic slopes: specialized kernel stays a kernel away from minor roots
+        if any(not q.is_zero() for q in residual_polys):
+            bad: List[Fraction] = []
+            for q in minors + residual_polys:
+                if not q.is_zero():
+                    bad.extend(rational_roots(q))
+            for _ in range(retries):
+                s0 = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+                if rng.random() < 0.5:
+                    s0 = -s0
+                if s0 == 0 or s0 in bad:
+                    continue
+                yield (
+                    line_poly(s0),
+                    [[c(s0) for c in v] for v in basis],
+                    [c(s0) for c in rows[r]],
+                )
+
+        # special slopes: rank drops of the condition matrix can open new
+        # kernels; the horizontal tangent (slope 0) also needs its own pass
+        # because the symbolic kernel treats s as a generic unit
+        special: List[Fraction] = [Fraction(0)]
+        for q in minors:
+            if q.degree() > 0:
+                special.extend(rational_roots(q))
+        special = sorted(set(special))
+        transcript["special_slopes_tested"] = [str(s) for s in special]
+        transcript["rank_minors"] = [repr(q) for q in minors]
+        for s0 in special:
+            num_rows = [[c(s0) for c in row] for row in rows[:r]]
+            yield line_poly(s0), kernel_basis(num_rows, ncols=len(cols)), [c(s0) for c in rows[r]]
+
+        # vertical tangent candidate: parametrize (1, 1 + t)
+        vert_rows = _line_rows(A, r, 0, 1)
+        yield (
+            LaurentPolynomial({(1, 0): Fraction(1), (0, 0): Fraction(-1)}),
+            kernel_basis(vert_rows[:r], ncols=len(cols)),
+            vert_rows[r],
+        )
+
+    def try_slope(line: LaurentPolynomial, vectors, res_row) -> Optional[LaurentPolynomial]:
         for v in vectors:
             resid = sum(rr * vv for rr, vv in zip(res_row, v))
             if resid == 0:
                 continue
             g = LaurentPolynomial({e: c for e, c in zip(cols, v) if c != 0})
-            if g.is_zero():
-                continue
-            line = line_poly(s0)
-            if is_multiple_of(g, line):
+            if g.is_zero() or is_multiple_of(g, line):
                 continue
             observed = intersection_multiplicity_smooth(line, g, (Fraction(1), Fraction(1)))
             if observed == r:
-                return g, line
+                return g
         return None
 
-    # generic slopes: specialized kernel stays a kernel away from minor roots
-    if any(q for q in residual_polys):
-        bad: List[Fraction] = []
-        for q in minors + residual_polys:
-            if q:
-                bad.extend(rational_roots(_mpoly_to_upoly(q)))
-        for _ in range(retries):
-            s0 = Fraction(rng.randint(1, 12), rng.randint(1, 4))
-            if rng.random() < 0.5:
-                s0 = -s0
-            if s0 == 0 or s0 in bad:
-                continue
-            spec_vectors = [[c.subs({"s": s0}) for c in v] for v in basis]
-            res_row = [c.subs({"s": s0}) for c in rows[r]]
-            got = try_slope(s0, spec_vectors, res_row)
-            if got is not None:
-                g, line = got
-                return ConstructedSystem(
-                    f=g,
-                    g=line,
-                    points=((Fraction(1), Fraction(1)),),
-                    multiplicities=(r,),
-                    seed=seed,
-                    retries_used=0,
-                    exact=True,
-                )
-
-    # special slopes: rank drops of the condition matrix can open new
-    # kernels; the horizontal tangent (slope 0) also needs its own pass
-    # because the symbolic kernel treats s as a generic unit
-    special: List[Fraction] = [Fraction(0)]
-    for q in minors:
-        if q and not q.is_const():
-            special.extend(rational_roots(_mpoly_to_upoly(q)))
-    special = sorted(set(special))
-    transcript["special_slopes_tested"] = [str(s) for s in special]
-    transcript["rank_minors"] = [repr(q) for q in minors]
-    for s0 in special:
-        num_rows = [[c.subs({"s": s0}) for c in row] for row in rows[:r]]
-        res_row = [c.subs({"s": s0}) for c in rows[r]]
-        spec_basis = kernel_basis(num_rows, ncols=len(cols))
-        got = try_slope(s0, spec_basis, res_row)
-        if got is not None:
-            g, line = got
-            return ConstructedSystem(
-                f=g,
-                g=line,
-                points=((Fraction(1), Fraction(1)),),
-                multiplicities=(r,),
-                seed=seed,
-                retries_used=0,
-                exact=True,
-            )
-
-    # vertical tangent candidate: parametrize (1, 1 + t)
-    vert_rows = _vertical_line_rows(A, r)
-    vb = kernel_basis(vert_rows[:r], ncols=len(cols))
-    for v in vb:
-        resid = sum(rr * vv for rr, vv in zip(vert_rows[r], v))
-        if resid == 0:
-            continue
-        g = LaurentPolynomial({e: c for e, c in zip(cols, v) if c != 0})
-        line = LaurentPolynomial({(1, 0): Fraction(1), (0, 0): Fraction(-1)})
-        if g.is_zero() or is_multiple_of(g, line):
-            continue
-        observed = intersection_multiplicity_smooth(line, g, (Fraction(1), Fraction(1)))
-        if observed == r:
+    for line, vectors, res_row in candidates():
+        g = try_slope(line, vectors, res_row)
+        if g is not None:
             return ConstructedSystem(
                 f=g,
                 g=line,
@@ -692,17 +550,6 @@ def _line_contact_on(
         f"no rational slope admits contact order exactly {r} on this support",
         certificate={"kind": "EliminationImpossibility", "transcript": transcript},
     )
-
-
-def _vertical_line_rows(A: SupportSet, r: int) -> List[List[Fraction]]:
-    rows = []
-    one_plus_t = TruncatedSeries.from_coeff_map({0: Fraction(1), 1: Fraction(1)}, r)
-    series = []
-    for e in A.sorted_points():
-        series.append(one_plus_t.int_pow(e[1]))
-    for i in range(r + 1):
-        rows.append([s.coefficient(i) for s in series])
-    return rows
 
 
 # ---------------------------------------------------------------------------

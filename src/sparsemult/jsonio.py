@@ -24,17 +24,51 @@ def _check_keys(obj: dict, allowed: set, what: str):
         raise InputError(f"unknown fields {sorted(unknown)} in {what}")
 
 
+def require_keys(obj: dict, keys, what: str):
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise InputError(f"missing fields {missing} in {what}")
+
+
+def int_from_json(v, what: str) -> int:
+    """A JSON integer; floats, bools and strings are rejected, not coerced."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InputError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def ints_from_json(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise InputError(f"{what} must be a list of integers, got {v!r}")
+    return [int_from_json(x, what) for x in v]
+
+
+def _int_pair(p, what: str):
+    if not isinstance(p, list) or len(p) != 2:
+        raise InputError(f"{what} must be a pair of integers, got {p!r}")
+    return (int_from_json(p[0], what), int_from_json(p[1], what))
+
+
+def points_from_json(pts) -> SupportSet:
+    if not isinstance(pts, list) or not pts:
+        raise InputError("'points' must be a non-empty list of [x, y] pairs")
+    return SupportSet(_int_pair(p, "point") for p in pts)
+
+
 def fraction_to_json(x: Fraction) -> str:
     x = _frac(x)
     return f"{x.numerator}/{x.denominator}"
 
 
 def fraction_from_json(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise InputError(f"rational must be a 'p/q' string, got {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"rational must be a 'p/q' string, got {s!r}") from None
 
 
 def support_to_json(S: SupportSet) -> dict:
@@ -45,10 +79,7 @@ def support_from_json(obj) -> SupportSet:
     if not isinstance(obj, dict):
         raise InputError("support must be an object with a 'points' field")
     _check_keys(obj, {"points"}, "support")
-    pts = obj.get("points")
-    if not isinstance(pts, list) or not pts:
-        raise InputError("'points' must be a non-empty list of [x, y] pairs")
-    return SupportSet((int(p[0]), int(p[1])) for p in pts)
+    return points_from_json(obj.get("points"))
 
 
 def laurent_to_json(f: LaurentPolynomial) -> dict:
@@ -65,11 +96,16 @@ def laurent_from_json(obj) -> LaurentPolynomial:
     if not isinstance(obj, dict):
         raise InputError("polynomial must be an object with a 'terms' field")
     _check_keys(obj, {"terms"}, "polynomial")
+    raw = obj.get("terms", [])
+    if not isinstance(raw, list):
+        raise InputError("'terms' must be a list of terms")
     terms = {}
-    for t in obj.get("terms", []):
+    for t in raw:
+        if not isinstance(t, dict):
+            raise InputError(f"polynomial term must be an object, got {t!r}")
         _check_keys(t, {"exp", "coeff"}, "polynomial term")
-        e = t["exp"]
-        terms[(int(e[0]), int(e[1]))] = fraction_from_json(t["coeff"])
+        require_keys(t, ["exp", "coeff"], "polynomial term")
+        terms[_int_pair(t["exp"], "exponent")] = fraction_from_json(t["coeff"])
     return LaurentPolynomial(terms)
 
 
@@ -150,14 +186,21 @@ def system_from_json(obj) -> ConstructedSystem:
          "exact", "certificate", "normalization"},
         "system",
     )
+    require_keys(obj, ["f", "g"], "system")
     f = laurent_from_json(obj["f"])
     g = laurent_from_json(obj["g"])
     if "point" in obj:
+        require_keys(obj, ["multiplicity"], "system")
         points = (point_from_json(obj["point"]),)
-        mults = (int(obj["multiplicity"]),)
+        mults = (int_from_json(obj["multiplicity"], "multiplicity"),)
     else:
+        require_keys(obj, ["points", "multiplicities"], "system")
+        if not isinstance(obj["points"], list):
+            raise InputError("'points' must be a list of points")
         points = tuple(point_from_json(p) for p in obj["points"])
-        mults = tuple(int(m) for m in obj["multiplicities"])
+        mults = tuple(ints_from_json(obj["multiplicities"], "multiplicity"))
+        if not points or len(points) != len(mults):
+            raise InputError("'points' and 'multiplicities' must be non-empty and of equal length")
     norm = None
     if "normalization" in obj and obj["normalization"] is not None:
         n = obj["normalization"]
@@ -169,7 +212,7 @@ def system_from_json(obj) -> ConstructedSystem:
         g=g,
         points=points,
         multiplicities=mults,
-        seed=int(obj.get("seed", 0)),
+        seed=int_from_json(obj.get("seed", 0), "seed"),
         retries_used=0,
         exact=bool(obj.get("exact", True)),
         certificate=None,

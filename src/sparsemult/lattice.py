@@ -386,10 +386,6 @@ class UnimodularAffineMap:
         return UnimodularAffineMap(inv, (-(p * sx + q * sy), -(r * sx + s * sy)))
 
 
-def apply_map(M: UnimodularAffineMap, S: SupportSet) -> SupportSet:
-    return M.apply_set(S)
-
-
 def _translate_normalized(S: SupportSet) -> Tuple[SupportSet, Point]:
     cx, cy = S.min_corner()
     return S.translate((-cx, -cy)), (-cx, -cy)

@@ -8,7 +8,6 @@ import pytest
 from sparsemult.algebra import (
     LaurentPolynomial,
     MPoly,
-    RationalFunction,
     TruncatedSeries,
     UnivariatePolynomial,
     det,
@@ -18,9 +17,6 @@ from sparsemult.algebra import (
     poly_gcd,
     rank,
     rational_roots,
-    series_int_pow,
-    series_inverse,
-    series_mul,
     squarefree_part,
     sylvester_resultant,
 )
@@ -32,26 +28,26 @@ from sparsemult.errors import InputError
 
 def test_geometric_series():
     s = TruncatedSeries([F(1), F(-1), 0, 0, 0, 0])
-    assert series_inverse(s).coeffs == tuple([F(1)] * 6)
+    assert s.inverse().coeffs == tuple([F(1)] * 6)
 
 
 def test_binomial_cube():
     s = TruncatedSeries([F(1), F(1), 0, 0])
-    assert series_int_pow(s, 3).coeffs == (F(1), F(3), F(3), F(1))
+    assert s.int_pow(3).coeffs == (F(1), F(3), F(3), F(1))
 
 
 def test_negative_power_and_check():
     s = TruncatedSeries([F(1), F(1), 0, 0, 0])
-    inv2 = series_int_pow(s, -2)
+    inv2 = s.int_pow(-2)
     assert inv2.coeffs == (F(1), F(-2), F(3), F(-4), F(5))
     # oracle: multiply back by (1+t)^2 and compare with 1
-    back = series_mul(inv2, series_int_pow(s, 2))
+    back = inv2 * s.int_pow(2)
     assert back.coeffs == (F(1), F(0), F(0), F(0), F(0))
 
 
 def test_inverse_requires_unit():
     with pytest.raises(InputError):
-        series_inverse(TruncatedSeries([F(0), F(1)]))
+        TruncatedSeries([F(0), F(1)]).inverse()
 
 
 def test_inverse_random_units():
@@ -59,7 +55,7 @@ def test_inverse_random_units():
     for _ in range(20):
         coeffs = [F(rng.randint(1, 5))] + [F(rng.randint(-4, 4)) for _ in range(6)]
         s = TruncatedSeries(coeffs)
-        prod = s * series_inverse(s)
+        prod = s * s.inverse()
         assert prod.coeffs[0] == 1 and all(c == 0 for c in prod.coeffs[1:])
 
 
@@ -168,14 +164,19 @@ def test_gcd():
     assert g == UnivariatePolynomial([-1, 1])  # monic t - 1
 
 
-def test_rational_function_field():
-    t = UnivariatePolynomial([0, 1])
-    one = UnivariatePolynomial([1])
-    f = RationalFunction(one, t)  # 1/t
-    g = RationalFunction(t)  # t
-    assert (f * g).num == one
-    h = f + f
-    assert h.num == UnivariatePolynomial([2])
+def test_exact_floordiv():
+    rng = random.Random(21)
+    for _ in range(30):
+        a = UnivariatePolynomial([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)], "s")
+        b = UnivariatePolynomial([F(rng.randint(-5, 5)) for _ in range(3)] + [F(1)], "s")
+        if a.is_zero():
+            continue
+        assert (a * b) // b == a
+        # a*b + 1 leaves the remainder 1 on division by b (deg b = 3 > 0)
+        with pytest.raises(ArithmeticError):
+            (a * b + 1) // b
+    with pytest.raises(ZeroDivisionError):
+        UnivariatePolynomial([1, 1], "s") // UnivariatePolynomial.zero("s")
 
 
 # --- Laurent polynomials -------------------------------------------------------
@@ -274,10 +275,10 @@ def test_mpoly_arithmetic():
     p = (a + 1) * (a - 1)
     assert p == a * a - 1
     assert p.subs({"a": F(3)}) == 8
-    q = (a * a - 1).exact_div(a - 1)
+    q = (a * a - 1) // (a - 1)
     assert q == a + 1
     with pytest.raises(ArithmeticError):
-        (a * a + 1).exact_div(a - 1)
+        (a * a + 1) // (a - 1)
 
 
 # --- determinism ----------------------------------------------------------------

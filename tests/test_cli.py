@@ -155,3 +155,71 @@ def test_strict_parsing():
         support_from_json({"points": [[0, 0]], "colour": "red"})
     with pytest.raises(InputError):
         laurent_from_json({"terms": [{"exp": [0, 0], "coeff": "1/1", "note": "x"}]})
+
+
+def test_verify_reads_construct_output(capsys, tmp_path):
+    # the README flow: construct --output system.json, then verify --input system.json
+    out = tmp_path / "system.json"
+    req = json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 2})
+    code, _ = run_cli(capsys, "construct", "--json", req, "--output", str(out))
+    assert code == 0
+    code2, rep2 = run_cli(capsys, "verify", "--input", str(out))
+    assert code2 == 0
+    assert rep2["verified"] is True
+    assert rep2["results"][0]["observed"] == 2
+
+
+def test_verify_rejects_other_envelopes(capsys, tmp_path):
+    req = json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 2})
+    _, rep = run_cli(capsys, "construct", "--json", req)
+    for bad in (
+        {**rep, "extra": 1},
+        {**rep, "request": {"command": "multipoint"}},
+        {"system": rep["system"]},
+    ):
+        code = main(["verify", "--json", json.dumps(bad)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("invalid input:")
+
+
+_POLY = {"terms": [{"exp": [1, 0], "coeff": "1/1"}, {"exp": [0, 0], "coeff": "-1/1"}]}
+_LINE = {"terms": [{"exp": [0, 1], "coeff": "1/1"}, {"exp": [0, 0], "coeff": "-1/1"}]}
+
+
+def _system(**changes):
+    obj = {"f": _POLY, "g": _LINE, "point": ["1/1", "1/1"], "multiplicity": 1}
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--json", json.dumps({"A": {"points": [[0, 0], [1.7, 0], [0, 1]]}, "B": SIMPLEX})],
+        ["bounds", "--json", json.dumps({"A": {"points": [[0, 0], [True, 0], [0, 1]]}, "B": SIMPLEX})],
+        ["bounds", "--json", json.dumps({"A": {"points": [[0, 0], [1, 0, 5]]}, "B": SIMPLEX})],
+        ["bounds", "--json", json.dumps({"A": {"points": 3}, "B": SIMPLEX})],
+        ["construct", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 2.0})],
+        ["construct", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "m": True})],
+        ["multipoint", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "multiplicities": [1, 1.5]})],
+        ["multipoint", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "multiplicities": 2})],
+        ["triangle", "--json", json.dumps({"points": [[0, 0], [2, 1.5], [1, 2]]})],
+        ["univariate", "--json", json.dumps({"exponents": [0, 1, 3.5], "l": 2})],
+        ["univariate", "--json", json.dumps({"exponents": [0, 1, 3], "l": False})],
+        ["verify", "--json", json.dumps(_system(multiplicity=1.0))],
+        ["verify", "--json", json.dumps(_system(f={"terms": [{"exp": [1, 0]}]}))],
+        ["verify", "--json", json.dumps(_system(f={"terms": [{"coeff": "1/1"}]}))],
+        ["verify", "--json", json.dumps(_system(f={"terms": [{"exp": [0.5, 0], "coeff": "1"}]}))],
+        ["verify", "--json", json.dumps(_system(f={"terms": [{"exp": [1, 0], "coeff": True}]}))],
+        ["verify", "--json", json.dumps(_system(f={"terms": [{"exp": [1, 0], "coeff": "1/0"}]}))],
+        ["verify", "--json", json.dumps({"g": _LINE, "point": ["1/1", "1/1"], "multiplicity": 1})],
+        ["verify", "--json", json.dumps({"f": _POLY, "g": _LINE, "points": [["1", "1"], ["2", "2"]],
+                                         "multiplicities": [1]})],
+    ],
+)
+def test_invalid_json_values_exit_2(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+    assert "Traceback" not in err

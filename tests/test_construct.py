@@ -6,10 +6,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from sparsemult.algebra import LaurentPolynomial, TruncatedSeries, UnivariatePolynomial
+from sparsemult.algebra import (
+    LaurentPolynomial,
+    TruncatedSeries,
+    UnivariatePolynomial,
+    poly_gcd,
+    poly_kernel_basis,
+)
 from sparsemult.branches import branch_series, compute_dim_V, osculating_matrix
 from sparsemult.construct import (
     ImpossibilityCertificate,
+    _line_rows,
     build_gap_family_member,
     build_line_product_system,
     construct_multipoint,
@@ -320,6 +327,56 @@ def test_line_contact_succeeds_on_two_simplex_points():
     assert system.multiplicities == (2,)
     got = intersection_multiplicity_smooth(system.g, system.f, system.point)
     assert got == 2
+
+
+def _random_line_supports(seed, count):
+    """Seeded supports of 3-8 points in [-3, 5]^2 with a contact order 2-5."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pts = set()
+        k = rng.randint(3, 8)
+        while len(pts) < k:
+            pts.add((rng.randint(-3, 5), rng.randint(-3, 5)))
+        yield SupportSet(pts), rng.randint(2, 5), F(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+
+
+S_VAR = UnivariatePolynomial([0, 1], "s")
+
+
+def test_line_rows_match_series_products():
+    for A, r, s0 in _random_line_supports(31, 40):
+        x = TruncatedSeries([F(1), F(1)] + [F(0)] * (r - 1))
+        y = TruncatedSeries([F(1), s0] + [F(0)] * (r - 1))
+        expect = [x.int_pow(a) * y.int_pow(b) for a, b in A.sorted_points()]
+        rows = _line_rows(A, r, 1, s0)
+        assert rows == [[col.coefficient(i) for col in expect] for i in range(r + 1)]
+        # the vertical line (1, 1 + t)
+        vertical = [x.int_pow(b) for _, b in A.sorted_points()]
+        assert _line_rows(A, r, 0, 1) == [[c.coefficient(i) for c in vertical] for i in range(r + 1)]
+
+
+def test_symbolic_line_rows_specialize():
+    for A, r, s0 in _random_line_supports(32, 40):
+        symbolic = _line_rows(A, r, 1, S_VAR)
+        assert [[c(s0) for c in row] for row in symbolic] == _line_rows(A, r, 1, s0)
+
+
+def test_poly_kernel_identity_primitive_monic():
+    one = UnivariatePolynomial([1], "s")
+    for A, r, _ in _random_line_supports(33, 40):
+        rows = _line_rows(A, r, 1, S_VAR)[:r]
+        basis, pivots = poly_kernel_basis(rows)
+        assert len(basis) + len(pivots) == len(A)
+        for v in basis:
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, v)).is_zero()
+            g = UnivariatePolynomial.zero("s")
+            for c in v:
+                g = poly_gcd(g, c)
+            assert g == one
+            # the free column is the last non-zero entry
+            free_entry = [c for c in v if not c.is_zero()][-1]
+            assert free_entry.leading() == 1
 
 
 # --- worked families ----------------------------------------------------------------

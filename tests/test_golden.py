@@ -9,6 +9,8 @@ the diff.
 
 import json
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -51,13 +53,7 @@ CLI_CASES = {
 GRID_2X3 = SupportSet([(i, j) for i in range(2) for j in range(3)])
 
 
-def _cli_stdout(argv, capsys=None):
-    if capsys is not None:
-        main(list(argv))
-        return capsys.readouterr().out
-    from contextlib import redirect_stdout
-    from io import StringIO
-
+def _cli_stdout(argv):
     buf = StringIO()
     with redirect_stdout(buf):
         main(list(argv))
@@ -70,9 +66,9 @@ def _line_contact_text():
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
-def test_cli_golden(name, capsys):
+def test_cli_golden(name):
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
-    assert _cli_stdout(CLI_CASES[name], capsys) == expected
+    assert _cli_stdout(CLI_CASES[name]) == expected
 
 
 def test_line_contact_golden():

@@ -13,7 +13,6 @@ import pytest
 from sparsemult.lattice import (
     SupportSet,
     UnimodularAffineMap,
-    apply_map,
     area2,
     convex_hull,
     cross,
@@ -360,7 +359,7 @@ def test_normal_form_witness_and_idempotence():
         pts = [(rng.randrange(5), rng.randrange(5)) for _ in range(4)]
         S = SupportSet(pts)
         canon, M = normal_form(S)
-        assert apply_map(M, S) == canon
+        assert M.apply_set(S) == canon
         canon2, M2 = normal_form(canon)
         assert canon2 == canon
 
@@ -377,7 +376,7 @@ def test_normal_form_invariance_under_random_maps():
         canon, _ = normal_form(S)
         for _ in range(100):
             M = random_unimodular(rng)
-            c, _ = normal_form(apply_map(M, S))
+            c, _ = normal_form(M.apply_set(S))
             assert c == canon
 
 
@@ -392,8 +391,8 @@ def test_segment_normal_forms():
 
 
 def test_apply_map_identity_and_shift():
-    assert apply_map(UnimodularAffineMap.identity(), SIMPLEX) == SIMPLEX
-    shifted = apply_map(UnimodularAffineMap.translation((1, 1)), SIMPLEX)
+    assert UnimodularAffineMap.identity().apply_set(SIMPLEX) == SIMPLEX
+    shifted = UnimodularAffineMap.translation((1, 1)).apply_set(SIMPLEX)
     assert shifted.sorted_points() == ((1, 1), (1, 2), (2, 1))
 
 
