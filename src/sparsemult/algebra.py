@@ -12,6 +12,8 @@ construction and all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError
@@ -486,7 +488,10 @@ class TruncatedSeries:
 
     ``coeffs[i]`` is the t^i coefficient; coefficients beyond the truncation
     order are unknown (not zero).  Binary operations truncate to the smaller
-    order of the two operands.
+    order of the two operands.  Products and inverses bring their operands
+    to a common denominator and work on the integer numerators, so each
+    output coefficient costs one normalizing gcd rather than one per
+    coefficient product.
     """
 
     __slots__ = ("coeffs",)
@@ -495,6 +500,13 @@ class TruncatedSeries:
         if not coeffs:
             raise InputError("series needs at least the constant coefficient")
         self.coeffs = tuple(_frac(c) for c in coeffs)
+
+    @classmethod
+    def _of(cls, coeffs: Iterable[Fraction]) -> "TruncatedSeries":
+        # trusted constructor: coeffs are already normalized Fractions
+        s = object.__new__(cls)
+        s.coeffs = tuple(coeffs)
+        return s
 
     @property
     def truncation_order(self) -> int:
@@ -532,13 +544,12 @@ class TruncatedSeries:
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(other, self.truncation_order)
-        n = min(self.truncation_order, other.truncation_order)
-        return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+        return TruncatedSeries._of(map(add, self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries._of(-c for c in self.coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -547,32 +558,46 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries([c * _frac(other) for c in self.coeffs])
-        n = min(self.truncation_order, other.truncation_order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(out)
+            other = _frac(other)
+            return TruncatedSeries._of(c * other for c in self.coeffs)
+        n = min(len(self.coeffs), len(other.coeffs))
+        a, da = _numerators(self.coeffs[:n])
+        b, db = _numerators(other.coeffs[:n])
+        den = da * db
+        return TruncatedSeries._of(
+            Fraction(sum(map(mul, a[: k + 1], b[k::-1])), den) for k in range(n)
+        )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
         if self.coeffs[0] == 0:
             raise InputError("series inverse requires a unit (non-zero constant term)")
-        n = self.truncation_order
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / self.coeffs[0]
-        for k in range(1, n + 1):
-            s = Fraction(0)
-            for j in range(1, k + 1):
-                s += self.coeffs[j] * inv[k - j]
-            inv[k] = -s / self.coeffs[0]
-        return TruncatedSeries(inv)
+        # self = a(t)/d with a integral; 1/a has t^k coefficient q_k / a0^(k+1),
+        # where q_0 = 1 and q_k = -sum_{j=1..k} a_j a0^(j-1) q_(k-j)
+        a, d = _numerators(self.coeffs)
+        a0 = a[0]
+        w = [aj * a0 ** (j - 1) for j, aj in enumerate(a) if j]
+        q = [1]
+        for k in range(1, len(a)):
+            q.append(-sum(map(mul, w[:k], q[::-1])))
+        return TruncatedSeries._of(Fraction(d * qk, a0 ** (k + 1)) for k, qk in enumerate(q))
+
+    @staticmethod
+    def linear_combination(terms: Sequence[Tuple[Fraction, "TruncatedSeries"]]) -> "TruncatedSeries":
+        """sum(c * s for c, s in terms), truncated to the smallest order, over
+        one common denominator."""
+        n = min(len(s.coeffs) for _, s in terms)
+        cols, dens = [], []
+        for c, s in terms:
+            nums, d = _numerators(s.coeffs[:n])
+            cols.append(nums)
+            dens.append(c.denominator * d)
+        den = lcm(*dens)
+        scale = [c.numerator * (den // d) for (c, _), d in zip(terms, dens)]
+        return TruncatedSeries._of(
+            Fraction(sum(map(mul, scale, col)), den) for col in zip(*cols)
+        )
 
     def int_pow(self, e: int) -> "TruncatedSeries":
         base = self if e >= 0 else self.inverse()
@@ -590,6 +615,12 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)})"
+
+
+def _numerators(cs: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer numerators over the least common denominator of ``cs``."""
+    d = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (d // c.denominator) for c in cs], d
 
 
 # ---------------------------------------------------------------------------

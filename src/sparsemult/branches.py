@@ -42,20 +42,73 @@ class BranchParametrization:
     y_series: TruncatedSeries
     truncation_order: int
     _monomial_cache: Dict[Tuple[int, int], TruncatedSeries] = field(default_factory=dict, repr=False)
+    _powers: Dict[Tuple[int, bool], List[TruncatedSeries]] = field(default_factory=dict, repr=False)
+
+    def _power(self, var: int, e: int) -> TruncatedSeries:
+        """x^e (var 0) or y^e (var 1), one product per power not yet tabled.
+
+        The table for (var, e < 0) holds base^(+-k) at index k, with the
+        constant 1 at index 0."""
+        key = (var, e < 0)
+        table = self._powers.get(key)
+        if table is None:
+            base = self.x_series if var == 0 else self.y_series
+            table = [TruncatedSeries.constant(1, self.truncation_order),
+                     base if e >= 0 else base.inverse()]
+            self._powers[key] = table
+        e = abs(e)
+        while len(table) <= e:
+            table.append(table[-1] * table[1])
+        return table[e]
 
     def monomial_series(self, e: Tuple[int, int]) -> TruncatedSeries:
         e = (int(e[0]), int(e[1]))
         cached = self._monomial_cache.get(e)
         if cached is None:
-            cached = self.x_series.int_pow(e[0]) * self.y_series.int_pow(e[1])
+            if e[1] == 0:
+                cached = self._power(0, e[0])
+            elif e[0] == 0:
+                cached = self._power(1, e[1])
+            else:
+                cached = self._power(0, e[0]) * self._power(1, e[1])
             self._monomial_cache[e] = cached
         return cached
 
     def evaluate_poly(self, g: LaurentPolynomial) -> TruncatedSeries:
-        acc = TruncatedSeries.constant(0, self.truncation_order)
-        for e, c in g.terms.items():
-            acc = acc + self.monomial_series(e) * _frac(c)
-        return acc
+        if not g.terms:
+            return TruncatedSeries.constant(0, self.truncation_order)
+        return TruncatedSeries.linear_combination(
+            [(_frac(c), self.monomial_series(e)) for e, c in g.terms.items()])
+
+
+def _shifted_power(p: Fraction, i: int, order: int) -> List[Fraction]:
+    """Coefficients of (p + t)^i through t^order.
+
+    Generalized binomials C(i, k) p^(i-k), so i may be negative (then p
+    must be non-zero); for i >= 0 the expansion stops after t^i."""
+    out = [Fraction(0)] * (order + 1)
+    binom = 1
+    for k in range(order + 1):
+        if binom == 0:
+            break
+        out[k] = binom * p ** (i - k)
+        binom = binom * (i - k) // (k + 1)
+    return out
+
+
+def _horner(coeffs: Dict[int, TruncatedSeries], y: TruncatedSeries) -> TruncatedSeries:
+    """Sum of coeffs[j] * y^j by Horner's rule in y, truncated to y's order.
+
+    Exponents run from min(j, 0) up; a negative lowest exponent is
+    factored out and multiplied back as a power of y."""
+    n = y.truncation_order
+    lo, hi = min(min(coeffs), 0), max(coeffs)
+    acc = coeffs[hi].truncate(n)
+    for j in range(hi - 1, lo - 1, -1):
+        acc = acc * y
+        if j in coeffs:
+            acc = acc + coeffs[j].truncate(n)
+    return acc * y.int_pow(lo) if lo < 0 else acc
 
 
 def branch_series(
@@ -69,8 +122,14 @@ def branch_series(
     The dependent coordinate is one with a non-zero partial derivative at p
     (``prefer`` wins when both qualify).  Raises for points off the curve
     and for singular points.
+
+    f is written once as sum_j a_j(t) dep^j with the free coordinate
+    Taylor-shifted to p + t; each Newton step then evaluates f and its
+    dep-derivative along the current series by Horner's rule in dep.
     """
     p = (_frac(p[0]), _frac(p[1]))
+    if order < 0:
+        raise InputError("truncation order must be non-negative")
     if f.evaluate(p) != 0:
         raise InputError("base point is not on the curve")
     fx = f.partial("x").evaluate(p)
@@ -88,42 +147,40 @@ def branch_series(
     free_val, dep_val = (p[0], p[1]) if dep == "y" else (p[1], p[0])
     dep_idx = 1 if dep == "y" else 0
 
-    free_series = TruncatedSeries.from_coeff_map({0: free_val, 1: Fraction(1)}, order)
+    grouped: Dict[int, List[Fraction]] = {}
+    for e, c in f.terms.items():
+        c = _frac(c)
+        acc = grouped.setdefault(e[dep_idx], [Fraction(0)] * (order + 1))
+        for k, b in enumerate(_shifted_power(free_val, e[1 - dep_idx], order)):
+            if b:
+                acc[k] += c * b
+    a = {j: TruncatedSeries(cs) for j, cs in grouped.items()}
+    da = {j - 1: s * j for j, s in a.items() if j != 0}
 
-    def along(poly: LaurentPolynomial, dep_series: TruncatedSeries) -> TruncatedSeries:
-        n = dep_series.truncation_order
-        fs = free_series.truncate(n)
-        xs, ys = (fs, dep_series) if dep == "y" else (dep_series, fs)
-        acc = TruncatedSeries.constant(0, n)
-        for e, c in poly.terms.items():
-            acc = acc + (xs.int_pow(e[0]) * ys.int_pow(e[1])) * _frac(c)
-        return acc
-
-    f_dep = f.partial(dep)
-
-    # Newton iteration, doubling the reliable order each step
-    y_cur = TruncatedSeries.constant(dep_val, min(1, order))
+    # Newton iteration, doubling the reliable order each step.  f along the
+    # padded series vanishes through t^good, so the correction is
+    # t^(good+1) * (its upper part / f_dep), and f_dep is needed only
+    # through t^good.
+    y_cur = TruncatedSeries.constant(dep_val, 0)
     good = 0
     while good < order:
         target = min(order, 2 * good + 1)
-        y_ext = TruncatedSeries(
-            tuple(y_cur.coeffs) + (Fraction(0),) * max(0, target - y_cur.truncation_order)
-        ).truncate(target)
-        val = along(f, y_ext)
-        dval = along(f_dep, y_ext)
-        y_cur = y_ext - val * dval.inverse()
+        y_ext = TruncatedSeries(y_cur.coeffs + (Fraction(0),) * (target - good))
+        upper = TruncatedSeries(_horner(a, y_ext).coeffs[good + 1:])
+        step = upper * _horner(da, y_cur).inverse()
+        y_cur = TruncatedSeries(y_cur.coeffs + (-step).coeffs)
         good = target
-    y_cur = y_cur.truncate(order)
 
-    residual = along(f, y_cur)
-    if any(c != 0 for c in residual.coeffs):
-        raise AssertionError("branch expansion does not annihilate f")
-
+    free_series = TruncatedSeries.from_coeff_map({0: free_val, 1: Fraction(1)}, order)
     if dep == "y":
         xs, ys = free_series, y_cur
     else:
         xs, ys = y_cur, free_series
-    return BranchParametrization(f, p, "x" if dep == "y" else "y", xs, ys, order)
+    branch = BranchParametrization(f, p, "x" if dep == "y" else "y", xs, ys, order)
+    # checked term by term, apart from the Taylor shift and Horner scheme above
+    if any(c != 0 for c in branch.evaluate_poly(f).coeffs):
+        raise AssertionError("branch expansion does not annihilate f")
+    return branch
 
 
 @dataclass

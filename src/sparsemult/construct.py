@@ -214,6 +214,8 @@ def construct_prescribed(
         raise HypothesisViolation("supports must not fit in a common proper sublattice")
     if m < 0:
         raise InputError("multiplicity must be non-negative")
+    if truncation is not None and truncation < m:
+        raise InputError(f"truncation {truncation} is below the multiplicity {m}")
 
     from .verify import intersection_multiplicity_smooth
 

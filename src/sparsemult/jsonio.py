@@ -204,8 +204,16 @@ def system_from_json(obj) -> ConstructedSystem:
     norm = None
     if "normalization" in obj and obj["normalization"] is not None:
         n = obj["normalization"]
+        if not isinstance(n, dict):
+            raise InputError("'normalization' must be an object")
+        _check_keys(n, {"matrix", "shift"}, "normalization")
+        require_keys(n, ["matrix", "shift"], "normalization")
+        rows = n["matrix"]
+        if not isinstance(rows, list) or len(rows) != 2:
+            raise InputError(f"normalization matrix must be 2x2, got {rows!r}")
         norm = UnimodularAffineMap(
-            (tuple(n["matrix"][0]), tuple(n["matrix"][1])), tuple(n["shift"])
+            tuple(_int_pair(r, "normalization matrix row") for r in rows),
+            _int_pair(n["shift"], "normalization shift"),
         )
     return ConstructedSystem(
         f=f,

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -57,6 +58,58 @@ def test_inverse_random_units():
         s = TruncatedSeries(coeffs)
         prod = s * s.inverse()
         assert prod.coeffs[0] == 1 and all(c == 0 for c in prod.coeffs[1:])
+
+
+def _ref_mul(a, b):
+    n = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(n)]
+
+
+def _ref_inverse(a):
+    inv = [1 / a[0]]
+    for k in range(1, len(a)):
+        inv.append(-sum((a[j] * inv[k - j] for j in range(1, k + 1)), F(0)) / a[0])
+    return inv
+
+
+def _ref_pow(a, e):
+    base = a if e >= 0 else _ref_inverse(a)
+    out = [F(1)] + [F(0)] * (len(a) - 1)
+    for _ in range(abs(e)):
+        out = _ref_mul(out, base)
+    return out
+
+
+def _assert_exact(series, expected):
+    assert list(series.coeffs) == expected
+    for c in series.coeffs:
+        assert type(c) is F and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def test_series_arithmetic_matches_fraction_reference():
+    rng = random.Random(11)
+
+    def draw(n, unit=False):
+        dens = rng.choice([(1,), (1, 2, 3), (5, 7, 12, 35), (1, 9, 27, 1024)])
+        cs = [F(rng.choice([0, 0, rng.randint(-30, 30)]), rng.choice(dens)) for _ in range(n + 1)]
+        if unit and cs[0] == 0:
+            cs[0] = F(-3, rng.choice(dens))
+        return cs
+
+    for _ in range(60):
+        a, b = draw(rng.randint(0, 12)), draw(rng.randint(0, 12))
+        sa, sb = TruncatedSeries(a), TruncatedSeries(b)
+        _assert_exact(sa * sb, _ref_mul(a, b))
+        _assert_exact(sb * sa, _ref_mul(a, b))
+        _assert_exact(sa + sb, [x + y for x, y in zip(a, b)])
+        ca, cb = F(rng.randint(-9, 9), rng.randint(1, 6)), F(rng.randint(-9, 9), rng.randint(1, 6))
+        _assert_exact(TruncatedSeries.linear_combination([(ca, sa), (cb, sb)]),
+                      [ca * x + cb * y for x, y in zip(a, b)])
+        u = draw(rng.randint(0, 12), unit=True)
+        su = TruncatedSeries(u)
+        _assert_exact(su.inverse(), _ref_inverse(u))
+        for e in (0, 1, 2, 5, -1, -3):
+            _assert_exact(su.int_pow(e), _ref_pow(u, e))
 
 
 def test_series_order():

@@ -215,6 +215,13 @@ def _system(**changes):
         ["verify", "--json", json.dumps({"g": _LINE, "point": ["1/1", "1/1"], "multiplicity": 1})],
         ["verify", "--json", json.dumps({"f": _POLY, "g": _LINE, "points": [["1", "1"], ["2", "2"]],
                                          "multiplicities": [1]})],
+        ["verify", "--json", json.dumps(_system(normalization={}))],
+        ["verify", "--json", json.dumps(_system(normalization={"matrix": [[1, 0.0], [0, 1]], "shift": [0, 0]}))],
+        ["verify", "--json", json.dumps(_system(normalization={"matrix": [[1, 0], [0, 1]], "shift": [True, 0]}))],
+        ["verify", "--json", json.dumps(_system(normalization={"matrix": [[1, 0], [0, 1]], "shift": [0, 0, 0]}))],
+        ["verify", "--json", json.dumps(_system(normalization={"matrix": [[2, 0], [0, 1]], "shift": [0, 0]}))],
+        ["construct", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 2}), "--truncation", "-5"],
+        ["construct", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 2}), "--truncation", "1"],
     ],
 )
 def test_invalid_json_values_exit_2(capsys, argv):

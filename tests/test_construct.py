@@ -149,6 +149,95 @@ def test_branch_annihilates_f():
         assert all(c == 0 for c in br.evaluate_poly(f).coeffs)
 
 
+def _naive_branch(f, p, order, prefer="y"):
+    """Reference expansion: every term of f and of its dep-derivative raised
+    to its power anew at every Newton step.  Returns (x_series, y_series)."""
+    fx, fy = f.partial("x").evaluate(p), f.partial("y").evaluate(p)
+    if prefer == "y":
+        dep = "y" if fy != 0 else "x"
+    else:
+        dep = "x" if fx != 0 else "y"
+    free_val, dep_val = (p[0], p[1]) if dep == "y" else (p[1], p[0])
+    free_series = TruncatedSeries.from_coeff_map({0: free_val, 1: F(1)}, order)
+
+    def along(poly, dep_series):
+        n = dep_series.truncation_order
+        fs = free_series.truncate(n)
+        xs, ys = (fs, dep_series) if dep == "y" else (dep_series, fs)
+        acc = TruncatedSeries.constant(0, n)
+        for e, c in poly.terms.items():
+            acc = acc + (xs.int_pow(e[0]) * ys.int_pow(e[1])) * c
+        return acc
+
+    f_dep = f.partial(dep)
+    y_cur = TruncatedSeries.constant(dep_val, min(1, order))
+    good = 0
+    while good < order:
+        target = min(order, 2 * good + 1)
+        y_ext = TruncatedSeries(
+            tuple(y_cur.coeffs) + (F(0),) * max(0, target - y_cur.truncation_order)
+        ).truncate(target)
+        y_cur = y_ext - along(f, y_ext) * along(f_dep, y_ext).inverse()
+        good = target
+    y_cur = y_cur.truncate(order)
+    assert all(c == 0 for c in along(f, y_cur).coeffs)
+    return (free_series, y_cur) if dep == "y" else (y_cur, free_series)
+
+
+def _curve_through(rng, p, xs, ys, nterms):
+    """Random f with exponents drawn from xs x ys, vanishing and smooth at p."""
+    while True:
+        exps = list({(rng.choice(xs), rng.choice(ys)) for _ in range(nterms)})
+        f = LaurentPolynomial({e: F(rng.randint(-9, 9), rng.randint(1, 4)) for e in exps})
+        if not f.terms:
+            continue
+        e0 = next(iter(f.terms))
+        at_e0 = p[0] ** e0[0] * p[1] ** e0[1]
+        if at_e0 == 0:
+            continue
+        f = f - LaurentPolynomial({e0: f.evaluate(p) / at_e0})
+        if len(f.terms) >= 3 and (f.partial("x").evaluate(p) != 0 or f.partial("y").evaluate(p) != 0):
+            return f
+
+
+def test_branch_kernel_matches_naive_expansion():
+    rng = random.Random(2024)
+    cases = [
+        # (base point, x exponents, y exponents)
+        ((F(1), F(1)), range(0, 5), range(0, 5)),
+        ((F(2), F(-1, 3)), range(0, 4), range(0, 4)),
+        ((F(-3, 2), F(2)), range(-2, 3), range(-2, 3)),
+        ((F(1), F(1)), range(-2, 2), range(-3, 1)),
+        ((F(1, 2), F(-2)), range(-2, 3), range(-1, 3)),
+        ((F(0), F(2)), range(0, 4), range(0, 4)),
+        ((F(3, 2), F(0)), range(0, 4), range(0, 4)),
+        ((F(2), F(3)), range(0, 4), range(1, 4)),
+        ((F(-1), F(2)), range(2, 5), range(0, 4)),
+    ]
+    seen = set()
+    for p, xs, ys in cases:
+        lo = -2 if min(xs) < 0 or min(ys) < 0 else 0
+        monomials = [(a, b) for a in range(lo, 4) for b in range(lo, 4)]
+        f = _curve_through(rng, p, xs, ys, rng.randint(3, 7))
+        if min(e[0] for e in f.terms) < 0 and min(e[1] for e in f.terms) < 0:
+            seen.add("negative exponents in both variables")
+        for prefer in ("x", "y"):
+            for order in (0, 1, 12, 24):
+                br = branch_series(f, p, order, prefer=prefer)
+                nx, ny = _naive_branch(f, p, order, prefer=prefer)
+                assert br.x_series == nx and br.y_series == ny
+                for e in monomials:
+                    assert br.monomial_series(e) == nx.int_pow(e[0]) * ny.int_pow(e[1])
+            free = 0 if br.free_variable == "x" else 1
+            seen.add(f"dependent {'yx'[free]}")
+            if p[free] == 0:
+                seen.add("zero free coordinate")
+            if min(e[1 - free] for e in f.terms) > 0:
+                seen.add("no dependent^0 term")
+    assert seen == {"dependent x", "dependent y", "zero free coordinate", "no dependent^0 term",
+                    "negative exponents in both variables"}
+
+
 # --- osculating matrices --------------------------------------------------------
 
 
