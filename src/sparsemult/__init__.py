@@ -72,8 +72,6 @@ from .construct import (
 from .verify import (
     NON_ISOLATED,
     MultiplicityCertificate,
-    OracleResult,
-    elimination_mult3_oracle,
     intersection_multiplicity_smooth,
     origin_multiplicity_line_product,
     rank_impossibility,

@@ -11,6 +11,7 @@ impossible verdict against the exceptional-family catalogue.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,6 +55,7 @@ from .lattice import (
     stabilizer,
     unimodular_triple,
 )
+from .verify import segment_product_multiplicity
 
 # the line-preserving monomial projectivities: coordinate swap and
 # (i, j) -> (i, -i-j), generating an order-6 group of exponent maps
@@ -341,34 +343,24 @@ def match_exceptional_family(A: SupportSet, B: SupportSet) -> Optional[Dict[str,
     return None
 
 
-_FAMILY_CACHE: Dict[str, object] = {}
-
-
+@functools.cache
 def _family2_data():
-    if "f2" not in _FAMILY_CACHE:
-        data = []
-        for rep_name, rep in (
-            ("unit-square", SupportSet([(0, 0), (1, 0), (0, 1), (1, 1)])),
-            ("four-point-L", SupportSet([(0, 0), (1, 0), (0, 1), (2, 0)])),
-        ):
-            canon_rep, _ = normal_form(rep)
-            stab = {s.matrix for s in stabilizer(canon_rep)}
-            data.append((rep_name, canon_rep, stab))
-        _FAMILY_CACHE["f2"] = data
-    return _FAMILY_CACHE["f2"]
+    data = []
+    for rep_name, rep in (
+        ("unit-square", SupportSet([(0, 0), (1, 0), (0, 1), (1, 1)])),
+        ("four-point-L", SupportSet([(0, 0), (1, 0), (0, 1), (2, 0)])),
+    ):
+        canon_rep, _ = normal_form(rep)
+        stab = {s.matrix for s in stabilizer(canon_rep)}
+        data.append((rep_name, canon_rep, stab))
+    return data
 
 
+@functools.cache
 def _family3_data():
-    if "f3" not in _FAMILY_CACHE:
-        two_simplex = lattice_points(convex_hull(SupportSet([(0, 0), (2, 0), (0, 2)])))
-        canon_simplex, M_simplex = normal_form(STANDARD_SIMPLEX)
-        _FAMILY_CACHE["f3"] = (
-            two_simplex,
-            canon_simplex,
-            M_simplex,
-            stabilizer(STANDARD_SIMPLEX),
-        )
-    return _FAMILY_CACHE["f3"]
+    two_simplex = lattice_points(convex_hull(SupportSet([(0, 0), (2, 0), (0, 2)])))
+    canon_simplex, M_simplex = normal_form(STANDARD_SIMPLEX)
+    return two_simplex, canon_simplex, M_simplex, stabilizer(STANDARD_SIMPLEX)
 
 
 def _fits_in(S: SupportSet, region: SupportSet) -> bool:
@@ -460,66 +452,53 @@ def _mult3_witness_routes(
     return None, log
 
 
-def _segment_route(X: SupportSet, Y: SupportSet, orient: str, log: List[str]):
-    from .verify import segment_product_multiplicity
+def _triple_root_on(exps: Sequence[int], place) -> LaurentPolynomial:
+    """construct_univariate(exps, 3), its exponent e put on the monomial place(e)."""
+    p_poly = construct_univariate(exps, 3)
+    shift = -min(min(exps), 0)
+    return LaurentPolynomial(
+        {place(e): p_poly.coefficient(e + shift) for e in exps if p_poly.coefficient(e + shift) != 0}
+    )
 
+
+def _binomial(p: Point, q: Point) -> LaurentPolynomial:
+    """The monomial at p minus the monomial at q, which vanishes at (1, 1)."""
+    return LaurentPolynomial({p: Fraction(1), q: Fraction(-1)})
+
+
+def _segment_route(X: SupportSet, Y: SupportSet, orient: str, log: List[str]):
+    """A triple root at (1, 1) with X horizontal: on the h side the triple
+    root lies in x and a binomial on Y's two lowest levels crosses simply;
+    on the v side the triple root runs across Y's levels and a binomial in
+    x crosses simply.  Only called with mixed volume above 2, so X has two
+    points and Y two levels."""
     _, M = normal_form(X)
     Xn, Yn = M.apply_set(X), M.apply_set(Y)
     x_exps = sorted(p[0] for p in Xn)
+    levels = sorted({p[1] for p in Yn})
+    reps = {lvl: min(p[0] for p in Yn if p[1] == lvl) for lvl in levels}
     # the univariate constructions need point counts, not extents
-    h = len(x_exps)
-    v = len({p[1] for p in Yn})
+    h, v = len(x_exps), len(levels)
     if h >= 4:
-        # triple root in the segment variable, simple in the other
-        p_poly = construct_univariate(x_exps, 3)
-        shift = -min(min(x_exps), 0)
-        f = LaurentPolynomial(
-            {(e, 0): p_poly.coefficient(e + shift) for e in x_exps if p_poly.coefficient(e + shift) != 0}
-        )
-        # simple vertical crossing through (1, 1)
-        levels = sorted({p[1] for p in Yn})
-        reps = {lvl: min(p[0] for p in Yn if p[1] == lvl) for lvl in levels}
-        if len(levels) < 2:
-            log.append(f"route iii {orient}: inapplicable (flat second support)")
-            return None
-        l0, l1 = levels[:2]
-        g = LaurentPolynomial({(reps[l0], l0): Fraction(1), (reps[l1], l1): Fraction(-1)})
-        total, cert = segment_product_multiplicity(f, g, (Fraction(1), Fraction(1)), True)
-        if total == 3:
-            log.append(f"route iii {orient}: witness found (h side)")
-            system = ConstructedSystem(
-                f=f, g=g, points=((Fraction(1), Fraction(1)),), multiplicities=(3,),
-                seed=0, retries_used=0, exact=True, certificate=cert,
-            )
-            system.normalization = M
-            return system
+        side = "h"
+        f = _triple_root_on(x_exps, lambda e: (e, 0))
+        g = _binomial((reps[levels[0]], levels[0]), (reps[levels[1]], levels[1]))
+    elif v >= 4:
+        side = "v"
+        g = _triple_root_on(levels, lambda lvl: (reps[lvl], lvl))
+        f = _binomial((x_exps[0], 0), (x_exps[1], 0))
+    else:
+        log.append(f"route iii {orient}: inapplicable (h={h}, v={v} both below 4)")
+        return None
+    total, cert = segment_product_multiplicity(f, g, (Fraction(1), Fraction(1)), True)
+    if total != 3:
         log.append(f"route iii {orient}: product came out {total}")
         return None
-    if v >= 4:
-        levels = sorted({p[1] for p in Yn})
-        reps = {lvl: min(p[0] for p in Yn if p[1] == lvl) for lvl in levels}
-        q_poly = construct_univariate(levels, 3)
-        shift = -min(min(levels), 0)
-        g_terms = {}
-        for lvl in levels:
-            c = q_poly.coefficient(lvl + shift)
-            if c != 0:
-                g_terms[(reps[lvl], lvl)] = c
-        g = LaurentPolynomial(g_terms)
-        f = LaurentPolynomial({(x_exps[0], 0): Fraction(1), (x_exps[1], 0): Fraction(-1)})
-        total, cert = segment_product_multiplicity(f, g, (Fraction(1), Fraction(1)), True)
-        if total == 3:
-            log.append(f"route iii {orient}: witness found (v side)")
-            system = ConstructedSystem(
-                f=f, g=g, points=((Fraction(1), Fraction(1)),), multiplicities=(3,),
-                seed=0, retries_used=0, exact=True, certificate=cert,
-            )
-            system.normalization = M
-            return system
-        log.append(f"route iii {orient}: product came out {total}")
-        return None
-    log.append(f"route iii {orient}: inapplicable (h={h}, v={v} both below 4)")
-    return None
+    log.append(f"route iii {orient}: witness found ({side} side)")
+    return ConstructedSystem(
+        f=f, g=g, points=((Fraction(1), Fraction(1)),), multiplicities=(3,),
+        seed=0, retries_used=0, exact=True, certificate=cert, normalization=M,
+    )
 
 
 def _is_convex_support(S: SupportSet) -> bool:

@@ -137,9 +137,7 @@ def cmd_construct(args) -> int:
     A = support_from_json(req["A"])
     B = support_from_json(req["B"])
     m = int_from_json(req["m"], "m")
-    system = construct_prescribed(
-        A, B, m, seed=args.seed, retries=args.retries, truncation=args.truncation,
-    )
+    system = construct_prescribed(A, B, m, seed=args.seed, retries=args.retries)
     _emit(args, {"request": {"command": "construct", "m": m, "seed": args.seed},
                  "system": system_to_json(system)})
     return EXIT_OK
@@ -291,52 +289,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
+    def command(name, func, help, seed=False, retries=False, with_input=True):
+        """A subcommand with only the options its handler reads."""
+        p = sub.add_parser(name, help=help)
         if with_input:
             p.add_argument("--input", help="path to a JSON request")
             p.add_argument("--json", help="inline JSON request")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help=f"PRNG seed (default {DEFAULT_SEED})")
-        p.add_argument("--retries", type=int, default=RETRY_BUDGET,
-                       help="retry budget for randomized constructions")
-        p.add_argument("--truncation", type=int, default=None,
-                       help="series truncation override")
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                           help=f"PRNG seed (default {DEFAULT_SEED})")
+        if retries:
+            p.add_argument("--retries", type=int, default=RETRY_BUDGET,
+                           help="retry budget for randomized constructions")
         p.add_argument("--output", help="also write the report to this path")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("bounds", help="pairing bounds and mixed volume for a support pair")
-    common(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("construct", help="build a verified system with a prescribed multiplicity")
-    common(p)
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("multipoint", help="prescribed lower bounds at several points")
-    common(p)
-    p.set_defaults(func=cmd_multipoint)
-
-    p = sub.add_parser("verify", help="re-check a constructed system")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("classify", help="multiplicity-3 classification of a support pair")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("triangle", help="inflection classification of a trinomial support")
-    common(p)
-    p.set_defaults(func=cmd_triangle)
-
-    p = sub.add_parser("univariate", help="sparse univariate root of prescribed multiplicity")
-    common(p)
-    p.set_defaults(func=cmd_univariate)
-
-    p = sub.add_parser("reproduce", help="run a named scenario with built-in checks")
+    command("bounds", cmd_bounds, "pairing bounds and mixed volume for a support pair",
+            seed=True)
+    command("construct", cmd_construct, "build a verified system with a prescribed multiplicity",
+            seed=True, retries=True)
+    command("multipoint", cmd_multipoint, "prescribed lower bounds at several points",
+            seed=True, retries=True)
+    command("verify", cmd_verify, "re-check a constructed system")
+    command("classify", cmd_classify, "multiplicity-3 classification of a support pair",
+            seed=True, retries=True)
+    command("triangle", cmd_triangle, "inflection classification of a trinomial support")
+    command("univariate", cmd_univariate, "sparse univariate root of prescribed multiplicity")
+    p = command("reproduce", cmd_reproduce, "run a named scenario with built-in checks",
+                seed=True, with_input=False)
     p.add_argument("name", choices=["exim", "ex3", "ex10", "triangle-atlas", "th2-atlas"])
     p.add_argument("--n", type=int, default=None, help="family parameter for ex10")
     p.add_argument("--bound", type=int, default=None, help="box bound for the atlases")
-    common(p, with_input=False)
-    p.set_defaults(func=cmd_reproduce)
 
     return parser
 

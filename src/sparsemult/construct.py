@@ -199,7 +199,6 @@ def construct_prescribed(
     m: int,
     seed: int = DEFAULT_SEED,
     retries: int = RETRY_BUDGET,
-    truncation: Optional[int] = None,
 ) -> ConstructedSystem:
     """Osculating curve supported at A meeting a random curve supported at B
     with local intersection multiplicity exactly m at (1, 1).
@@ -214,8 +213,6 @@ def construct_prescribed(
         raise HypothesisViolation("supports must not fit in a common proper sublattice")
     if m < 0:
         raise InputError("multiplicity must be non-negative")
-    if truncation is not None and truncation < m:
-        raise InputError(f"truncation {truncation} is below the multiplicity {m}")
 
     from .verify import intersection_multiplicity_smooth
 
@@ -236,9 +233,9 @@ def construct_prescribed(
             bound_failures += 1
             diagnostics.append(f"attempt {attempt}: m={m} exceeds D={D}")
             continue
-        N = truncation if truncation is not None else m + len(A) + 4
         try:
-            branch = branch_series(f, p, N)
+            # rows 0..m of the osculating matrix are exact from order m on
+            branch = branch_series(f, p, m)
             osc = osculating_matrix(A, branch, m)
         except InputError as exc:
             diagnostics.append(f"attempt {attempt}: {exc}")
@@ -338,12 +335,11 @@ def construct_multipoint(
         if sum(ms) > D:
             diagnostics.append(f"attempt {attempt}: sum(m)={sum(ms)} exceeds D={D}")
             continue
-        N = max(ms) + len(A) + 4
         stacked: List[List[Fraction]] = []
         ok = True
         for pt, mi in zip(points, ms):
             try:
-                branch = branch_series(f, pt, N)
+                branch = branch_series(f, pt, mi)
                 osc = osculating_matrix(A, branch, mi)
             except InputError as exc:
                 diagnostics.append(f"attempt {attempt}: {exc}")

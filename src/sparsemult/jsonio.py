@@ -105,7 +105,10 @@ def laurent_from_json(obj) -> LaurentPolynomial:
             raise InputError(f"polynomial term must be an object, got {t!r}")
         _check_keys(t, {"exp", "coeff"}, "polynomial term")
         require_keys(t, ["exp", "coeff"], "polynomial term")
-        terms[_int_pair(t["exp"], "exponent")] = fraction_from_json(t["coeff"])
+        e = _int_pair(t["exp"], "exponent")
+        if e in terms:
+            raise InputError(f"duplicate exponent {list(e)} in polynomial")
+        terms[e] = fraction_from_json(t["coeff"])
     return LaurentPolynomial(terms)
 
 

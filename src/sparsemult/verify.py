@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .algebra import (
     LaurentPolynomial,
@@ -21,11 +21,7 @@ from .algebra import (
 )
 from .branches import branch_series, is_multiple_of
 from .errors import InputError, VerificationError
-from .lattice import (
-    SupportSet,
-    convex_hull,
-    mixed_volume,
-)
+from .lattice import convex_hull, mixed_volume
 
 #: Sentinel returned when the checked root is not isolated.
 NON_ISOLATED = "non-isolated"
@@ -35,11 +31,10 @@ NON_ISOLATED = "non-isolated"
 class MultiplicityCertificate:
     """Machine-checkable record of one verification.
 
-    ``kind`` is one of BranchOrder, DerivativeTable, LineSum,
-    RankImpossibility, EliminationImpossibility.  ``inputs`` identifies the
-    checked objects; ``transcript`` holds the exact data that forces the
-    verdict (leading series coefficient, derivative values, determinant, or
-    resultant chain).
+    ``kind`` is one of BranchOrder, DerivativeTable, LineSum and
+    RankImpossibility.  ``inputs`` identifies the checked objects;
+    ``transcript`` holds the exact data that forces the verdict (leading
+    series coefficient, derivative values, per-line orders or determinant).
     """
 
     kind: str
@@ -287,58 +282,3 @@ def replay(cert: MultiplicityCertificate):
         raise VerificationError("replay produced a different transcript")
     return fresh
 
-
-# ---------------------------------------------------------------------------
-# the multiplicity-3 oracle
-
-
-@dataclass
-class OracleResult:
-    status: str  # ProvedImpossible | FoundWitness | Inconclusive
-    certificate: Optional[MultiplicityCertificate] = None
-    witness: Optional[object] = None
-    notes: List[str] = field(default_factory=list)
-
-
-def elimination_mult3_oracle(A: SupportSet, B: SupportSet, budget: int = 16) -> OracleResult:
-    """Decide, at desk scale, whether a system supported at (A, B) can have
-    an isolated root of multiplicity 3.
-
-    Order of attack: the root-count bound (mixed volume at most 2 makes the
-    total isolated multiplicity at most 2), then constructive witnesses,
-    then exact slope elimination for line-against-curve shapes.  When a
-    witness exists over C but every rational route is exactly obstructed,
-    the result is Inconclusive and carries the obstruction transcript.
-    """
-    if len(A) > 6 or len(B) > 6:
-        raise InputError("oracle is desk-scale: supports of at most 6 points")
-    mv = mixed_volume(convex_hull(A), convex_hull(B))
-    if mv <= 2:
-        return OracleResult(
-            status="ProvedImpossible",
-            certificate=MultiplicityCertificate(
-                kind="EliminationImpossibility",
-                inputs={"A": A, "B": B},
-                transcript={
-                    "method": "root-count bound",
-                    "mixed_volume": mv,
-                    "statement": "the isolated multiplicities of any system sum to at "
-                    "most the mixed volume, which is below 3",
-                },
-            ),
-        )
-
-    from .classify import _mult3_witness_routes
-    from .construct import DEFAULT_SEED
-
-    system, log = _mult3_witness_routes(A, B, seed=DEFAULT_SEED, retries=budget)
-    if system is not None:
-        return OracleResult(status="FoundWitness", witness=system, notes=log)
-    return OracleResult(
-        status="Inconclusive",
-        notes=log
-        + [
-            "mixed volume admits multiplicity 3 over C, but no route produced a "
-            "rational witness at the configured budget"
-        ],
-    )

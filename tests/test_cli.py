@@ -220,8 +220,8 @@ def _system(**changes):
         ["verify", "--json", json.dumps(_system(normalization={"matrix": [[1, 0], [0, 1]], "shift": [True, 0]}))],
         ["verify", "--json", json.dumps(_system(normalization={"matrix": [[1, 0], [0, 1]], "shift": [0, 0, 0]}))],
         ["verify", "--json", json.dumps(_system(normalization={"matrix": [[2, 0], [0, 1]], "shift": [0, 0]}))],
-        ["construct", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 2}), "--truncation", "-5"],
-        ["construct", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 2}), "--truncation", "1"],
+        ["verify", "--json", json.dumps(_system(f={"terms": [{"exp": [1, 0], "coeff": "1"},
+                                                             {"exp": [1, 0], "coeff": "2"}]}))],
     ],
 )
 def test_invalid_json_values_exit_2(capsys, argv):
@@ -230,3 +230,31 @@ def test_invalid_json_values_exit_2(capsys, argv):
     assert code == 2
     assert err.startswith("invalid input:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["triangle", "--json", json.dumps({"points": [[0, 0], [2, 1], [1, 2]]}), "--seed", "3"],
+        ["verify", "--json", json.dumps(_system()), "--retries", "3"],
+        ["univariate", "--json", json.dumps({"exponents": [0, 1, 3], "l": 2}), "--seed", "3"],
+        ["bounds", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX}), "--retries", "3"],
+        ["reproduce", "exim", "--retries", "3"],
+        ["construct", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 2}), "--truncation", "9"],
+    ],
+)
+def test_options_a_command_ignores_exit_2(capsys, argv):
+    # each subcommand takes only the options it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_construct_seed_and_output(capsys, tmp_path):
+    out = tmp_path / "system.json"
+    req = json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 1})
+    code, rep = run_cli(capsys, "construct", "--json", req, "--seed", "7", "--output", str(out))
+    assert code == 0
+    assert rep["request"]["seed"] == 7
+    assert json.loads(out.read_text(encoding="utf-8")) == rep

@@ -42,6 +42,12 @@ CLI_CASES = {
     # route ii certified failure in both orientations (s^2 + s + 1 = 0)
     "classify_quad": ["classify", "--json", _req(A=QUAD, B=QUAD)],
     "classify_simplex": ["classify", "--json", _req(A=SIMPLEX, B=SIMPLEX)],
+    # route iii: a triple root in the segment variable (h side)
+    "classify_segment_h": ["classify", "--json", _req(
+        A={"points": [[i, 0] for i in range(5)]}, B={"points": [[0, 0], [0, 1]]})],
+    # route iii: a triple root across the levels of the other support (v side)
+    "classify_segment_v": ["classify", "--json", _req(
+        A={"points": [[0, 0], [1, 0]]}, B={"points": [[0, j] for j in range(5)]})],
     "triangle_readme": ["triangle", "--json", _req(points=[[0, 0], [2, 1], [1, 2]])],
     "univariate_l3": ["univariate", "--json", _req(exponents=[0, 1, 3, 7], l=3)],
     "univariate_l4": ["univariate", "--json", _req(exponents=[0, 1, 3, 7], l=4)],

@@ -1,5 +1,5 @@
 """The independent verifier: orders, derivative tables, line sums,
-impossibility certificates, replays, and the multiplicity-3 oracle."""
+impossibility certificates and replays."""
 
 import random
 from fractions import Fraction as F
@@ -12,7 +12,6 @@ from sparsemult.errors import InputError, VerificationError
 from sparsemult.lattice import SupportSet, convex_hull, erode, is_segment, primitivity_index
 from sparsemult.verify import (
     NON_ISOLATED,
-    elimination_mult3_oracle,
     intersection_multiplicity_smooth,
     origin_multiplicity_line_product,
     rank_impossibility,
@@ -20,8 +19,6 @@ from sparsemult.verify import (
     segment_product_multiplicity,
     univariate_multiplicity,
 )
-
-SIMPLEX = SupportSet([(0, 0), (1, 0), (0, 1)])
 
 
 # --- univariate orders ------------------------------------------------------------
@@ -201,33 +198,3 @@ def test_certificate_replay_detects_tampering():
     with pytest.raises(VerificationError):
         replay(cert)
 
-
-# --- the oracle -------------------------------------------------------------------------
-
-
-def test_oracle_simplex_pair_impossible():
-    res = elimination_mult3_oracle(SIMPLEX, SIMPLEX)
-    assert res.status == "ProvedImpossible"
-    assert res.certificate.transcript["mixed_volume"] == 1
-
-
-def test_oracle_exim_pair_witness():
-    B = SupportSet([(0, 1), (3, 0), (4, 0)])
-    res = elimination_mult3_oracle(SIMPLEX, B)
-    assert res.status == "FoundWitness"
-    assert res.witness.multiplicities == (3,)
-
-
-def test_oracle_inflection_quad_inconclusive():
-    quad = SupportSet([(0, 0), (1, 0), (0, 1), (-1, -1)])
-    res = elimination_mult3_oracle(quad, quad)
-    # multiplicity 3 exists over C, but no rational witness: the slope
-    # obstruction is exact, so the oracle must stay inconclusive
-    assert res.status == "Inconclusive"
-    assert any("certified failure" in line for line in res.notes)
-
-
-def test_oracle_rejects_large_supports():
-    big = SupportSet([(i, j) for i in range(3) for j in range(3)])
-    with pytest.raises(InputError):
-        elimination_mult3_oracle(big, SIMPLEX)
