@@ -11,6 +11,7 @@ construction and all arithmetic is exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
@@ -801,6 +802,19 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     m = _integerize_rows(rows)
     _, piv, _ = _bareiss_echelon(m)
     return len(piv)
+
+
+def prefix_ranks(rows: Sequence[Sequence[Fraction]]) -> List[int]:
+    """rank(rows[:i]) for i = 1..len(rows), from one echelon pass.
+
+    Row i raises the rank exactly when it is not in the span of the rows
+    before it, that is when column i of the transposed matrix is a pivot
+    column of its echelon form.  Scaling rows to integers keeps every span.
+    """
+    if not rows:
+        return []
+    _, piv, _ = _bareiss_echelon([list(col) for col in zip(*_integerize_rows(rows))])
+    return [bisect_right(piv, i) for i in range(len(rows))]
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> List[List[Fraction]]:

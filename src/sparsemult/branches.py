@@ -18,7 +18,7 @@ from .algebra import (
     LaurentPolynomial,
     TruncatedSeries,
     kernel_basis,
-    rank,
+    prefix_ranks,
     solve_linear,
     _frac,
 )
@@ -207,10 +207,7 @@ def osculating_matrix(A: SupportSet, branch: BranchParametrization, m: int) -> O
     cols = A.sorted_points()
     series = [branch.monomial_series(e) for e in cols]
     matrix = [[s.coefficient(i) for s in series] for i in range(m + 1)]
-    ranks = []
-    for i in range(1, m + 2):
-        ranks.append(rank(matrix[:i]))
-    return OsculatingData(A, matrix, ranks)
+    return OsculatingData(A, matrix, prefix_ranks(matrix))
 
 
 def compute_dim_V(A: SupportSet, f: LaurentPolynomial) -> Tuple[int, int]:

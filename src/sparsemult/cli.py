@@ -11,6 +11,7 @@ Python's Mersenne Twister, so reports are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -51,7 +52,7 @@ from .jsonio import (
     _value_to_json,
 )
 from .lattice import convex_hull, erode, mixed_volume
-from .reproduce import run_scenario
+from .reproduce import SCENARIOS, run_scenario
 from .verify import (
     NON_ISOLATED,
     intersection_multiplicity_smooth,
@@ -266,15 +267,15 @@ def cmd_univariate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    # a scenario reads the options its signature names; defaults come from there too
+    params = inspect.signature(SCENARIOS[args.name]).parameters
     kwargs = {}
-    if args.name == "ex10":
-        kwargs["n"] = args.n if args.n is not None else 3
-    if args.name == "triangle-atlas":
-        kwargs["bound"] = args.bound if args.bound is not None else 5
-    if args.name == "th2-atlas":
-        kwargs["bound"] = args.bound if args.bound is not None else 2
-    if args.name != "triangle-atlas":
-        kwargs["seed"] = args.seed
+    for opt in ("n", "bound", "seed"):
+        value = getattr(args, opt)
+        if opt in params:
+            kwargs[opt] = params[opt].default if value is None else value
+        elif value is not None:
+            raise InputError(f"reproduce {args.name} takes no --{opt}")
     report = run_scenario(args.name, **kwargs)
     _emit(args, {"request": {"command": "reproduce", "name": args.name, **kwargs}, **report})
     return EXIT_OK if report.get("ok") else EXIT_VERIFICATION
@@ -317,8 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     command("triangle", cmd_triangle, "inflection classification of a trinomial support")
     command("univariate", cmd_univariate, "sparse univariate root of prescribed multiplicity")
     p = command("reproduce", cmd_reproduce, "run a named scenario with built-in checks",
-                seed=True, with_input=False)
-    p.add_argument("name", choices=["exim", "ex3", "ex10", "triangle-atlas", "th2-atlas"])
+                with_input=False)
+    p.add_argument("name", choices=list(SCENARIOS))
+    # None tells a given --seed from none: triangle-atlas takes no seed
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"PRNG seed for the scenarios that draw (default {DEFAULT_SEED})")
     p.add_argument("--n", type=int, default=None, help="family parameter for ex10")
     p.add_argument("--bound", type=int, default=None, help="box bound for the atlases")
 
@@ -329,6 +333,8 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "retries", 1) < 1:
+            raise InputError(f"--retries must be at least 1, got {args.retries}")
         return args.func(args)
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)

@@ -49,14 +49,17 @@ class SupportSet:
 
     Set semantics: duplicates collapse and equality ignores order.  The
     empty set is allowed (erosions can be empty); operations that need a
-    polynomial support check non-emptiness themselves.
+    polynomial support check non-emptiness themselves.  The point set never
+    changes, so the sorted points and the normal form are computed once,
+    on first use.
     """
 
-    __slots__ = ("_points", "_sorted")
+    __slots__ = ("_points", "_sorted", "_normal")
 
     def __init__(self, points: Iterable = ()):
         self._points = frozenset(_as_point(p) for p in points)
         self._sorted: Optional[Tuple[Point, ...]] = None
+        self._normal: Optional[Tuple["SupportSet", "UnimodularAffineMap"]] = None
 
     @property
     def points(self) -> frozenset:
@@ -534,7 +537,16 @@ def normal_form(S: SupportSet) -> Tuple[SupportSet, UnimodularAffineMap]:
     The canonical set minimizes (maxside, width, height, sorted point list)
     over all unimodular images, so two sets are equivalent iff their normal
     forms are equal.  Returns the witnessing affine map; idempotent.
+
+    The result is cached on the instance S: later calls on S return the same
+    (immutable) set and map without searching again.
     """
+    if S._normal is None:
+        S._normal = _search_normal_form(S)
+    return S._normal
+
+
+def _search_normal_form(S: SupportSet) -> Tuple[SupportSet, UnimodularAffineMap]:
     pts = S.sorted_points()
     if not pts:
         raise InputError("normal form of an empty set")
@@ -587,13 +599,11 @@ def stabilizer(S: SupportSet) -> List[UnimodularAffineMap]:
     if is_segment(S):
         raise InputError("stabilizer only implemented for full-dimensional sets")
     radius = max(_maxside(S), 1)
-    canon, _ = normal_form(S)
+    T0, _ = _translate_normalized(S)
     out = []
     seen = set()
     for M in _candidate_maps(S, radius):
-        img = M.apply_set(S)
-        T, _ = _translate_normalized(img)
-        T0, _ = _translate_normalized(S)
+        T, _ = _translate_normalized(M.apply_set(S))
         if T == T0 and M.matrix not in seen:
             seen.add(M.matrix)
             out.append(M)

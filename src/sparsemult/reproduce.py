@@ -141,7 +141,7 @@ def scenario_exim(seed: int = DEFAULT_SEED) -> dict:
     )
 
     # multiplicity 3 is achievable, with a verified system
-    w = decide_mult3(A, B, seed=DEFAULT_SEED).construction
+    w = decide_mult3(A, B, seed=seed).construction
     detail = {}
     if w is not None:
         detail = {

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from sparsemult import reproduce
+from sparsemult.classify import decide_mult3
 from sparsemult.cli import main
 from sparsemult.jsonio import (
     laurent_from_json,
@@ -230,6 +232,37 @@ def test_invalid_json_values_exit_2(capsys, argv):
     assert code == 2
     assert err.startswith("invalid input:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 2}), "--retries", "0"],
+        ["construct", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 2}), "--retries", "-3"],
+        ["multipoint", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "multiplicities": [1]}),
+         "--retries", "0"],
+        ["classify", "--json", json.dumps({"A": SQUARE, "B": SQUARE}), "--retries", "-1"],
+        # reproduce refuses the options a scenario does not read
+        ["reproduce", "exim", "--n", "9"],
+        ["reproduce", "triangle-atlas", "--seed", "3"],
+        ["reproduce", "ex10", "--bound", "2"],
+    ],
+)
+def test_invalid_options_exit_2(capsys, argv):
+    test_invalid_json_values_exit_2(capsys, argv)
+
+
+def test_reproduce_exim_reads_its_seed(capsys, monkeypatch):
+    seeds = []
+
+    def spy(A, B, seed):
+        seeds.append(seed)
+        return decide_mult3(A, B, seed=seed)
+
+    monkeypatch.setattr(reproduce, "decide_mult3", spy)
+    code, rep = run_cli(capsys, "reproduce", "exim", "--seed", "5")
+    assert code == 0 and rep["ok"] is True
+    assert rep["request"]["seed"] == 5 and seeds == [5]
 
 
 @pytest.mark.parametrize(

@@ -12,10 +12,12 @@ from sparsemult.algebra import (
     UnivariatePolynomial,
     poly_gcd,
     poly_kernel_basis,
+    rank,
 )
 from sparsemult.branches import branch_series, compute_dim_V, osculating_matrix
 from sparsemult.construct import (
     ImpossibilityCertificate,
+    _draw_through_one,
     _line_rows,
     build_gap_family_member,
     build_line_product_system,
@@ -263,6 +265,34 @@ def test_osculating_square_row2():
     osc = osculating_matrix(SQUARE, br, 2)
     # xy = (1+t)(1-t) = 1 - t^2 contributes the only t^2 term
     assert osc.matrix[2] == [0, 0, 0, -1]
+
+
+def test_osculating_row_ranks_match_prefix_rank():
+    # the one-pass prefix ranks against rank() of every prefix, on seeded
+    # branches and on chains that stall before they grow again
+    x, y = LaurentPolynomial({(1, 0): 1}), LaurentPolynomial({(0, 1): 1})
+    one = LaurentPolynomial({(0, 0): 1})
+    flex = y - one - (x - one) ** 3  # y = 1 + t^3: the t^2 row of 1, x, y is 0
+    assert osculating_matrix(SIMPLEX, branch_series(flex, (F(1), F(1)), 3), 3).row_ranks == [1, 2, 2, 3]
+    rng = random.Random(23)
+    stalled = checked = 0
+    while checked < 60:
+        if checked % 2:
+            A = SupportSet((rng.randrange(5), rng.randrange(5)) for _ in range(rng.randint(2, 7)))
+            f = _draw_through_one(SupportSet((rng.randrange(4), rng.randrange(4)) for _ in range(4)), rng)
+            if f is None or not (f.partial("x").evaluate((1, 1)) or f.partial("y").evaluate((1, 1))):
+                continue
+        else:
+            # y = 1 + c t^k: rows 1..k-1 see only the x-exponents, here at most 2
+            A = SupportSet((rng.randrange(2), rng.randrange(5)) for _ in range(rng.randint(2, 7)))
+            f = y - one - (x - one) ** rng.randint(2, 5) * rng.choice([-3, -1, 2, 5])
+        m = rng.randint(0, 8)
+        osc = osculating_matrix(A, branch_series(f, (F(1), F(1)), m), m)
+        r = osc.row_ranks
+        assert r == [rank(osc.matrix[:i]) for i in range(1, m + 2)]
+        stalled += any(a == b < r[-1] for a, b in zip(r, r[1:]))
+        checked += 1
+    assert stalled >= 10
 
 
 # --- dim V ----------------------------------------------------------------------

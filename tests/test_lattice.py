@@ -10,6 +10,7 @@ from math import gcd, inf
 
 import pytest
 
+from sparsemult import lattice
 from sparsemult.lattice import (
     SupportSet,
     UnimodularAffineMap,
@@ -27,6 +28,7 @@ from sparsemult.lattice import (
     primitivity_index,
 )
 from sparsemult.errors import InputError
+from sparsemult.reproduce import _convex_supports_in_box
 
 SIMPLEX = SupportSet([(0, 0), (1, 0), (0, 1)])
 SQUARE = SupportSet([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -385,6 +387,41 @@ def test_segment_normal_forms():
     c2, _ = normal_form(SupportSet([(1, 1), (2, 3)]))
     assert c1.sorted_points() == ((0, 0), (2, 0))
     assert c2.sorted_points() == ((0, 0), (1, 0))
+
+
+def test_normal_form_cached_equals_fresh():
+    # the cached (canon, map) is the one a search on an equal new set finds;
+    # route iii prints the map, so it must match as well as the set.  The
+    # atlas holds a single point and segments, so every branch is covered.
+    rng = random.Random(17)
+    supports = _convex_supports_in_box(2)
+    atlas_size = len(supports)
+    while len(supports) < atlas_size + 100:
+        S = SupportSet((rng.randrange(6), rng.randrange(6)) for _ in range(rng.randint(3, 8)))
+        if not is_segment(S):
+            supports.append(S)
+    for S in supports:
+        first = normal_form(S)
+        assert normal_form(S) is first
+        assert normal_form(SupportSet(S.points)) == first
+        canon, M = first
+        assert M.apply_set(S) == canon and normal_form(canon)[0] == canon
+
+
+def test_normal_form_searches_once_per_instance(monkeypatch):
+    searches = []
+    candidate_maps = lattice._candidate_maps
+
+    def counted(S, radius):
+        searches.append(S)
+        return candidate_maps(S, radius)
+
+    monkeypatch.setattr(lattice, "_candidate_maps", counted)
+    S = SupportSet([(0, 0), (3, 1), (1, 2), (2, 2)])
+    canon, M = normal_form(S)
+    assert normal_form(S) == (canon, M) and len(searches) == 1
+    equal = SupportSet(S.points)
+    assert normal_form(equal) == (canon, M) and len(searches) == 2
 
 
 # --- affine maps -------------------------------------------------------------
