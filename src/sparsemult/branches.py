@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import (
     LaurentPolynomial,
@@ -80,6 +80,13 @@ class BranchParametrization:
         return TruncatedSeries.linear_combination(
             [(_frac(c), self.monomial_series(e)) for e, c in g.terms.items()])
 
+    def assert_annihilates(self) -> None:
+        """Check f(x(t), y(t)) = 0 through the truncation order, term by
+        term, apart from the Taylor shift and Horner scheme that built the
+        series."""
+        if any(c != 0 for c in self.evaluate_poly(self.defining_polynomial).coeffs):
+            raise AssertionError("branch expansion does not annihilate f")
+
 
 def _shifted_power(p: Fraction, i: int, order: int) -> List[Fraction]:
     """Coefficients of (p + t)^i through t^order.
@@ -111,21 +118,26 @@ def _horner(coeffs: Dict[int, TruncatedSeries], y: TruncatedSeries) -> Truncated
     return acc * y.int_pow(lo) if lo < 0 else acc
 
 
-def branch_series(
+def branch_rungs(
     f: LaurentPolynomial,
     p: Tuple[Fraction, Fraction],
     order: int,
     prefer: str = "y",
-) -> BranchParametrization:
-    """Expand the branch of Z(f) through p to the given truncation order.
+) -> Iterator[BranchParametrization]:
+    """Yield the branch of Z(f) through p at each precision Newton doubling
+    reaches: 0, 1, 3, 7, ..., capped at ``order``, which is always the last.
+
+    Exact Newton steps never revise a coefficient they have fixed, so each
+    rung's series are prefixes of the next rung's and of the branch at any
+    higher order.  The rungs are not self-checked here; a caller that uses
+    one checks it with ``assert_annihilates``.  Raises, on the first
+    ``next``, for points off the curve and for singular points.
 
     The dependent coordinate is one with a non-zero partial derivative at p
-    (``prefer`` wins when both qualify).  Raises for points off the curve
-    and for singular points.
-
-    f is written once as sum_j a_j(t) dep^j with the free coordinate
-    Taylor-shifted to p + t; each Newton step then evaluates f and its
-    dep-derivative along the current series by Horner's rule in dep.
+    (``prefer`` wins when both qualify).  f is written once as
+    sum_j a_j(t) dep^j with the free coordinate Taylor-shifted to p + t;
+    each Newton step then evaluates f and its dep-derivative along the
+    current series by Horner's rule in dep.
     """
     p = (_frac(p[0]), _frac(p[1]))
     if order < 0:
@@ -157,12 +169,21 @@ def branch_series(
     a = {j: TruncatedSeries(cs) for j, cs in grouped.items()}
     da = {j - 1: s * j for j, s in a.items() if j != 0}
 
+    def rung(dep_series: TruncatedSeries, k: int) -> BranchParametrization:
+        free_series = TruncatedSeries.from_coeff_map({0: free_val, 1: Fraction(1)}, k)
+        if dep == "y":
+            xs, ys = free_series, dep_series
+        else:
+            xs, ys = dep_series, free_series
+        return BranchParametrization(f, p, "x" if dep == "y" else "y", xs, ys, k)
+
     # Newton iteration, doubling the reliable order each step.  f along the
     # padded series vanishes through t^good, so the correction is
     # t^(good+1) * (its upper part / f_dep), and f_dep is needed only
     # through t^good.
     y_cur = TruncatedSeries.constant(dep_val, 0)
     good = 0
+    yield rung(y_cur, 0)
     while good < order:
         target = min(order, 2 * good + 1)
         y_ext = TruncatedSeries(y_cur.coeffs + (Fraction(0),) * (target - good))
@@ -170,16 +191,20 @@ def branch_series(
         step = upper * _horner(da, y_cur).inverse()
         y_cur = TruncatedSeries(y_cur.coeffs + (-step).coeffs)
         good = target
+        yield rung(y_cur, good)
 
-    free_series = TruncatedSeries.from_coeff_map({0: free_val, 1: Fraction(1)}, order)
-    if dep == "y":
-        xs, ys = free_series, y_cur
-    else:
-        xs, ys = y_cur, free_series
-    branch = BranchParametrization(f, p, "x" if dep == "y" else "y", xs, ys, order)
-    # checked term by term, apart from the Taylor shift and Horner scheme above
-    if any(c != 0 for c in branch.evaluate_poly(f).coeffs):
-        raise AssertionError("branch expansion does not annihilate f")
+
+def branch_series(
+    f: LaurentPolynomial,
+    p: Tuple[Fraction, Fraction],
+    order: int,
+    prefer: str = "y",
+) -> BranchParametrization:
+    """Expand the branch of Z(f) through p to the given truncation order:
+    the last rung of ``branch_rungs``, self-checked."""
+    for branch in branch_rungs(f, p, order, prefer):
+        pass
+    branch.assert_annihilates()
     return branch
 
 

@@ -2,7 +2,8 @@
 
 stdout carries exactly one JSON report per invocation; progress and
 diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
-2 invalid input, 3 hypothesis violation, 4 retry budget exhausted.
+2 invalid input, 3 hypothesis violation, 4 retry budget exhausted, 141
+stdout closed by its reader (128 + SIGPIPE; the run ends quietly).
 
 All randomness flows from the single --seed value (default 1729) through
 Python's Mersenne Twister, so reports are byte-identical across runs.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -64,6 +66,7 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_RETRIES = 4
+EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 
 def _load_request(args) -> dict:
@@ -330,8 +333,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        code = _run(build_parser().parse_args(argv))
+        # a report smaller than the pipe buffer is written here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): send what is still buffered to
+        # devnull, so the flush at shutdown cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _run(args) -> int:
     try:
         if getattr(args, "retries", 1) < 1:
             raise InputError(f"--retries must be at least 1, got {args.retries}")

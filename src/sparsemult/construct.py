@@ -596,10 +596,15 @@ def build_line_product_system(
     raise RetryBudgetExhausted("no admissible higher form found", {})
 
 
-def gap_family_supports(n: int) -> Tuple[SupportSet, SupportSet]:
-    """The support pair whose achievable multiplicity set has gaps."""
+def require_gap_family_n(n: int) -> None:
+    """Reject a gap-family parameter outside the odd n >= 3."""
     if n < 3 or n % 2 == 0:
         raise InputError("the family is defined for odd n >= 3")
+
+
+def gap_family_supports(n: int) -> Tuple[SupportSet, SupportSet]:
+    """The support pair whose achievable multiplicity set has gaps."""
+    require_gap_family_n(n)
     A = SupportSet([(0, 0), (1, 0)] + [(0, j) for j in range(1, n + 1)])
     B = SupportSet([(0, 0), (0, 1), (1, 0), (2, 0)])
     return A, B
@@ -626,11 +631,9 @@ def build_gap_family_member(n: int, m: int, seed: int = DEFAULT_SEED):
 
     Returns (kind, payload): kind is "system" or "impossible".
     """
-    if n < 3 or n % 2 == 0:
-        raise InputError("the family is defined for odd n >= 3")
+    A, B = gap_family_supports(n)
     if not (1 <= m <= 2 * n):
         raise InputError(f"multiplicity must be between 1 and {2 * n}")
-    A, B = gap_family_supports(n)
 
     if m <= n + 1:
         # triangular solve: f_A = x - q(y), f_B = y - p(x), p(s) = s^2 + s,

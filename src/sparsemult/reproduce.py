@@ -40,6 +40,7 @@ from .construct import (
     build_line_product_system,
     gap_family_achievable_set,
     gap_family_phi,
+    require_gap_family_n,
 )
 from .errors import InputError
 from .lattice import (
@@ -173,6 +174,7 @@ def scenario_ex3(cases=((3, 2, 0), (4, 3, 2), (5, 4, 0)), seed: int = DEFAULT_SE
 def scenario_ex10(n: int = 3, seed: int = DEFAULT_SEED) -> dict:
     """The gap family: all achievable multiplicities realized and verified,
     the odd values above n + 1 obstructed by the positive recursion."""
+    require_gap_family_n(n)
     checks: List[dict] = []
     achievable = gap_family_achievable_set(n)
     realized = []
@@ -252,6 +254,8 @@ def scenario_triangle_atlas(bound: int = 5) -> dict:
     """Classify every non-degenerate triangle with coordinates in
     [0, bound]^2; check family coverage, orbit consistency and the Hessian
     anchor identities."""
+    if bound < 1:
+        raise InputError(f"triangle-atlas needs bound >= 1, got {bound}")
     checks: List[dict] = []
     pts_all = [(x, y) for x in range(bound + 1) for y in range(bound + 1)]
     verdict_by_class: Dict[Tuple, str] = {}
@@ -341,7 +345,12 @@ def _pair_key(A: SupportSet, B: SupportSet) -> Tuple:
 def scenario_th2_atlas(bound: int = 2, seed: int = DEFAULT_SEED) -> dict:
     """Classify all pairs of convex supports in [0, bound]^2: the verdict
     criterion must agree with family membership, and achievable pairs must
-    get verified witnesses unless every route certifies failure."""
+    get verified witnesses unless every route certifies failure.
+
+    The bound is capped at 3: the box scan visits 2^((bound + 1)^2)
+    subsets, about 3.4e7 at bound 4."""
+    if not 0 <= bound <= 3:
+        raise InputError(f"th2-atlas needs 0 <= bound <= 3, got {bound}")
     checks: List[dict] = []
     supports = _convex_supports_in_box(bound)
     _progress(f"th2-atlas: {len(supports)} convex supports in the box")

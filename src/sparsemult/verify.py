@@ -1,9 +1,13 @@
 """Independent exact verification of multiplicity claims.
 
 The verifier never trusts a constructor: it recomputes branches from
-scratch with its own truncation policy and reports orders read off exact
-series coefficients.  Every check returns a replayable certificate whose
-transcript is reproduced bit for bit when re-run on the same inputs.
+scratch and reports orders read off exact series coefficients.  A branch
+order is certified within a budget n0 = |f| + |g| + 8 (doubled up to a
+mixed-volume cap when nothing shows): the order is read from the shortest
+Newton rung of the branch that shows it, which gives the same coefficient
+as the expansion to n0, and that rung is checked to annihilate f.  Every
+check returns a replayable certificate whose transcript is reproduced bit
+for bit when re-run on the same inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .algebra import (
     sylvester_resultant,
     _frac,
 )
-from .branches import branch_series, is_multiple_of
+from .branches import branch_rungs, branch_series, is_multiple_of
 from .errors import InputError, VerificationError
 from .lattice import convex_hull, mixed_volume
 
@@ -35,6 +39,9 @@ class MultiplicityCertificate:
     RankImpossibility.  ``inputs`` identifies the checked objects;
     ``transcript`` holds the exact data that forces the verdict (leading
     series coefficient, derivative values, per-line orders or determinant).
+    A BranchOrder ``truncation`` is the budget within which the order is
+    certified, not the length of the expansion it was read from: the order
+    comes from the shortest Newton rung that shows it.
     """
 
     kind: str
@@ -89,34 +96,40 @@ def intersection_multiplicity_smooth(
         raise InputError("point is not on the first curve")
 
     n0 = len(f.terms) + len(g.terms) + 8
-    try:
-        mv_cap = mixed_volume(convex_hull(f.support()), convex_hull(g.support()))
-    except Exception:
-        mv_cap = 0
-    hard_cap = 4 * (n0 + mv_cap)
 
-    order = None
+    def certified(order, lead, free_variable, n):
+        cert = MultiplicityCertificate(
+            kind="BranchOrder",
+            inputs={"f": f, "g": g, "point": p},
+            transcript={
+                "order": order,
+                "leading_coefficient": lead,
+                "truncation": n,
+                "free_variable": free_variable,
+            },
+        )
+        return (order, cert) if with_certificate else order
+
+    # Rungs are prefixes of the branch at n0, so the first rung on which g
+    # shows a non-zero coefficient gives the order and leading coefficient
+    # that the expansion at n0 would; n0 stays the certified budget.
+    for branch in branch_rungs(f, p, n0):
+        series = branch.evaluate_poly(g)
+        order = series.order()
+        if order is not None:
+            branch.assert_annihilates()
+            return certified(order, series.coefficient(order), branch.free_variable, n0)
+    branch.assert_annihilates()
+
+    hard_cap = 4 * (n0 + mixed_volume(convex_hull(f.support()), convex_hull(g.support())))
     n = n0
-    while True:
+    while n < hard_cap:
+        n = min(2 * n, hard_cap)
         branch = branch_series(f, p, n)
         series = branch.evaluate_poly(g)
         order = series.order()
         if order is not None:
-            lead = series.coefficient(order)
-            cert = MultiplicityCertificate(
-                kind="BranchOrder",
-                inputs={"f": f, "g": g, "point": p},
-                transcript={
-                    "order": order,
-                    "leading_coefficient": lead,
-                    "truncation": n,
-                    "free_variable": branch.free_variable,
-                },
-            )
-            return (order, cert) if with_certificate else order
-        if n >= hard_cap:
-            break
-        n = min(2 * n, hard_cap)
+            return certified(order, series.coefficient(order), branch.free_variable, n)
 
     if is_multiple_of(g, f):
         verdict = NON_ISOLATED

@@ -1,9 +1,13 @@
 """The command-line surface: JSON round-trips, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sparsemult
 from sparsemult import reproduce
 from sparsemult.classify import decide_mult3
 from sparsemult.cli import main
@@ -246,10 +250,34 @@ def test_invalid_json_values_exit_2(capsys, argv):
         ["reproduce", "exim", "--n", "9"],
         ["reproduce", "triangle-atlas", "--seed", "3"],
         ["reproduce", "ex10", "--bound", "2"],
+        # and values outside a scenario's domain, before any work
+        ["reproduce", "ex10", "--n", "-3"],
+        ["reproduce", "ex10", "--n", "4"],
+        ["reproduce", "triangle-atlas", "--bound", "-1"],
+        ["reproduce", "triangle-atlas", "--bound", "0"],
+        ["reproduce", "th2-atlas", "--bound", "-1"],
+        ["reproduce", "th2-atlas", "--bound", "4"],
     ],
 )
 def test_invalid_options_exit_2(capsys, argv):
     test_invalid_json_values_exit_2(capsys, argv)
+
+
+def test_closed_stdout_ends_quietly():
+    # the read end is closed before the process starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(sparsemult.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparsemult.cli", "reproduce", "ex10"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_reproduce_exim_reads_its_seed(capsys, monkeypatch):
