@@ -7,13 +7,19 @@ Q; polynomial types accept either scalar as a coefficient, so a resultant
 with parameter coefficients comes out as a univariate polynomial whose
 coefficients are parameter polynomials.  Everything is immutable after
 construction and all arithmetic is exact.
+
+Truncated series, the hot loop of branch expansion, are fraction-free: one
+positive common denominator and integer numerators, kept in lowest terms,
+so that normal form is unique.  Fractions are built only where a caller
+reads a coefficient.  Rational evaluation of a Laurent polynomial likewise
+sums integer numerator/denominator pairs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -358,15 +364,9 @@ class UnivariatePolynomial:
         """Scale to integer coefficients with gcd 1 and positive leading term."""
         if self.is_zero():
             return self
-        from math import gcd, lcm
-
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, _frac(c).denominator)
+        den = lcm(*[_frac(c).denominator for c in self.coeffs])
         ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
+        g = gcd(*ints)
         ints = [v // g for v in ints]
         if ints[-1] < 0:
             ints = [-v for v in ints]
@@ -487,35 +487,47 @@ def rational_roots(p: UnivariatePolynomial) -> List[Fraction]:
 class TruncatedSeries:
     """One-variable power series over Q, exact up to a stated order.
 
-    ``coeffs[i]`` is the t^i coefficient; coefficients beyond the truncation
-    order are unknown (not zero).  Binary operations truncate to the smaller
-    order of the two operands.  Products and inverses bring their operands
-    to a common denominator and work on the integer numerators, so each
-    output coefficient costs one normalizing gcd rather than one per
-    coefficient product.
+    The t^i coefficient is ``nums[i] / den``: integer numerators over one
+    positive common denominator, in lowest terms (gcd(den, *nums) == 1).
+    That normal form is unique, so equal series have equal fields.
+    Coefficients beyond the truncation order are unknown (not zero), and
+    binary operations truncate to the smaller order of the two operands.
+    Arithmetic works on the integers and reduces each result once, by one
+    gcd; ``coeffs`` and ``coefficient`` build Fractions only for callers
+    that read them.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence[Fraction]):
         if not coeffs:
             raise InputError("series needs at least the constant coefficient")
-        self.coeffs = tuple(_frac(c) for c in coeffs)
+        cs = [_frac(c) for c in coeffs]
+        # over the least common denominator the numerators share no factor with it
+        self.den = lcm(*[c.denominator for c in cs])
+        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in cs)
 
     @classmethod
-    def _of(cls, coeffs: Iterable[Fraction]) -> "TruncatedSeries":
-        # trusted constructor: coeffs are already normalized Fractions
+    def _make(cls, nums: Sequence[int], den: int) -> "TruncatedSeries":
+        # trusted constructor: integer numerators over a positive denominator
+        g = gcd(den, *nums)
         s = object.__new__(cls)
-        s.coeffs = tuple(coeffs)
+        s.nums = tuple(nums) if g == 1 else tuple(c // g for c in nums)
+        s.den = den // g
         return s
 
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def truncation_order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @classmethod
     def constant(cls, c, order: int) -> "TruncatedSeries":
-        return cls([_frac(c)] + [Fraction(0)] * order)
+        c = _frac(c)
+        return cls._make((c.numerator,) + (0,) * order, c.denominator)
 
     @classmethod
     def from_coeff_map(cls, pairs: Dict[int, Fraction], order: int) -> "TruncatedSeries":
@@ -528,29 +540,35 @@ class TruncatedSeries:
     def coefficient(self, i: int) -> Fraction:
         if i > self.truncation_order:
             raise InputError(f"coefficient {i} beyond truncation {self.truncation_order}")
-        return self.coeffs[i]
+        return Fraction(self.nums[i], self.den)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.truncation_order:
             return self
-        return TruncatedSeries(self.coeffs[: order + 1])
+        return TruncatedSeries._make(self.nums[: order + 1], self.den)
 
     def order(self) -> Optional[int]:
         """Index of the first non-zero coefficient, or None if all known ones vanish."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, c in enumerate(self.nums):
+            if c:
                 return i
         return None
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(other, self.truncation_order)
-        return TruncatedSeries._of(map(add, self.coeffs, other.coeffs))
+        da, db = self.den, other.den
+        if da == db:
+            return TruncatedSeries._make(list(map(add, self.nums, other.nums)), da)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return TruncatedSeries._make(
+            [x * sa + y * sb for x, y in zip(self.nums, other.nums)], da * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries._of(-c for c in self.coeffs)
+        return TruncatedSeries._make([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -560,45 +578,42 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             other = _frac(other)
-            return TruncatedSeries._of(c * other for c in self.coeffs)
-        n = min(len(self.coeffs), len(other.coeffs))
-        a, da = _numerators(self.coeffs[:n])
-        b, db = _numerators(other.coeffs[:n])
-        den = da * db
-        return TruncatedSeries._of(
-            Fraction(sum(map(mul, a[: k + 1], b[k::-1])), den) for k in range(n)
-        )
+            return TruncatedSeries._make(
+                [c * other.numerator for c in self.nums], self.den * other.denominator)
+        n = min(len(self.nums), len(other.nums))
+        a, b = self.nums, other.nums
+        return TruncatedSeries._make(
+            [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n)], self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
-        if self.coeffs[0] == 0:
-            raise InputError("series inverse requires a unit (non-zero constant term)")
-        # self = a(t)/d with a integral; 1/a has t^k coefficient q_k / a0^(k+1),
-        # where q_0 = 1 and q_k = -sum_{j=1..k} a_j a0^(j-1) q_(k-j)
-        a, d = _numerators(self.coeffs)
+        a = self.nums
         a0 = a[0]
+        if a0 == 0:
+            raise InputError("series inverse requires a unit (non-zero constant term)")
+        # self = a(t)/den; 1/a has t^k coefficient q_k / a0^(k+1), where q_0 = 1
+        # and q_k = -sum_{j=1..k} a_j a0^(j-1) q_(k-j).  Over the common
+        # denominator a0^(n+1) the numerators of 1/self are den q_k a0^(n-k).
+        n = len(a) - 1
         w = [aj * a0 ** (j - 1) for j, aj in enumerate(a) if j]
         q = [1]
-        for k in range(1, len(a)):
+        for k in range(1, n + 1):
             q.append(-sum(map(mul, w[:k], q[::-1])))
-        return TruncatedSeries._of(Fraction(d * qk, a0 ** (k + 1)) for k, qk in enumerate(q))
+        d, den = self.den, a0 ** (n + 1)
+        if den < 0:
+            d, den = -d, -den
+        return TruncatedSeries._make([d * qk * a0 ** (n - k) for k, qk in enumerate(q)], den)
 
     @staticmethod
     def linear_combination(terms: Sequence[Tuple[Fraction, "TruncatedSeries"]]) -> "TruncatedSeries":
         """sum(c * s for c, s in terms), truncated to the smallest order, over
         one common denominator."""
-        n = min(len(s.coeffs) for _, s in terms)
-        cols, dens = [], []
-        for c, s in terms:
-            nums, d = _numerators(s.coeffs[:n])
-            cols.append(nums)
-            dens.append(c.denominator * d)
+        dens = [c.denominator * s.den for c, s in terms]
         den = lcm(*dens)
         scale = [c.numerator * (den // d) for (c, _), d in zip(terms, dens)]
-        return TruncatedSeries._of(
-            Fraction(sum(map(mul, scale, col)), den) for col in zip(*cols)
-        )
+        return TruncatedSeries._make(
+            [sum(map(mul, scale, col)) for col in zip(*[s.nums for _, s in terms])], den)
 
     def int_pow(self, e: int) -> "TruncatedSeries":
         base = self if e >= 0 else self.inverse()
@@ -612,16 +627,10 @@ class TruncatedSeries:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
+        return isinstance(other, TruncatedSeries) and self.den == other.den and self.nums == other.nums
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)})"
-
-
-def _numerators(cs: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """Integer numerators over the least common denominator of ``cs``."""
-    d = lcm(*[c.denominator for c in cs])
-    return [c.numerator * (d // c.denominator) for c in cs], d
 
 
 # ---------------------------------------------------------------------------
@@ -729,13 +738,28 @@ class LaurentPolynomial:
 
     def evaluate(self, point: Tuple[Fraction, Fraction]):
         px, py = _frac(point[0]), _frac(point[1])
-        acc = None
+        if (px == 0 or py == 0) and any(
+                (e1 < 0 and px == 0) or (e2 < 0 and py == 0) for e1, e2 in self.terms):
+            raise InputError("negative exponent at a zero coordinate")
+        if not all(isinstance(c, Fraction) for c in self.terms.values()):
+            acc = None
+            for (e1, e2), c in self.terms.items():
+                val = c * px**e1 * py**e2
+                acc = val if acc is None else acc + val
+            return Fraction(0) if acc is None else acc
+        # rational coefficients: one numerator/denominator pair per term,
+        # summed over the least common denominator, one Fraction at the end
+        xn, xd, yn, yd = px.numerator, px.denominator, py.numerator, py.denominator
+        num, den = 0, 1
         for (e1, e2), c in self.terms.items():
-            if (e1 < 0 and px == 0) or (e2 < 0 and py == 0):
-                raise InputError("negative exponent at a zero coordinate")
-            val = c * px**e1 * py**e2
-            acc = val if acc is None else acc + val
-        return Fraction(0) if acc is None else acc
+            n = c.numerator * (xn**e1 if e1 >= 0 else xd**-e1) * (yn**e2 if e2 >= 0 else yd**-e2)
+            d = c.denominator * (xd**e1 if e1 >= 0 else xn**-e1) * (yd**e2 if e2 >= 0 else yn**-e2)
+            if d == den:
+                num += n
+            else:
+                g = gcd(den, d)
+                num, den = num * (d // g) + n * (den // g), den // g * d
+        return Fraction(num, den)
 
     def shift_exponents(self, v: Tuple[int, int]) -> "LaurentPolynomial":
         return LaurentPolynomial({(e[0] + v[0], e[1] + v[1]): c for e, c in self.terms.items()})
@@ -752,15 +776,11 @@ class LaurentPolynomial:
 
 
 def _integerize_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    from math import lcm
-
     out = []
     for row in rows:
-        den = 1
         fr = [_frac(c) for c in row]
-        for c in fr:
-            den = lcm(den, c.denominator)
-        out.append([int(c * den) for c in fr])
+        den = lcm(*[c.denominator for c in fr])
+        out.append([c.numerator * (den // c.denominator) for c in fr])
     return out
 
 
@@ -908,21 +928,17 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
         raise InputError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    from math import lcm
-
-    scale = Fraction(1)
+    scale = 1
     m = []
     for row in rows:
-        den = 1
         fr = [_frac(c) for c in row]
-        for c in fr:
-            den = lcm(den, c.denominator)
+        den = lcm(*[c.denominator for c in fr])
         scale *= den
-        m.append([int(c * den) for c in fr])
+        m.append([c.numerator * (den // c.denominator) for c in fr])
     ech, piv, sign = _bareiss_echelon(m)
     if len(piv) < n:
         return Fraction(0)
-    return Fraction(sign * ech[n - 1][n - 1]) / scale
+    return Fraction(sign * ech[n - 1][n - 1], scale)
 
 
 # ---------------------------------------------------------------------------

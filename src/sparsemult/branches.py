@@ -84,23 +84,29 @@ class BranchParametrization:
         """Check f(x(t), y(t)) = 0 through the truncation order, term by
         term, apart from the Taylor shift and Horner scheme that built the
         series."""
-        if any(c != 0 for c in self.evaluate_poly(self.defining_polynomial).coeffs):
+        if any(self.evaluate_poly(self.defining_polynomial).nums):
             raise AssertionError("branch expansion does not annihilate f")
 
 
-def _shifted_power(p: Fraction, i: int, order: int) -> List[Fraction]:
-    """Coefficients of (p + t)^i through t^order.
+def _shifted_power(p: Fraction, i: int, order: int) -> TruncatedSeries:
+    """(p + t)^i through t^order.
 
     Generalized binomials C(i, k) p^(i-k), so i may be negative (then p
-    must be non-zero); for i >= 0 the expansion stops after t^i."""
-    out = [Fraction(0)] * (order + 1)
+    must be non-zero); for i >= 0 the expansion stops after t^i.  With
+    p = u/v the numerators are C(i, k) u^(i-k) v^k over v^i for i >= 0,
+    and C(i, k) v^(k-i) u^(order-k) over u^(order-i) for i < 0."""
+    u, v = p.numerator, p.denominator
+    nums = [0] * (order + 1)
     binom = 1
     for k in range(order + 1):
         if binom == 0:
             break
-        out[k] = binom * p ** (i - k)
+        nums[k] = binom * (u ** (i - k) * v**k if i >= 0 else v ** (k - i) * u ** (order - k))
         binom = binom * (i - k) // (k + 1)
-    return out
+    den = v**i if i >= 0 else u ** (order - i)
+    if den < 0:
+        nums, den = [-c for c in nums], -den
+    return TruncatedSeries._make(nums, den)
 
 
 def _horner(coeffs: Dict[int, TruncatedSeries], y: TruncatedSeries) -> TruncatedSeries:
@@ -159,14 +165,12 @@ def branch_rungs(
     free_val, dep_val = (p[0], p[1]) if dep == "y" else (p[1], p[0])
     dep_idx = 1 if dep == "y" else 0
 
-    grouped: Dict[int, List[Fraction]] = {}
+    # a_j(t) over one common denominator: the terms with dep-exponent j
+    grouped: Dict[int, List[Tuple[Fraction, TruncatedSeries]]] = {}
     for e, c in f.terms.items():
-        c = _frac(c)
-        acc = grouped.setdefault(e[dep_idx], [Fraction(0)] * (order + 1))
-        for k, b in enumerate(_shifted_power(free_val, e[1 - dep_idx], order)):
-            if b:
-                acc[k] += c * b
-    a = {j: TruncatedSeries(cs) for j, cs in grouped.items()}
+        grouped.setdefault(e[dep_idx], []).append(
+            (_frac(c), _shifted_power(free_val, e[1 - dep_idx], order)))
+    a = {j: TruncatedSeries.linear_combination(terms) for j, terms in grouped.items()}
     da = {j - 1: s * j for j, s in a.items() if j != 0}
 
     def rung(dep_series: TruncatedSeries, k: int) -> BranchParametrization:
@@ -180,16 +184,16 @@ def branch_rungs(
     # Newton iteration, doubling the reliable order each step.  f along the
     # padded series vanishes through t^good, so the correction is
     # t^(good+1) * (its upper part / f_dep), and f_dep is needed only
-    # through t^good.
+    # through t^good.  Padding, slicing and splicing act on the numerators.
     y_cur = TruncatedSeries.constant(dep_val, 0)
     good = 0
     yield rung(y_cur, 0)
     while good < order:
         target = min(order, 2 * good + 1)
-        y_ext = TruncatedSeries(y_cur.coeffs + (Fraction(0),) * (target - good))
-        upper = TruncatedSeries(_horner(a, y_ext).coeffs[good + 1:])
-        step = upper * _horner(da, y_cur).inverse()
-        y_cur = TruncatedSeries(y_cur.coeffs + (-step).coeffs)
+        y_ext = TruncatedSeries._make(y_cur.nums + (0,) * (target - good), y_cur.den)
+        h = _horner(a, y_ext)
+        step = TruncatedSeries._make(h.nums[good + 1:], h.den) * _horner(da, y_cur).inverse()
+        y_cur = y_ext - TruncatedSeries._make((0,) * (good + 1) + step.nums, step.den)
         good = target
         yield rung(y_cur, good)
 

@@ -2,8 +2,10 @@
 
 stdout carries exactly one JSON report per invocation; progress and
 diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
-2 invalid input, 3 hypothesis violation, 4 retry budget exhausted, 141
-stdout closed by its reader (128 + SIGPIPE; the run ends quietly).
+2 invalid input, 3 hypothesis violation, 4 retry budget exhausted, 5
+internal error (an exception no other code covers, such as a failed
+self-check; one ``internal error:`` line on stderr), 141 stdout closed by
+its reader (128 + SIGPIPE; the run ends quietly).
 
 All randomness flows from the single --seed value (default 1729) through
 Python's Mersenne Twister, so reports are byte-identical across runs.
@@ -66,6 +68,7 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_RETRIES = 4
+EXIT_INTERNAL = 5
 EXIT_BROKEN_PIPE = 128 + 13  # as if killed by SIGPIPE
 
 
@@ -371,6 +374,12 @@ def _run(args) -> int:
     except FileNotFoundError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        raise  # main ends a closed stdout quietly
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

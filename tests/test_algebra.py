@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsemult.algebra import (
     LaurentPolynomial,
@@ -115,6 +116,87 @@ def test_series_arithmetic_matches_fraction_reference():
 def test_series_order():
     assert TruncatedSeries([0, 0, F(5), 0]).order() == 2
     assert TruncatedSeries([0, 0, 0]).order() is None
+
+
+# rationals with mixed denominators, zeros and negatives; series of unequal orders
+_rationals = st.builds(F, st.integers(-40, 40), st.sampled_from([1, 1, 2, 3, 4, 6, 9, 35, 1024]))
+_coeff_lists = st.lists(st.one_of(st.just(F(0)), _rationals), min_size=1, max_size=9)
+_unit_lists = _coeff_lists.filter(lambda cs: cs[0] != 0)
+
+
+def _assert_normal(series, expected):
+    """Value against a plain-Fraction reference, and the normal form:
+    integer numerators over a positive denominator, in lowest terms."""
+    assert series.coeffs == tuple(expected)
+    assert all(type(c) is int for c in series.nums) and type(series.den) is int
+    assert series.den > 0 and gcd(series.den, *series.nums) == 1
+    assert series == TruncatedSeries(expected)
+
+
+@settings(deadline=None)
+@given(_coeff_lists, _coeff_lists, _rationals)
+def test_series_ring_operations_are_exact_and_normal(a, b, c):
+    sa, sb = TruncatedSeries(a), TruncatedSeries(b)
+    _assert_normal(sa, a)
+    _assert_normal(sa * sb, _ref_mul(a, b))
+    _assert_normal(sa + sb, [x + y for x, y in zip(a, b)])
+    _assert_normal(sa - sb, [x - y for x, y in zip(a, b)])
+    _assert_normal(-sa, [-x for x in a])
+    _assert_normal(sa * c, [x * c for x in a])
+    _assert_normal(sa + c, [a[0] + c] + a[1:])
+    _assert_normal(sa.truncate(len(b) - 1), a[:len(b)])
+
+
+@settings(deadline=None)
+@given(_unit_lists, st.integers(-4, 4))
+def test_series_inverse_and_powers_are_exact_and_normal(u, e):
+    su = TruncatedSeries(u)
+    _assert_normal(su.inverse(), _ref_inverse(u))
+    _assert_normal(su.int_pow(e), _ref_pow(u, e))
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(_rationals, _coeff_lists), min_size=1, max_size=4))
+def test_linear_combination_is_exact_and_normal(terms):
+    n = min(len(cs) for _, cs in terms)
+    expected = [sum((c * cs[k] for c, cs in terms), F(0)) for k in range(n)]
+    _assert_normal(
+        TruncatedSeries.linear_combination([(c, TruncatedSeries(cs)) for c, cs in terms]), expected)
+
+
+def _ref_evaluate(p, point):
+    # the plain loop over Fraction powers
+    acc = F(0)
+    for (e1, e2), c in p.terms.items():
+        acc = acc + c * point[0] ** e1 * point[1] ** e2
+    return acc
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), _rationals, max_size=8),
+       _rationals.filter(lambda v: v != 0), _rationals.filter(lambda v: v != 0))
+def test_evaluate_matches_the_fraction_loop(terms, px, py):
+    p = LaurentPolynomial(terms)
+    for point in ((px, py), (-px, py), (F(1), F(1)), (px, F(1))):
+        value = p.evaluate(point)
+        assert type(value) is F and value == _ref_evaluate(p, point)
+
+
+def test_evaluate_at_a_zero_coordinate_and_with_parameters():
+    p = LaurentPolynomial({(2, 0): F(3, 2), (0, 1): F(-1), (1, 1): F(5, 7)})
+    assert p.evaluate((F(0), F(-2, 3))) == F(2, 3)
+    assert p.evaluate((F(-1, 2), F(0))) == F(3, 8)
+    assert LaurentPolynomial({}).evaluate((F(0), F(0))) == 0
+    for point in ((F(0), F(1)), (F(1), F(0))):
+        with pytest.raises(InputError):
+            LaurentPolynomial({(-1, 0): F(1), (0, -1): F(1)}).evaluate(point)
+    s = MPoly.var(("s",), "s")
+    q = LaurentPolynomial({(1, -1): s, (0, 2): F(1, 2), (-2, 0): s * s})
+    value = q.evaluate((F(2), F(-1, 3)))
+    assert isinstance(value, MPoly)
+    assert value == s * F(-6) + F(1, 18) + s * s * F(1, 4)
+    with pytest.raises(InputError):
+        q.evaluate((F(0), F(1)))
 
 
 # --- kernels and ranks ---------------------------------------------------------

@@ -8,10 +8,12 @@ import sys
 import pytest
 
 import sparsemult
-from sparsemult import reproduce
+from sparsemult import cli, reproduce
 from sparsemult.classify import decide_mult3
 from sparsemult.cli import main
 from sparsemult.jsonio import (
+    MAX_SPAN,
+    MAX_SUPPORT_POINTS,
     laurent_from_json,
     laurent_to_json,
     support_from_json,
@@ -228,6 +230,17 @@ def _system(**changes):
         ["verify", "--json", json.dumps(_system(normalization={"matrix": [[2, 0], [0, 1]], "shift": [0, 0]}))],
         ["verify", "--json", json.dumps(_system(f={"terms": [{"exp": [1, 0], "coeff": "1"},
                                                              {"exp": [1, 0], "coeff": "2"}]}))],
+        # supports beyond the caps exit before any hull, erosion or kernel work
+        ["bounds", "--json", json.dumps({"A": {"points": [[0, 0], [100, 0], [0, 100]]}, "B": SIMPLEX})],
+        ["bounds", "--json", json.dumps({"A": {"points": [[0, 0], [11, 0], [0, 1]]}, "B": SIMPLEX})],
+        ["bounds", "--json", json.dumps({"A": SQUARE, "B": {"points": [[-6, 0], [5, 0], [0, 1]]}})],
+        ["classify", "--json", json.dumps({"A": SIMPLEX, "B": {"points": [[0, 0], [50, 0], [0, 50]]}})],
+        ["classify", "--json", json.dumps({"A": {"points": [[20, 20], [21, 20], [20, 21]]}, "B": SIMPLEX})],
+        ["construct", "--json", json.dumps({"A": {"points": [[0, -11], [1, -11], [0, -10]]},
+                                            "B": SIMPLEX, "m": 1})],
+        ["construct", "--json", json.dumps({"A": {"points": [[0, 0]] * 122}, "B": SIMPLEX, "m": 1})],
+        ["multipoint", "--json", json.dumps({"A": SQUARE, "B": {"points": [[0, 0], [0, 12], [1, 0]]},
+                                             "multiplicities": [1]})],
     ],
 )
 def test_invalid_json_values_exit_2(capsys, argv):
@@ -261,6 +274,25 @@ def test_invalid_json_values_exit_2(capsys, argv):
 )
 def test_invalid_options_exit_2(capsys, argv):
     test_invalid_json_values_exit_2(capsys, argv)
+
+
+def test_support_caps_admit_their_boundary():
+    box = [[x, y] for x in range(-5, 6) for y in range(0, 11)]
+    assert len(support_from_json({"points": box})) == MAX_SUPPORT_POINTS == 121
+    corners = [[-MAX_SPAN, 0], [0, 0], [-MAX_SPAN, -MAX_SPAN], [0, -MAX_SPAN]]
+    assert len(support_from_json({"points": corners})) == 4
+
+
+def test_unmapped_exception_is_an_internal_error(capsys, monkeypatch):
+    def failing_self_check(args):
+        raise AssertionError("branch expansion\ndoes not annihilate f")
+
+    monkeypatch.setattr(cli, "cmd_bounds", failing_self_check)
+    code = main(["bounds", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX})])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == "internal error: AssertionError: branch expansion does not annihilate f\n"
 
 
 def test_closed_stdout_ends_quietly():
