@@ -837,33 +837,45 @@ def prefix_ranks(rows: Sequence[Sequence[Fraction]]) -> List[int]:
     return [bisect_right(piv, i) for i in range(len(rows))]
 
 
+def _kernel_numerators(ech: List[List], piv: List[int], ncols: int, zero, one) -> List[Tuple[int, List]]:
+    """(free column, kernel vector) of a Bareiss echelon with ring entries,
+    free columns ascending: the free column's entry is the last pivot
+    (``one`` when there is none), the other free entries are ``zero``.
+
+    The last pivot is the k x k minor on the pivot columns, so by Cramer's
+    rule every entry of such a vector is a minor too, and each division of
+    the back-substitution is exact.
+    """
+    top = ech[len(piv) - 1][piv[-1]] if piv else one
+    pivots = set(piv)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = top
+        for k in range(len(piv) - 1, -1, -1):
+            pc, row = piv[k], ech[k]
+            v[pc] = -sum(map(mul, row[pc + 1:], v[pc + 1:]), zero) // row[pc]
+        basis.append((fc, v))
+    return basis
+
+
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> List[List[Fraction]]:
     """Exact basis of the right kernel.
 
     Deterministic: pivot columns ascend, and each basis vector sets one free
     variable to 1 (free columns in ascending order) and the rest to 0.
+    Back-substitution runs on integer numerators over the last Bareiss
+    pivot; each entry becomes one canonical Fraction at the end.
     """
     if not rows:
         if ncols is None:
             raise InputError("need ncols for an empty row set")
         return [[Fraction(1 if i == j else 0) for i in range(ncols)] for j in range(ncols)]
     ncols = len(rows[0])
-    m = _integerize_rows(rows)
-    ech, piv, _ = _bareiss_echelon(m)
-    free = [c for c in range(ncols) if c not in piv]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r in range(len(piv) - 1, -1, -1):
-            pc = piv[r]
-            s = Fraction(0)
-            for j in range(pc + 1, ncols):
-                if v[j] != 0:
-                    s += Fraction(ech[r][j]) * v[j]
-            v[pc] = -s / ech[r][pc]
-        basis.append(v)
-    return basis
+    ech, piv, _ = _bareiss_echelon(_integerize_rows(rows))
+    return [[Fraction(c, v[fc]) for c in v] for fc, v in _kernel_numerators(ech, piv, ncols, 0, 1)]
 
 
 def poly_kernel_basis(
@@ -879,19 +891,9 @@ def poly_kernel_basis(
     """
     ech, piv, _ = _bareiss_echelon([list(row) for row in rows])
     pivots = [ech[k][c] for k, c in enumerate(piv)]
-    ncols = len(rows[0])
     zero = UnivariatePolynomial.zero(rows[0][0].var)
     basis = []
-    for fc in (c for c in range(ncols) if c not in piv):
-        # with v[fc] = the last pivot, Cramer's rule makes every entry polynomial
-        v = [zero] * ncols
-        v[fc] = pivots[-1] if pivots else UnivariatePolynomial([1], zero.var)
-        for k in range(len(piv) - 1, -1, -1):
-            acc = zero
-            for j in range(piv[k] + 1, ncols):
-                if not v[j].is_zero():
-                    acc = acc + ech[k][j] * v[j]
-            v[piv[k]] = -acc // ech[k][piv[k]]
+    for fc, v in _kernel_numerators(ech, piv, len(rows[0]), zero, UnivariatePolynomial([1], zero.var)):
         g = zero
         for c in v:
             g = poly_gcd(g, c)

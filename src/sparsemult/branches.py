@@ -173,8 +173,11 @@ def branch_rungs(
     a = {j: TruncatedSeries.linear_combination(terms) for j, terms in grouped.items()}
     da = {j - 1: s * j for j, s in a.items() if j != 0}
 
+    # the free coordinate p + t, as numerators over p's denominator
+    free_nums = (free_val.numerator, free_val.denominator) + (0,) * (order - 1)
+
     def rung(dep_series: TruncatedSeries, k: int) -> BranchParametrization:
-        free_series = TruncatedSeries.from_coeff_map({0: free_val, 1: Fraction(1)}, k)
+        free_series = TruncatedSeries._make(free_nums[: k + 1], free_val.denominator)
         if dep == "y":
             xs, ys = free_series, dep_series
         else:

@@ -213,6 +213,9 @@ def construct_prescribed(
         raise HypothesisViolation("supports must not fit in a common proper sublattice")
     if m < 0:
         raise InputError("multiplicity must be non-negative")
+    if m > len(A) - 1:
+        raise HypothesisViolation(
+            f"m={m} exceeds |A| - 1 = {len(A) - 1}, the largest value D = |A| - dim V - 1 can take")
 
     from .verify import intersection_multiplicity_smooth
 
@@ -301,6 +304,10 @@ def construct_multipoint(
     l = len(ms)
     if l >= len(B):
         raise HypothesisViolation("need fewer points than |B| to pass a curve through them")
+    if sum(ms) > len(A) - 1:
+        raise HypothesisViolation(
+            f"sum(m)={sum(ms)} exceeds |A| - 1 = {len(A) - 1}, "
+            "the largest value D = |A| - dim V - 1 can take")
 
     from .verify import intersection_multiplicity_smooth
 
@@ -395,20 +402,20 @@ def _binom(n: int, k: int) -> int:
     return out
 
 
-def _line_rows(A: SupportSet, r: int, dx, dy) -> List[list]:
-    """t-expansions of the monomials of A along (1 + dx*t, 1 + dy*t), rows 0..r.
+def _line_rows(A: SupportSet, r: int) -> List[List[UnivariatePolynomial]]:
+    """t-expansions of the monomials of A along (1 + t, 1 + s*t), rows 0..r,
+    as polynomials in the symbolic slope s.
 
     Row i holds the t^i coefficient of x^a*y^b, which is
-    sum_j C(a, i-j) C(b, j) dx^(i-j) dy^j with generalized binomials (the
-    exponents may be negative).  dx and dy are rationals, or polynomials in
-    a symbolic slope.
+    sum_j C(a, i-j) C(b, j) s^j with generalized binomials (the exponents
+    may be negative): an integer coefficient list in s.  Its s^i
+    coefficient C(b, i) is the t^i coefficient along the vertical
+    (1, 1 + t).
     """
     pts = A.sorted_points()
     return [
-        [
-            sum(_binom(a, i - j) * _binom(b, j) * dx ** (i - j) * dy**j for j in range(i + 1))
-            for a, b in pts
-        ]
+        [UnivariatePolynomial([_binom(a, i - j) * _binom(b, j) for j in range(i + 1)], "s")
+         for a, b in pts]
         for i in range(r + 1)
     ]
 
@@ -460,7 +467,7 @@ def _line_contact_on(
     from .verify import intersection_multiplicity_smooth
 
     rng = random.Random(seed)
-    rows = _line_rows(A, r, 1, UnivariatePolynomial([0, 1], "s"))
+    rows = _line_rows(A, r)
     cols = A.sorted_points()
     basis, minors = poly_kernel_basis(rows[:r])
     residual_polys = [sum(rr * vv for rr, vv in zip(rows[r], v)) for v in basis]
@@ -510,8 +517,9 @@ def _line_contact_on(
             num_rows = [[c(s0) for c in row] for row in rows[:r]]
             yield line_poly(s0), kernel_basis(num_rows, ncols=len(cols)), [c(s0) for c in rows[r]]
 
-        # vertical tangent candidate: parametrize (1, 1 + t)
-        vert_rows = _line_rows(A, r, 0, 1)
+        # vertical tangent candidate: along (1, 1 + t) row i is the s^i
+        # coefficient of the symbolic row i
+        vert_rows = [[c.coefficient(i) for c in row] for i, row in enumerate(rows)]
         yield (
             LaurentPolynomial({(1, 0): Fraction(1), (0, 0): Fraction(-1)}),
             kernel_basis(vert_rows[:r], ncols=len(cols)),

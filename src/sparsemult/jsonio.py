@@ -75,14 +75,26 @@ def support_to_json(S: SupportSet) -> dict:
     return {"points": [[x, y] for x, y in S.sorted_points()]}
 
 
-# Caps on a support read from a request, checked before any hull, erosion or
-# kernel work.  On each axis the coordinates lie in [-MAX_SPAN, MAX_SPAN] and
-# span at most MAX_SPAN; a support may list every point of such a box.  The
-# cost of the dimension kernel grows like span^6: at these caps the slowest
-# bounds, classify or construct request takes under 2 s (2-vCPU Xeon, Python
-# 3.11), at span 11 about 2.5 s.
+# Caps on a support or a polynomial's exponents read from a request, checked
+# before any hull, erosion, kernel or series work.  On each axis the
+# coordinates lie in [-MAX_SPAN, MAX_SPAN] and span at most MAX_SPAN; a
+# support may list every point of such a box.  The cost of the dimension
+# kernel grows like span^6: at these caps the slowest bounds, classify or
+# construct request takes under 2 s (2-vCPU Xeon, Python 3.11), at span 11
+# about 2.5 s.
 MAX_SPAN = 10
 MAX_SUPPORT_POINTS = (MAX_SPAN + 1) ** 2
+
+
+def _check_span(points, what: str):
+    """Raise unless every axis of the non-empty points keeps the caps; ``what``
+    names the coordinates, with {} for the axis."""
+    for axis, name in ((0, "x"), (1, "y")):
+        lo, hi = min(p[axis] for p in points), max(p[axis] for p in points)
+        if hi - lo > MAX_SPAN or max(-lo, hi) > MAX_SPAN:
+            raise InputError(
+                f"{what.format(name)} run from {lo} to {hi}; they must lie in "
+                f"[-{MAX_SPAN}, {MAX_SPAN}] and span at most {MAX_SPAN}")
 
 
 def support_from_json(obj) -> SupportSet:
@@ -93,12 +105,7 @@ def support_from_json(obj) -> SupportSet:
     if isinstance(pts, list) and len(pts) > MAX_SUPPORT_POINTS:
         raise InputError(f"support lists {len(pts)} points, at most {MAX_SUPPORT_POINTS} are accepted")
     S = points_from_json(pts)
-    for axis, name in ((0, "x"), (1, "y")):
-        lo, hi = min(p[axis] for p in S.points), max(p[axis] for p in S.points)
-        if hi - lo > MAX_SPAN or max(-lo, hi) > MAX_SPAN:
-            raise InputError(
-                f"support {name} coordinates run from {lo} to {hi}; they must lie in "
-                f"[-{MAX_SPAN}, {MAX_SPAN}] and span at most {MAX_SPAN}")
+    _check_span(S.points, "support {} coordinates")
     return S
 
 
@@ -129,6 +136,8 @@ def laurent_from_json(obj) -> LaurentPolynomial:
         if e in terms:
             raise InputError(f"duplicate exponent {list(e)} in polynomial")
         terms[e] = fraction_from_json(t["coeff"])
+    if terms:
+        _check_span(terms, "polynomial {} exponents")
     return LaurentPolynomial(terms)
 
 

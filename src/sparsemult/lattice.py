@@ -50,15 +50,16 @@ class SupportSet:
     Set semantics: duplicates collapse and equality ignores order.  The
     empty set is allowed (erosions can be empty); operations that need a
     polynomial support check non-emptiness themselves.  The point set never
-    changes, so the sorted points and the normal form are computed once,
-    on first use.
+    changes, so the sorted points, the convex hull and the normal form are
+    computed once, on first use, and stored on the instance.
     """
 
-    __slots__ = ("_points", "_sorted", "_normal")
+    __slots__ = ("_points", "_sorted", "_hull", "_normal")
 
     def __init__(self, points: Iterable = ()):
         self._points = frozenset(_as_point(p) for p in points)
         self._sorted: Optional[Tuple[Point, ...]] = None
+        self._hull: Optional["LatticePolygon"] = None
         self._normal: Optional[Tuple["SupportSet", "UnimodularAffineMap"]] = None
 
     @property
@@ -141,8 +142,17 @@ class LatticePolygon:
 
 
 def convex_hull(S: SupportSet) -> LatticePolygon:
-    """Convex hull with correct dimension flag (monotone chain)."""
-    pts = sorted(set(S.sorted_points()))
+    """Convex hull with correct dimension flag (monotone chain).
+
+    The hull is cached on the instance S: later calls on S return the same
+    (frozen) polygon without computing it again.
+    """
+    if S._hull is None:
+        S._hull = _monotone_chain(S.sorted_points())
+    return S._hull
+
+
+def _monotone_chain(pts: Tuple[Point, ...]) -> LatticePolygon:
     if not pts:
         raise InputError("convex hull of an empty set")
     if len(pts) == 1:
@@ -239,20 +249,45 @@ def minkowski_sum(P: LatticePolygon, Q: LatticePolygon) -> LatticePolygon:
 def erode(P: LatticePolygon, B: SupportSet) -> SupportSet:
     """Region erosion: all shifts c with c + b inside P for every b in B.
 
-    The result is empty whenever no translate of B fits inside P.
+    The result is empty whenever no translate of B fits inside P.  For a
+    polygon (dim 2) the result is the intersection of the translates P - b:
+    each edge's half-plane is shifted by the minimum of its linear form
+    over B, and each row of the result is the x-interval those half-planes
+    cut out, by exact floor and ceil division.  The work is per row and
+    per edge, plus the output points; no bounding-box point is tested.
+    Points and segments keep the bounding-box scan.
     """
     if len(B) == 0:
         raise InputError("erosion by an empty set")
     x0, y0, x1, y1 = P.bbox()
-    bx0 = min(p[0] for p in B)
-    by0 = min(p[1] for p in B)
-    bx1 = max(p[0] for p in B)
-    by1 = max(p[1] for p in B)
+    pts = B.sorted_points()
+    bys = [p[1] for p in pts]
+    bx0, by0, bx1, by1 = pts[0][0], min(bys), pts[-1][0], max(bys)
+    if x1 - x0 < bx1 - bx0 or y1 - y0 < by1 - by0:
+        return SupportSet()
+    if P.dim < 2:
+        return SupportSet(
+            (cx, cy)
+            for cx in range(x0 - bx0, x1 - bx1 + 1)
+            for cy in range(y0 - by0, y1 - by1 + 1)
+            if all(P.contains((cx + bx, cy + by)) for bx, by in B)
+        )
+    # c + B lies left of the edge a -> a + (ex, ey) exactly when
+    # ex*cy - ey*cx >= h = ex*ay - ey*ax - min over b of (ex*by - ey*bx).
+    # A horizontal edge is the top or bottom of P; its constraint is the
+    # row range below.  Other edges bound cx from above if they rise
+    # (ey > 0), from below if they fall.
+    rising, falling = [], []
+    for a, b in P.edges():
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        if ey:
+            h = ex * a[1] - ey * a[0] - min([ex * by - ey * bx for bx, by in pts])
+            (rising if ey > 0 else falling).append((ex, ey, h))
     out = []
-    for cx in range(x0 - bx0, x1 - bx1 + 1):
-        for cy in range(y0 - by0, y1 - by1 + 1):
-            if all(P.contains((cx + bx, cy + by)) for bx, by in B):
-                out.append((cx, cy))
+    for cy in range(y0 - by0, y1 - by1 + 1):
+        hi = min([(ex * cy - h) // ey for ex, ey, h in rising])
+        lo = -min([(ex * cy - h) // -ey for ex, ey, h in falling])
+        out.extend((cx, cy) for cx in range(lo, hi + 1))
     return SupportSet(out)
 
 

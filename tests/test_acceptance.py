@@ -5,11 +5,17 @@ certificates.  The heavier criteria (the 100-pair construction sweep and
 the two atlases) run full size here; expect a few minutes of wall time.
 """
 
+import hashlib
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction as F
+from io import StringIO
+from pathlib import Path
 
 from sparsemult.algebra import LaurentPolynomial
 from sparsemult.branches import compute_dim_V
+from sparsemult.cli import main
 from sparsemult.construct import (
     build_line_product_system,
     construct_prescribed,
@@ -27,7 +33,6 @@ from sparsemult.lattice import (
 from sparsemult.reproduce import (
     scenario_ex10,
     scenario_exim,
-    scenario_th2_atlas,
     scenario_triangle_atlas,
 )
 from sparsemult.verify import (
@@ -36,6 +41,9 @@ from sparsemult.verify import (
     rank_impossibility,
     univariate_multiplicity,
 )
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def report(criterion: int, passed: bool, detail: str):
@@ -144,9 +152,19 @@ def test_criterion_7_triangle_atlas():
 
 
 def test_criterion_8_pair_atlas():
-    rep = scenario_th2_atlas(2)
+    # one atlas run, through the CLI; its stdout is pinned by digest (re-record
+    # after a deliberate change of output with
+    # `PYTHONPATH=src python -m sparsemult.cli reproduce th2-atlas | sha256sum`)
+    buf = StringIO()
+    with redirect_stdout(buf):
+        code = main(["reproduce", "th2-atlas"])
+    text = buf.getvalue()
+    rep = json.loads(text)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    pinned = (GOLDEN / "th2_atlas_bound2.sha256").read_text(encoding="utf-8").split()[0]
     unwitnessed = rep["unwitnessed_count"]
-    report(8, rep["ok"],
+    report(8, code == 0 and rep["ok"] and rep["bound"] == 2 and digest == pinned,
            f"{rep['pairs']} support pairs: impossibility coincides with the "
            f"exceptional catalogue; {rep['witnessed']} verified witnesses; "
-           f"{unwitnessed} logged cases where every route certified failure")
+           f"{unwitnessed} logged cases where every route certified failure; "
+           f"report digest {digest[:12]} (pinned {pinned[:12]})")

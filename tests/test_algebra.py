@@ -245,6 +245,68 @@ def test_kernel_exactness_random():
         assert rank(rows) + len(basis) == nc
 
 
+def _oracle_kernel(rows):
+    """Kernel basis by Gauss-Jordan elimination over Fractions: for each free
+    column in ascending order, that variable 1, the other free ones 0."""
+    m = [[F(c) for c in row] for row in rows]
+    ncols = len(m[0])
+    piv = []
+    for c in range(ncols):
+        r = len(piv)
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        piv.append(c)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in piv):
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for k, pc in enumerate(piv):
+            v[pc] = -m[k][fc]
+        basis.append(v)
+    return basis
+
+
+_entries = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+@st.composite
+def _deficient_matrices(draw):
+    """Rows of rationals, with zero rows and combinations of earlier rows
+    mixed in, so that ranks fall short and pivots come out negative."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "combination")))
+        if kind == "zero":
+            extra = [F(0)] * ncols
+        else:
+            a, b = draw(_entries), draw(_entries)
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            extra = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(_deficient_matrices())
+def test_kernel_matches_fraction_back_substitution(rows):
+    basis = kernel_basis(rows)
+    assert basis == _oracle_kernel(rows)
+    assert all(type(c) is F for v in basis for c in v)
+
+
+def test_kernel_negative_pivots():
+    # both Bareiss pivots are negative (-2, then -6)
+    rows = [[F(-2), F(1), F(3)], [F(4), F(1), F(1)]]
+    assert kernel_basis(rows) == _oracle_kernel(rows) == [[F(1, 3), F(-7, 3), F(1)]]
+
+
 def test_det_values():
     assert det([[F(2)]]) == 2
     assert det([[F(1), F(2)], [F(3), F(4)]]) == -2

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import sparsemult
-from sparsemult import cli, reproduce
+from sparsemult import cli, construct, reproduce
 from sparsemult.classify import decide_mult3
 from sparsemult.cli import main
 from sparsemult.jsonio import (
@@ -194,6 +194,10 @@ _POLY = {"terms": [{"exp": [1, 0], "coeff": "1/1"}, {"exp": [0, 0], "coeff": "-1
 _LINE = {"terms": [{"exp": [0, 1], "coeff": "1/1"}, {"exp": [0, 0], "coeff": "-1/1"}]}
 
 
+def _terms(*pairs):
+    return {"terms": [{"exp": e, "coeff": c} for e, c in pairs]}
+
+
 def _system(**changes):
     obj = {"f": _POLY, "g": _LINE, "point": ["1/1", "1/1"], "multiplicity": 1}
     obj.update(changes)
@@ -241,6 +245,12 @@ def _system(**changes):
         ["construct", "--json", json.dumps({"A": {"points": [[0, 0]] * 122}, "B": SIMPLEX, "m": 1})],
         ["multipoint", "--json", json.dumps({"A": SQUARE, "B": {"points": [[0, 0], [0, 12], [1, 0]]},
                                              "multiplicities": [1]})],
+        # so are polynomial exponents, before any series work
+        ["verify", "--json", json.dumps(_system(f=_terms(([1, 0], "1"), ([0, 0], "-2")),
+                                                g=_terms(([1000000, 1], "1"), ([0, 0], "-1")),
+                                                point=["2", "1"]))],
+        ["verify", "--json", json.dumps(_system(g=_terms(([0, -11], "1"), ([0, 0], "-1"))))],
+        ["verify", "--json", json.dumps(_system(f=_terms(([-1, 0], "1"), ([10, 0], "-1"))))],
     ],
 )
 def test_invalid_json_values_exit_2(capsys, argv):
@@ -281,6 +291,25 @@ def test_support_caps_admit_their_boundary():
     assert len(support_from_json({"points": box})) == MAX_SUPPORT_POINTS == 121
     corners = [[-MAX_SPAN, 0], [0, 0], [-MAX_SPAN, -MAX_SPAN], [0, -MAX_SPAN]]
     assert len(support_from_json({"points": corners})) == 4
+    f = laurent_from_json(_terms(([-MAX_SPAN, 0], "1"), ([0, MAX_SPAN], "-1")))
+    assert f.support() == SupportSet([(-MAX_SPAN, 0), (0, MAX_SPAN)])
+
+
+def test_unreachable_multiplicity_exits_3_before_any_draw(capsys, monkeypatch):
+    # D = |A| - dim V - 1 never exceeds |A| - 1 = 3 for the square
+    def no_work(*args, **kwargs):
+        raise AssertionError("a curve was drawn")
+
+    monkeypatch.setattr(construct, "_draw_through_one", no_work)
+    monkeypatch.setattr(construct, "kernel_basis", no_work)
+    for argv in (
+        ["construct", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 4})],
+        ["multipoint", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "multiplicities": [2, 2]})],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("hypothesis violation:") and "|A| - 1 = 3" in captured.err
 
 
 def test_unmapped_exception_is_an_internal_error(capsys, monkeypatch):

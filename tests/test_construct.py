@@ -3,8 +3,10 @@ worked families.  Every derived value is recomputed by an oracle in-test."""
 
 import random
 from fractions import Fraction as F
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsemult.algebra import (
     LaurentPolynomial,
@@ -467,23 +469,50 @@ def test_line_rows_match_series_products():
         x = TruncatedSeries([F(1), F(1)] + [F(0)] * (r - 1))
         y = TruncatedSeries([F(1), s0] + [F(0)] * (r - 1))
         expect = [x.int_pow(a) * y.int_pow(b) for a, b in A.sorted_points()]
-        rows = _line_rows(A, r, 1, s0)
-        assert rows == [[col.coefficient(i) for col in expect] for i in range(r + 1)]
-        # the vertical line (1, 1 + t)
+        rows = _line_rows(A, r)
+        assert [[c(s0) for c in row] for row in rows] == [
+            [col.coefficient(i) for col in expect] for i in range(r + 1)]
+        # the vertical line (1, 1 + t): row i is the s^i coefficient of row i
         vertical = [x.int_pow(b) for _, b in A.sorted_points()]
-        assert _line_rows(A, r, 0, 1) == [[c.coefficient(i) for c in vertical] for i in range(r + 1)]
+        assert [[c.coefficient(i) for c in row] for i, row in enumerate(rows)] == [
+            [c.coefficient(i) for c in vertical] for i in range(r + 1)]
+
+
+def _gbinom(n, k):
+    """C(n, k) for any integer n: the falling factorial over k!."""
+    return prod(n - i for i in range(k)) // factorial(k)
+
+
+def _binomial_sum_rows(A, r, dx, dy):
+    """Reference rows: sum_j C(a, i-j) C(b, j) dx^(i-j) dy^j, term by term
+    in the ring of dy."""
+    return [
+        [sum(_gbinom(a, i - j) * _gbinom(b, j) * dx ** (i - j) * dy**j for j in range(i + 1))
+         for a, b in A.sorted_points()]
+        for i in range(r + 1)
+    ]
 
 
 def test_symbolic_line_rows_specialize():
     for A, r, s0 in _random_line_supports(32, 40):
-        symbolic = _line_rows(A, r, 1, S_VAR)
-        assert [[c(s0) for c in row] for row in symbolic] == _line_rows(A, r, 1, s0)
+        symbolic = _line_rows(A, r)
+        assert [[c(s0) for c in row] for row in symbolic] == _binomial_sum_rows(A, r, 1, s0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=8),
+       st.integers(0, 6))
+def test_line_rows_match_binomial_sum(pts, r):
+    A = SupportSet(pts)
+    rows = _line_rows(A, r)
+    assert rows == _binomial_sum_rows(A, r, 1, S_VAR)
+    assert [[c.coefficient(i) for c in row] for i, row in enumerate(rows)] == _binomial_sum_rows(A, r, 0, 1)
 
 
 def test_poly_kernel_identity_primitive_monic():
     one = UnivariatePolynomial([1], "s")
     for A, r, _ in _random_line_supports(33, 40):
-        rows = _line_rows(A, r, 1, S_VAR)[:r]
+        rows = _line_rows(A, r)[:r]
         basis, pivots = poly_kernel_basis(rows)
         assert len(basis) + len(pivots) == len(A)
         for v in basis:

@@ -9,6 +9,7 @@ import random
 from math import gcd, inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsemult import lattice
 from sparsemult.lattice import (
@@ -204,6 +205,69 @@ def test_erode_square_by_corner():
     h = convex_hull(SQUARE)
     got = erode(h, SupportSet([(0, 0), (1, 0), (0, 1)]))
     assert got.sorted_points() == ((0, 0),)
+
+
+def oracle_erode(hull_pts, B):
+    """Shifts c with c + B inside conv(hull_pts), by a scan around the
+    bounding box.  A polygon is the intersection of the half-planes left of
+    p -> r over the point pairs with no point right of that line, so the
+    oracle needs no hull code; segments and points go by collinearity."""
+    pts = sorted(set(hull_pts))
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+
+    def inside(q):
+        if len(pts) == 1:
+            return q == pts[0]
+        a, b = pts[0], pts[-1]
+        if all(cross(a, b, p) == 0 for p in pts):
+            return (cross(a, b, q) == 0 and min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
+                    and min(a[1], b[1]) <= q[1] <= max(a[1], b[1]))
+        return all(cross(p, r, q) >= 0 or any(cross(p, r, w) < 0 for w in pts)
+                   for p in pts for r in pts if p != r)
+
+    out = []
+    for cx in range(min(xs) - 8, max(xs) + 9):
+        for cy in range(min(ys) - 8, max(ys) + 9):
+            if all(inside((cx + bx, cy + by)) for bx, by in B):
+                out.append((cx, cy))
+    return tuple(sorted(out))
+
+
+_coords = st.integers(-6, 6)
+_shift = st.integers(-3, 3)
+
+
+@st.composite
+def _hull_points(draw):
+    """Point sets whose hull is a point, a segment or a polygon."""
+    kind = draw(st.sampled_from(("point", "segment", "polygon")))
+    base = (draw(_coords), draw(_coords))
+    if kind == "point":
+        return [base]
+    if kind == "segment":
+        d = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda v: v != (0, 0)))
+        ks = draw(st.sets(st.integers(-2, 2), min_size=2, max_size=4))
+        return [(base[0] + k * d[0], base[1] + k * d[1]) for k in ks]
+    return draw(st.lists(st.tuples(_coords, _coords), min_size=3, max_size=8))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_hull_points(), st.sets(st.tuples(_shift, _shift), min_size=1, max_size=4))
+def test_erode_matches_scan_oracle(hull_pts, bpts):
+    B = SupportSet(bpts)
+    assert erode(convex_hull(SupportSet(hull_pts)), B).sorted_points() == oracle_erode(hull_pts, B)
+
+
+def test_convex_hull_is_stored_per_support():
+    rng = random.Random(11)
+    for _ in range(20):
+        S = SupportSet((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(1, 7)))
+        first = convex_hull(S)
+        assert convex_hull(S) is first
+        fresh = convex_hull(SupportSet(S.points))
+        assert fresh == first and fresh is not first
+    with pytest.raises(AttributeError):
+        first.dim = 0
 
 
 def test_erode_monotone():
