@@ -21,7 +21,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError
 from .lattice import SupportSet
@@ -120,14 +120,7 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise InputError("negative power of a polynomial")
-        out = MPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _square_and_multiply(self, n, MPoly.const(self.vars, 1))
 
     def degree(self, name: Optional[str] = None) -> int:
         if not self.terms:
@@ -211,11 +204,16 @@ class MPoly:
         return " + ".join(parts)
 
 
-def _lift(value, like):
-    """Lift ints/Fractions to the scalar domain of ``like`` (Fraction or MPoly)."""
-    if isinstance(like, MPoly) and not isinstance(value, MPoly):
-        return MPoly.const(like.vars, value)
-    return value
+def _square_and_multiply(base, n: int, one):
+    """base**n for n >= 0 by binary exponentiation, starting from ``one``."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def _is_zero(c) -> bool:
@@ -311,14 +309,7 @@ class UnivariatePolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise InputError("negative power")
-        out = self._wrap([Fraction(1)])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _square_and_multiply(self, n, self._wrap([Fraction(1)]))
 
     def __floordiv__(self, other) -> "UnivariatePolynomial":
         """Exact division; raises ArithmeticError on a non-zero remainder."""
@@ -617,14 +608,7 @@ class TruncatedSeries:
 
     def int_pow(self, e: int) -> "TruncatedSeries":
         base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        out = TruncatedSeries.constant(1, self.truncation_order)
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _square_and_multiply(base, abs(e), TruncatedSeries.constant(1, self.truncation_order))
 
     def __eq__(self, other):
         return isinstance(other, TruncatedSeries) and self.den == other.den and self.nums == other.nums
@@ -656,14 +640,6 @@ class LaurentPolynomial:
             if not _is_zero(c):
                 clean[e] = c
         self.terms = clean
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[Tuple[int, int], object]]) -> "LaurentPolynomial":
-        t: Dict[Tuple[int, int], object] = {}
-        for e, c in pairs:
-            e = (int(e[0]), int(e[1]))
-            t[e] = t.get(e, 0) + c
-        return cls(t)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -712,14 +688,7 @@ class LaurentPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise InputError("negative power of a polynomial")
-        out = LaurentPolynomial({(0, 0): 1})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _square_and_multiply(self, n, LaurentPolynomial({(0, 0): 1}))
 
     def __eq__(self, other):
         return isinstance(other, LaurentPolynomial) and self.terms == other.terms
@@ -904,23 +873,21 @@ def poly_kernel_basis(
 
 
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """One exact solution of rows * x = rhs, or None if inconsistent."""
+    """One exact solution of rows * x = rhs, or None if inconsistent.
+
+    x comes from the kernel of [rows | rhs]: the system is consistent
+    exactly when the rhs column is free, and the kernel vector v whose free
+    column it is (the other free entries 0) gives x = -v[:n] / v[n], the
+    solution with every free variable 0.
+    """
     if not rows:
         return None
     n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m = _integerize_rows(aug)
-    ech, piv, _ = _bareiss_echelon(m)
+    ech, piv, _ = _bareiss_echelon(_integerize_rows([list(r) + [b] for r, b in zip(rows, rhs)]))
     if n in piv:
         return None
-    x = [Fraction(0)] * n
-    for r in range(len(piv) - 1, -1, -1):
-        pc = piv[r]
-        s = Fraction(ech[r][n])
-        for j in range(pc + 1, n):
-            s -= Fraction(ech[r][j]) * x[j]
-        x[pc] = s / Fraction(ech[r][pc])
-    return x
+    _, v = _kernel_numerators(ech, piv, n + 1, 0, 1)[-1]
+    return [Fraction(-c, v[n]) for c in v[:n]]
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:

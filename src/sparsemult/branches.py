@@ -23,7 +23,7 @@ from .algebra import (
     _frac,
 )
 from .errors import InputError, TruncationInsufficient
-from .lattice import SupportSet, convex_hull, erode, lattice_points
+from .lattice import SupportSet, convex_hull, erode, is_convex_support
 
 
 @dataclass
@@ -275,7 +275,7 @@ def compute_dim_V(A: SupportSet, f: LaurentPolynomial) -> Tuple[int, int]:
         dim = len(kernel_basis(rows))
     if dim > bound:
         raise AssertionError("dimension exceeded its erosion bound")
-    if A == lattice_points(hull) and dim != bound:
+    if dim != bound and is_convex_support(A):
         raise AssertionError("convex support must meet the erosion bound")
     return dim, bound
 

@@ -47,10 +47,12 @@ from .lattice import (
     convex_hull,
     cross,
     erode,
+    is_convex_support,
     is_segment,
     lattice_points,
     mixed_volume,
     normal_form,
+    pick_counts,
     primitivity_index,
     stabilizer,
     unimodular_triple,
@@ -501,19 +503,6 @@ def _segment_route(X: SupportSet, Y: SupportSet, orient: str, log: List[str]):
     )
 
 
-def _is_convex_support(S: SupportSet) -> bool:
-    """True when S is exactly the lattice points of its hull."""
-    hull = convex_hull(S)
-    if hull.dim == 0:
-        return True
-    if hull.dim == 1:
-        (a, b) = hull.vertices
-        from math import gcd
-
-        return len(S) == gcd(abs(b[0] - a[0]), abs(b[1] - a[1])) + 1
-    return lattice_points(hull) == S
-
-
 def decide_mult3(
     A: SupportSet, B: SupportSet, seed: int = DEFAULT_SEED, retries: int = RETRY_BUDGET
 ) -> Mult3Report:
@@ -531,7 +520,7 @@ def decide_mult3(
     if mv <= 2:
         fam = match_exceptional_family(A, B)
         if fam is None:
-            if _is_convex_support(A) and _is_convex_support(B):
+            if is_convex_support(A) and is_convex_support(B):
                 raise AssertionError(
                     f"convex pair with mixed volume {mv} matched no exceptional family"
                 )
@@ -571,10 +560,8 @@ def enumerate_four_point_bodies() -> List[SupportSet]:
             hull = convex_hull(S)
             if hull.dim != 2:
                 continue
-            if lattice_points(hull) != S:
+            if not is_convex_support(S):
                 continue
-            from .lattice import pick_counts
-
             interior, boundary = pick_counts(hull)
             if interior > 1:
                 continue

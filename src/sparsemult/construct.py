@@ -73,10 +73,6 @@ class ConstructedSystem:
     def point(self) -> Tuple[Fraction, Fraction]:
         return self.points[0]
 
-    @property
-    def claimed_multiplicity(self) -> int:
-        return self.multiplicities[0]
-
 
 @dataclass
 class ImpossibilityCertificate:
@@ -532,8 +528,6 @@ def _line_contact_on(
             if resid == 0:
                 continue
             g = LaurentPolynomial({e: c for e, c in zip(cols, v) if c != 0})
-            if g.is_zero() or is_multiple_of(g, line):
-                continue
             observed = intersection_multiplicity_smooth(line, g, (Fraction(1), Fraction(1)))
             if observed == r:
                 return g

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -177,15 +176,12 @@ def _monotone_chain(pts: Tuple[Point, ...]) -> LatticePolygon:
 
 
 def lattice_points(P: LatticePolygon) -> SupportSet:
-    """All integer points in the closed region of P."""
-    x0, y0, x1, y1 = P.bbox()
-    pts = [
-        (x, y)
-        for x in range(x0, x1 + 1)
-        for y in range(y0, y1 + 1)
-        if P.contains((x, y))
-    ]
-    return SupportSet(pts)
+    """All integer points in the closed region of P.
+
+    These are the shifts c with c + (0, 0) in P, so the set is the erosion
+    of P by the origin, which :func:`erode` finds row by row.
+    """
+    return erode(P, SupportSet([(0, 0)]))
 
 
 def area2(P: LatticePolygon) -> int:
@@ -200,50 +196,14 @@ def area2(P: LatticePolygon) -> int:
     return abs(s)
 
 
-def _hull_of_pairwise_sums(P: LatticePolygon, Q: LatticePolygon) -> LatticePolygon:
+def minkowski_sum(P: LatticePolygon, Q: LatticePolygon) -> LatticePolygon:
+    """Minkowski sum of two hulls: the hull of the pairwise vertex sums.
+
+    The sum of two convex polygons is the convex hull of the sums of their
+    vertices, whatever their dimensions; the vertex sets are small.
+    """
     pts = {(p[0] + q[0], p[1] + q[1]) for p in P.vertices for q in Q.vertices}
     return convex_hull(SupportSet(pts))
-
-
-def _angle_cmp(u: Point, v: Point) -> int:
-    def half(w):
-        return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
-
-    hu, hv = half(u), half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = u[0] * v[1] - u[1] * v[0]
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
-
-
-def minkowski_sum(P: LatticePolygon, Q: LatticePolygon) -> LatticePolygon:
-    """Minkowski sum of two hulls.
-
-    Full-dimensional inputs use the classical edge merge; degenerate inputs
-    fall back to the hull of pairwise vertex sums (small vertex sets).
-    """
-    if P.dim < 2 or Q.dim < 2:
-        return _hull_of_pairwise_sums(P, Q)
-
-    def edge_vectors(R: LatticePolygon) -> List[Point]:
-        v = list(R.vertices)
-        start = min(range(len(v)), key=lambda i: (v[i][1], v[i][0]))
-        v = v[start:] + v[:start]
-        return [(v[(i + 1) % len(v)][0] - v[i][0], v[(i + 1) % len(v)][1] - v[i][1]) for i in range(len(v))], v[0]
-
-    ep, sp = edge_vectors(P)
-    eq, sq = edge_vectors(Q)
-    merged = sorted(ep + eq, key=cmp_to_key(_angle_cmp))
-    cur = (sp[0] + sq[0], sp[1] + sq[1])
-    chain = [cur]
-    for e in merged[:-1]:
-        cur = (cur[0] + e[0], cur[1] + e[1])
-        chain.append(cur)
-    return convex_hull(SupportSet(chain))
 
 
 def erode(P: LatticePolygon, B: SupportSet) -> SupportSet:
@@ -340,13 +300,16 @@ def pick_counts(P: LatticePolygon) -> Tuple[int, int]:
 
 
 def is_segment(S: SupportSet) -> bool:
-    """True iff all points are collinear (single points count)."""
-    pts = S.sorted_points()
-    if not pts:
+    """True iff all points are collinear (single points count): the stored
+    hull of S has dimension below 2."""
+    if not S.points:
         raise InputError("empty support")
-    if len(pts) <= 2:
-        return True
-    return all(cross(pts[0], pts[1], p) == 0 for p in pts[2:])
+    return convex_hull(S).dim < 2
+
+
+def is_convex_support(S: SupportSet) -> bool:
+    """True when S is exactly the lattice points of its hull."""
+    return lattice_points(convex_hull(S)) == S
 
 
 def _difference_vectors(S: SupportSet) -> List[Point]:

@@ -28,7 +28,6 @@ from .algebra import (
 )
 from .classify import (
     PROJECTIVE_GROUP,
-    _is_convex_support,
     decide_mult3,
     hessian_at_one,
     match_exceptional_family,
@@ -47,6 +46,7 @@ from .lattice import (
     SupportSet,
     convex_hull,
     cross,
+    is_convex_support,
     mixed_volume,
 )
 from .verify import (
@@ -330,7 +330,7 @@ def _convex_supports_in_box(bound: int) -> List[SupportSet]:
             mx, my = S.min_corner()
             if (mx, my) != (0, 0):
                 continue
-            if not _is_convex_support(S):
+            if not is_convex_support(S):
                 continue
             seen[S.sorted_points()] = S
     return [seen[k] for k in sorted(seen)]

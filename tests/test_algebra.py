@@ -19,6 +19,7 @@ from sparsemult.algebra import (
     poly_gcd,
     rank,
     rational_roots,
+    solve_linear,
     squarefree_part,
     sylvester_resultant,
 )
@@ -305,6 +306,50 @@ def test_kernel_negative_pivots():
     # both Bareiss pivots are negative (-2, then -6)
     rows = [[F(-2), F(1), F(3)], [F(4), F(1), F(1)]]
     assert kernel_basis(rows) == _oracle_kernel(rows) == [[F(1, 3), F(-7, 3), F(1)]]
+
+
+def _oracle_solve(rows, rhs):
+    """Gauss-Jordan on [rows | rhs]: consistent exactly when the rhs column
+    is free, and then its kernel vector (free variables 0, that entry 1) is
+    (-x, 1).  A pivot on the last column leaves 0 there in every vector."""
+    n = len(rows[0])
+    basis = _oracle_kernel([list(r) + [b] for r, b in zip(rows, rhs)])
+    if not basis or basis[-1][n] != 1:
+        return None
+    return [-c for c in basis[-1][:n]]
+
+
+@st.composite
+def _linear_systems(draw):
+    """Rank-deficient rows with a right-hand side in their span or drawn freely."""
+    rows = draw(_deficient_matrices())
+    if draw(st.booleans()):
+        x0 = draw(st.lists(_entries, min_size=len(rows[0]), max_size=len(rows[0])))
+        rhs = [sum(F(a) * F(b) for a, b in zip(row, x0)) for row in rows]
+    else:
+        rhs = draw(st.lists(_entries, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
+
+
+@settings(deadline=None, max_examples=300)
+@given(_linear_systems())
+def test_solve_linear_matches_gauss_jordan(system):
+    rows, rhs = system
+    x = solve_linear(rows, rhs)
+    assert x == _oracle_solve(rows, rhs)
+    if x is not None:
+        assert all(type(c) is F for c in x)
+        assert [sum(F(a) * c for a, c in zip(row, x)) for row in rows] == [F(b) for b in rhs]
+
+
+def test_solve_linear_examples():
+    assert solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
+    assert solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)]) == [F(1), F(0)]
+    assert solve_linear([[F(0), F(0)]], [F(0)]) == [F(0), F(0)]
+    assert solve_linear([[F(0), F(0)]], [F(1)]) is None
+    assert solve_linear([[F(-2), F(1), F(3)], [F(4), F(1), F(1)]], [F(1), F(1, 2)]) == [
+        F(-1, 12), F(5, 6), F(0)]
+    assert solve_linear([], []) is None
 
 
 def test_det_values():

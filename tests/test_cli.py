@@ -4,8 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sparsemult
 from sparsemult import cli, construct, reproduce
@@ -380,3 +384,116 @@ def test_construct_seed_and_output(capsys, tmp_path):
     assert code == 0
     assert rep["request"]["seed"] == 7
     assert json.loads(out.read_text(encoding="utf-8")) == rep
+
+
+# --- random requests -------------------------------------------------------------
+
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_small_points = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)).map(list),
+                         min_size=1, max_size=5)
+_support = st.one_of(
+    st.builds(lambda p: {"points": p}, _small_points),
+    st.just({"points": []}),
+    st.just({"points": [[0, 0], [11, 0], [0, 1]]}),
+    st.just({"points": [[x, y] for x in range(11) for y in range(12)]}),
+    st.builds(lambda p: {"points": p, "extra": 1}, _small_points),
+    _junk,
+)
+
+
+def _terms_from(coeffs, min_size=0):
+    return st.dictionaries(st.tuples(st.integers(-2, 3), st.integers(-2, 3)), coeffs,
+                           min_size=min_size, max_size=4).map(
+        lambda t: {"terms": [{"exp": list(e), "coeff": c} for e, c in t.items()]})
+
+
+_poly = st.one_of(_terms_from(st.sampled_from(["1", "-1", "1/2", "0", 1, "x"])), _junk)
+_point = st.one_of(st.lists(st.sampled_from(["1", "0", "-1", "1/2", 2]), min_size=2, max_size=2),
+                   _junk)
+_count = st.one_of(st.integers(-1, 4), _junk)
+_FIELDS = {
+    "bounds": {"A": _support, "B": _support},
+    "construct": {"A": _support, "B": _support, "m": _count},
+    "multipoint": {"A": _support, "B": _support,
+                   "multiplicities": st.one_of(st.lists(st.integers(0, 3), max_size=3), _junk)},
+    "verify": {"f": _poly, "g": _poly, "point": _point, "multiplicity": _count},
+    "classify": {"A": _support, "B": _support},
+    "triangle": {"points": st.one_of(_small_points, _junk)},
+    "univariate": {"exponents": st.one_of(st.lists(st.integers(-3, 8), max_size=5), _junk),
+                   "l": _count},
+}
+
+# well-formed requests on small supports, so that the work paths run too
+_valid_support = st.builds(lambda p: {"points": p}, _small_points)
+_binomial = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any).map(
+    lambda e: {"terms": [{"exp": list(e), "coeff": "1"}, {"exp": [0, 0], "coeff": "-1"}]})
+_VALID = {
+    "bounds": {"A": _valid_support, "B": _valid_support},
+    "construct": {"A": _valid_support, "B": _valid_support, "m": st.integers(1, 3)},
+    "multipoint": {"A": _valid_support, "B": _valid_support,
+                   "multiplicities": st.lists(st.integers(1, 2), min_size=1, max_size=2)},
+    "verify": {"f": _binomial, "g": _terms_from(st.sampled_from(["1", "-2", "3/4"]), 1),
+               "point": st.just(["1", "1"]), "multiplicity": st.integers(0, 3)},
+    "classify": {"A": _valid_support, "B": _valid_support},
+    "triangle": {"points": _small_points},
+    "univariate": {"exponents": st.lists(st.integers(0, 8), min_size=2, max_size=5, unique=True),
+                   "l": st.integers(1, 4)},
+}
+_SEEDED = {"bounds": ("--seed",), "construct": ("--seed", "--retries"),
+           "multipoint": ("--seed", "--retries"), "classify": ("--seed", "--retries")}
+
+
+def _argv(command, text, options):
+    return [command, "--json", text] + [x for opt, v in options for x in (opt, str(v))]
+
+
+def _request(command):
+    fields = _FIELDS[command]
+    obj = st.one_of(st.fixed_dictionaries(fields),
+                    st.fixed_dictionaries({}, optional={**fields, "unknown": _junk}))
+    text = st.one_of(obj.map(json.dumps), _junk.map(json.dumps), st.text(max_size=8))
+    options = st.lists(st.tuples(st.sampled_from(("--seed", "--retries")), st.integers(-1, 3)),
+                       max_size=2, unique_by=lambda o: o[0])
+    seeded = _SEEDED.get(command, ())
+    valid_options = st.lists(st.tuples(st.sampled_from(seeded or ("",)), st.integers(1, 3)),
+                             max_size=len(seeded), unique_by=lambda o: o[0])
+    valid = st.fixed_dictionaries(_VALID[command]).map(json.dumps)
+    return st.one_of(st.builds(_argv, st.just(command), valid, valid_options),
+                     st.builds(_argv, st.just(command), text, options))
+
+
+# reproduce takes no request: options a scenario does not read, or values
+# outside its domain, so that every case stops before the scenario runs
+_reproduce = st.one_of(
+    st.builds(lambda name, n: ["reproduce", name, "--n", str(n)],
+              st.sampled_from(["exim", "ex3", "triangle-atlas", "th2-atlas"]), st.integers(-9, 9)),
+    st.builds(lambda n: ["reproduce", "ex10", "--n", str(n)],
+              st.integers(-9, 2) | st.integers(2, 9).map(lambda k: 2 * k)),
+    st.builds(lambda name, b: ["reproduce", name, "--bound", str(b)],
+              st.sampled_from(["exim", "ex3", "ex10"]), st.integers(-9, 9)),
+    st.builds(lambda b: ["reproduce", "triangle-atlas", "--bound", str(b)], st.integers(-9, 0)),
+    st.builds(lambda b: ["reproduce", "th2-atlas", "--bound", str(b)],
+              st.integers(-9, -1) | st.integers(4, 9)),
+    st.builds(lambda v: ["reproduce", "triangle-atlas", "--seed", str(v)], st.integers(-9, 9)),
+    st.builds(lambda name: ["reproduce", name],
+              st.text(max_size=5).filter(lambda name: name not in reproduce.SCENARIOS)),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(*[_request(c) for c in _FIELDS], _reproduce))
+def test_random_requests_exit_cleanly(argv):
+    out, err = StringIO(), StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert time.perf_counter() - start < 10
+    assert code in range(6), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

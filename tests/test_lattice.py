@@ -69,6 +69,24 @@ def oracle_hnf_index(vectors):
     return d
 
 
+_coords = st.integers(-6, 6)
+_shift = st.integers(-3, 3)
+
+
+@st.composite
+def _hull_points(draw):
+    """Point sets whose hull is a point, a segment or a polygon."""
+    kind = draw(st.sampled_from(("point", "segment", "polygon")))
+    base = (draw(_coords), draw(_coords))
+    if kind == "point":
+        return [base]
+    if kind == "segment":
+        d = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda v: v != (0, 0)))
+        ks = draw(st.sets(st.integers(-2, 2), min_size=2, max_size=4))
+        return [(base[0] + k * d[0], base[1] + k * d[1]) for k in ks]
+    return draw(st.lists(st.tuples(_coords, _coords), min_size=3, max_size=8))
+
+
 def random_polygon(rng, box=10, npts=6):
     while True:
         pts = {(rng.randrange(box), rng.randrange(box)) for _ in range(npts)}
@@ -181,6 +199,26 @@ def test_minkowski_matches_pairwise_oracle():
         assert minkowski_sum(P, Q).vertices == oracle_minkowski(P, Q).vertices
 
 
+def oracle_mixed_volume(P, Q):
+    """Mixed area from support functions (Schneider, Convex Bodies, 5.1):
+    the sum over the counterclockwise edges a -> b of P of the support
+    function of Q at the outward normal (b_y - a_y, -(b_x - a_x)).  A
+    segment is its two opposite edges; a point has none."""
+    v = P.vertices
+    if len(v) == 1:
+        return 0
+    edges = [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+    return sum(max((b[1] - a[1]) * q[0] - (b[0] - a[0]) * q[1] for q in Q.vertices)
+               for a, b in edges)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_hull_points(), _hull_points())
+def test_mixed_volume_matches_support_function_oracle(p_pts, q_pts):
+    P, Q = convex_hull(SupportSet(p_pts)), convex_hull(SupportSet(q_pts))
+    assert mixed_volume(P, Q) == oracle_mixed_volume(P, Q) == oracle_mixed_volume(Q, P)
+
+
 # --- erosion -----------------------------------------------------------------
 
 
@@ -233,29 +271,16 @@ def oracle_erode(hull_pts, B):
     return tuple(sorted(out))
 
 
-_coords = st.integers(-6, 6)
-_shift = st.integers(-3, 3)
-
-
-@st.composite
-def _hull_points(draw):
-    """Point sets whose hull is a point, a segment or a polygon."""
-    kind = draw(st.sampled_from(("point", "segment", "polygon")))
-    base = (draw(_coords), draw(_coords))
-    if kind == "point":
-        return [base]
-    if kind == "segment":
-        d = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda v: v != (0, 0)))
-        ks = draw(st.sets(st.integers(-2, 2), min_size=2, max_size=4))
-        return [(base[0] + k * d[0], base[1] + k * d[1]) for k in ks]
-    return draw(st.lists(st.tuples(_coords, _coords), min_size=3, max_size=8))
-
-
 @settings(deadline=None, max_examples=400)
 @given(_hull_points(), st.sets(st.tuples(_shift, _shift), min_size=1, max_size=4))
 def test_erode_matches_scan_oracle(hull_pts, bpts):
     B = SupportSet(bpts)
-    assert erode(convex_hull(SupportSet(hull_pts)), B).sorted_points() == oracle_erode(hull_pts, B)
+    hull = convex_hull(SupportSet(hull_pts))
+    assert erode(hull, B).sorted_points() == oracle_erode(hull_pts, B)
+    # lattice_points is the erosion by the origin; is_segment reads the hull
+    assert lattice_points(hull).sorted_points() == oracle_erode(hull_pts, [(0, 0)])
+    a, b = min(hull_pts), max(hull_pts)
+    assert is_segment(SupportSet(hull_pts)) == all(cross(a, b, p) == 0 for p in hull_pts)
 
 
 def test_convex_hull_is_stored_per_support():

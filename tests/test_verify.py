@@ -99,6 +99,19 @@ def test_intersection_symmetry_smooth_points():
         count += 1
 
 
+def test_order_past_the_first_budget_doubles_the_truncation():
+    # along x = 1 + y^k the branch of f, g = (x - 1)^2 has order 2k; with
+    # 3 + 3 terms the budget n0 is 14, so k = 8 needs one doubling to 28
+    g = LaurentPolynomial({(2, 0): 1, (1, 0): -2, (0, 0): 1})
+    for k, order, truncation in ((8, 16, 28), (7, 14, 14)):
+        f = LaurentPolynomial({(1, 0): 1, (0, k): -1, (0, 0): -1})
+        m, cert = intersection_multiplicity_smooth(f, g, (F(1), F(0)), with_certificate=True)
+        assert m == order
+        assert cert.transcript == {"order": order, "leading_coefficient": F(1),
+                                   "truncation": truncation, "free_variable": "y"}
+        assert replay(cert).transcript == cert.transcript
+
+
 def test_intersection_monotone_in_truncation():
     f = LaurentPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -2})
     g = LaurentPolynomial({(1, 1): 1, (0, 0): -1})
@@ -329,6 +342,12 @@ def test_certificate_replay_bit_exact():
     _, v, lines, _ = build_line_product_system(3, 2, 0, seed=5)
     total, lcert = origin_multiplicity_line_product(lines, v, with_certificate=True)
     assert replay(lcert).transcript == lcert.transcript
+
+    fB = LaurentPolynomial({(2, 0): 1, (1, 0): -2, (0, 0): 1})
+    fA = LaurentPolynomial({(1, 0): 1, (0, 3): -1, (0, 0): -1})
+    m, scert = segment_product_multiplicity(fB, fA, (F(1), F(0)), with_certificate=True)
+    assert (m, scert.kind) == (6, "DerivativeTable") and "poly" not in scert.inputs
+    assert replay(scert).transcript == scert.transcript
 
 
 def test_certificate_replay_detects_tampering():
