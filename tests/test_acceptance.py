@@ -33,7 +33,6 @@ from sparsemult.lattice import (
 from sparsemult.reproduce import (
     scenario_ex10,
     scenario_exim,
-    scenario_triangle_atlas,
 )
 from sparsemult.verify import (
     intersection_multiplicity_smooth,
@@ -144,11 +143,21 @@ def test_criterion_6_line_products():
 
 
 def test_criterion_7_triangle_atlas():
-    rep = scenario_triangle_atlas(5)
-    report(7, rep["ok"],
+    # one atlas run, through the CLI; its stdout is pinned by digest (re-record
+    # after a deliberate change of output with
+    # `PYTHONPATH=src python -m sparsemult.cli reproduce triangle-atlas | sha256sum`)
+    buf = StringIO()
+    with redirect_stdout(buf):
+        code = main(["reproduce", "triangle-atlas"])
+    text = buf.getvalue()
+    rep = json.loads(text)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    pinned = (GOLDEN / "triangle_atlas_bound5.sha256").read_text(encoding="utf-8").split()[0]
+    report(7, code == 0 and rep["ok"] and rep["bound"] == 5 and digest == pinned,
            f"{rep['triangles']} triangles classified, verdicts constant on "
            "projective orbits, catalogue matched with 0 mismatches, Hessian "
-           "anchors exact everywhere")
+           f"anchors exact everywhere; report digest {digest[:12]} "
+           f"(pinned {pinned[:12]})")
 
 
 def test_criterion_8_pair_atlas():
