@@ -13,6 +13,12 @@ positive common denominator and integer numerators, kept in lowest terms,
 so that normal form is unique.  Fractions are built only where a caller
 reads a coefficient.  Rational evaluation of a Laurent polynomial likewise
 sums integer numerator/denominator pairs.
+
+Univariate decision polynomials are computed on integers as well: the
+triangle Hessian and Theta are integer coefficient lists, and root
+stripping and the rational-root search divide integer numerators by
+(b·t − a) exactly (Gauss's lemma).  Fractions are built once, at the
+boundary, in the :class:`UnivariatePolynomial` that is returned.
 """
 
 from __future__ import annotations
@@ -355,13 +361,9 @@ class UnivariatePolynomial:
         """Scale to integer coefficients with gcd 1 and positive leading term."""
         if self.is_zero():
             return self
-        den = lcm(*[_frac(c).denominator for c in self.coeffs])
-        ints = [int(c * den) for c in self.coeffs]
-        g = gcd(*ints)
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return self._wrap(ints)
+        nums, _ = _integer_numerators(self)
+        g = gcd(*nums) if nums[-1] > 0 else -gcd(*nums)
+        return self._wrap([v // g for v in nums])
 
     def __repr__(self):
         if self.is_zero():
@@ -415,42 +417,80 @@ def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
     return (p // g).monic()
 
 
+def _integer_numerators(p: UnivariatePolynomial) -> Tuple[List[int], int]:
+    """Integer numerators of p's coefficients over the lcm of their
+    denominators: p = Σ nums[i]·t^i / den."""
+    den = lcm(*[c.denominator for c in p.coeffs])
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
+
+def _exact_linear_quotient(c: List[int], a: int, b: int) -> Optional[List[int]]:
+    """Quotient of the integer polynomial c (ascending coefficients) by
+    (b·t − a) in Z[t], or None when (b·t − a) does not divide c.
+
+    The root a/b must be in lowest terms with b > 0.  By Gauss's lemma
+    (b·t − a is primitive) a/b is a root of c exactly when the quotient has
+    integer coefficients, so the division runs from the top coefficient
+    down and stops at the first inexact step or a non-zero remainder.
+    """
+    q = [0] * (len(c) - 1)
+    carry = 0  # a · q_i, added to the next lower coefficient
+    for i in range(len(c) - 1, 0, -1):
+        v, rest = divmod(c[i] + carry, b)
+        if rest:
+            return None
+        q[i - 1] = v
+        carry = a * v
+    if c[0] + carry:
+        return None
+    return q
+
+
 def factor_out_roots(
     p: UnivariatePolynomial, roots: Sequence[Fraction]
 ) -> Tuple[UnivariatePolynomial, Tuple[int, ...]]:
-    """Divide out each listed rational root to maximal multiplicity."""
+    """Divide out each listed rational root to maximal multiplicity.
+
+    Returns the reduced factor and the multiplicity of each root, in order.
+    The work is in integers: p is scaled to integer numerators over one
+    denominator, and each root a/b is divided out as (b·t − a) by
+    ``_exact_linear_quotient`` as often as that division is exact.  The
+    reduced factor is b^mult / den times the integer quotient, so it is the
+    quotient of p by the monic (t − a/b)^mult, with Fraction coefficients.
+    """
     if p.is_zero():
         raise InputError("zero polynomial")
+    nums, den = _integer_numerators(p)
+    scale = 1
     mults = []
-    q = p
     for r in roots:
         r = _frac(r)
+        a, b = r.numerator, r.denominator
         m = 0
-        while not q.is_zero():
-            cand, rem = q.divmod_linear(r)
-            if rem != 0:
-                break
-            q = cand
+        while len(nums) > 1 and (q := _exact_linear_quotient(nums, a, b)) is not None:
+            nums = q
             m += 1
+        scale *= b ** m
         mults.append(m)
-    return q, tuple(mults)
+    return p._wrap([Fraction(v * scale, den) for v in nums]), tuple(mults)
 
 
 def rational_roots(p: UnivariatePolynomial) -> List[Fraction]:
-    """All rational roots of a nonzero polynomial over Q, ascending."""
+    """All rational roots of a nonzero polynomial over Q, ascending.
+
+    Candidates are ±(divisor of the lowest non-zero coefficient) / (divisor
+    of the leading one) of the primitive integer polynomial; each is tested
+    by the exact division ``_exact_linear_quotient`` that
+    ``factor_out_roots`` uses, so no candidate is evaluated over Fraction.
+    """
     if p.is_zero():
         raise InputError("zero polynomial")
-    q = p.primitive_integer()
-    coeffs = list(q.coeffs)
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    roots = set()
-    if shift:
-        roots.add(Fraction(0))
+    nums, _ = _integer_numerators(p)
+    content = gcd(*nums)
+    shift = next(i for i, v in enumerate(nums) if v)
+    coeffs = [v // content for v in nums[shift:]]
+    roots = {Fraction(0)} if shift else set()
     if len(coeffs) > 1:
-        a0, an = abs(int(coeffs[0])), abs(int(coeffs[-1]))
 
         def divisors(n):
             out = []
@@ -462,12 +502,16 @@ def rational_roots(p: UnivariatePolynomial) -> List[Fraction]:
                 d += 1
             return sorted(set(out))
 
-        base = UnivariatePolynomial(coeffs, p.var)
-        for num in divisors(a0):
-            for den in divisors(an):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if base(cand) == 0:
-                        roots.add(cand)
+        candidates = {
+            Fraction(sign * num, den)
+            for num in divisors(abs(coeffs[0]))
+            for den in divisors(abs(coeffs[-1]))
+            for sign in (1, -1)
+        }
+        roots.update(
+            r for r in candidates
+            if _exact_linear_quotient(coeffs, r.numerator, r.denominator) is not None
+        )
     return sorted(roots)
 
 

@@ -82,43 +82,66 @@ def _group_elements() -> List[UnimodularAffineMap]:
 PROJECTIVE_GROUP = _group_elements()
 
 
+def _linear_triple(p: Sequence[int], q: Sequence[int], r: Sequence[int]) -> List[int]:
+    """Coefficients of (p0 + p1 a)(q0 + q1 a)(r0 + r1 a), ascending."""
+    (p0, p1), (q0, q1), (r0, r1) = p, q, r
+    return [
+        p0 * q0 * r0,
+        p1 * q0 * r0 + p0 * q1 * r0 + p0 * q0 * r1,
+        p1 * q1 * r0 + p1 * q0 * r1 + p0 * q1 * r1,
+        p1 * q1 * r1,
+    ]
+
+
 def hessian_at_one(n: int, m: int, k: int, l: int) -> UnivariatePolynomial:
     """Bordered-Hessian determinant at (1, 1) for the one-parameter family
     of trinomials on the triangle {(0,0), (n,m), (k,l)}.
 
     The family is 1 + a*x^n*y^m - (1+a)*x^k*y^l, so the value at a is the
-    Hessian of the member with parameter a.  The anchor identities
-    He(0) = -k*l*(k+l) and He(-1) = -m*n*(m+n) are asserted on every call.
+    Hessian of the member with parameter a: each derivative at (1, 1) is
+    c1*a + c2*(-1-a), and He = 2 fx fy fxy - fx^2 fyy - fy^2 fxx is a cubic
+    in a.  Its coefficients are computed as integers; the anchor identities
+    He(0) = -k*l*(k+l) and He(-1) = -m*n*(m+n) are asserted on those
+    integers on every call, and Fractions are built once, in the returned
+    polynomial.
     """
     if n * l - m * k == 0:
         raise InputError("collinear triangle")
-    var = "a"
-    A = UnivariatePolynomial([0, 1], var)
-    B = UnivariatePolynomial([-1, -1], var)
 
     def comb(c1, c2):
-        return A * c1 + B * c2
+        return (-c2, c1 - c2)
 
     fx = comb(n, k)
     fy = comb(m, l)
     fxx = comb(n * (n - 1), k * (k - 1))
     fyy = comb(m * (m - 1), l * (l - 1))
     fxy = comb(n * m, k * l)
-    he = fx * fy * fxy * 2 - fx * fx * fyy - fy * fy * fxx
-    if he(Fraction(0)) != -k * l * (k + l) or he(Fraction(-1)) != -m * n * (m + n):
+    he = [
+        2 * u - v - w
+        for u, v, w in zip(
+            _linear_triple(fx, fy, fxy), _linear_triple(fx, fx, fyy), _linear_triple(fy, fy, fxx)
+        )
+    ]
+    if he[0] != -k * l * (k + l) or he[0] - he[1] + he[2] - he[3] != -m * n * (m + n):
         raise AssertionError("Hessian anchor identities failed")
-    return he
+    return UnivariatePolynomial(he, "a")
 
 
 def theta_poly(n: int, m: int, k: int) -> UnivariatePolynomial:
     """Reduced Hessian for a triangle in the axis-aligned position
-    {(n,0), (m,0), (0,k)}: the full Hessian is (1+a)*k*Theta(a)."""
-    var = "a"
-    lin1 = UnivariatePolynomial([n, m], var)  # n + a m
-    one_plus = UnivariatePolynomial([1, 1], var)
-    t1 = lin1 * lin1 * (k - 1)
-    t2 = one_plus * UnivariatePolynomial([n * (n - 1), m * (m - 1)], var) * k
-    return t1 - t2
+    {(n,0), (m,0), (0,k)}: the full Hessian is (1+a)*k*Theta(a), where
+    Theta(a) = (k-1)(n + a m)^2 - k(1 + a)(n(n-1) + a m(m-1)).  The
+    coefficients are computed as integers and turned into Fractions once,
+    in the returned polynomial."""
+    nn, mm = n * (n - 1), m * (m - 1)
+    return UnivariatePolynomial(
+        [
+            (k - 1) * n * n - k * nn,
+            2 * (k - 1) * n * m - k * (nn + mm),
+            (k - 1) * m * m - k * mm,
+        ],
+        "a",
+    )
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -419,6 +419,103 @@ def test_exact_floordiv():
             (a * b + 1) // b
     with pytest.raises(ZeroDivisionError):
         UnivariatePolynomial([1, 1], "s") // UnivariatePolynomial.zero("s")
+
+
+def _ref_synthetic_division(coeffs, r):
+    """Quotient and remainder of a Fraction coefficient list by (t - r)."""
+    acc, out = F(0), []
+    for c in reversed(coeffs):
+        acc = acc * r + c
+        out.append(acc)
+    out.reverse()
+    return out[1:], out[0]
+
+
+def _ref_factor_out_roots(p, roots):
+    # repeated Fraction synthetic division by the monic (t - r)
+    coeffs, mults = list(p.coeffs), []
+    for r in roots:
+        m = 0
+        while coeffs:
+            quot, rem = _ref_synthetic_division(coeffs, r)
+            if rem != 0:
+                break
+            coeffs, m = quot, m + 1
+        mults.append(m)
+    return UnivariatePolynomial(coeffs, p.var), tuple(mults)
+
+
+def _ref_rational_roots(p):
+    # every ±(divisor of the lowest non-zero coefficient) / (divisor of the
+    # leading one) of the integer polynomial, evaluated over Fraction
+    den = 1
+    for c in p.coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in p.coeffs]
+    low = next(i for i, v in enumerate(ints) if v)
+    roots = {F(0)} if low else set()
+
+    def divisors(n):
+        n = abs(n)
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return small + [n // d for d in small]
+
+    for num in divisors(ints[low]):
+        for d in divisors(ints[-1]):
+            for cand in (F(num, d), F(-num, d)):
+                if p(cand) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+# roots that matter for the triangle decision (0, -1), non-integral ones and
+# a few more; each comes with a multiplicity up to 4, and 0 means absent
+_ROOT_POOL = (F(0), F(-1), F(2, 3), F(-1, 2), F(1), F(3), F(-5, 4), F(7, 6))
+_root_powers = st.lists(st.tuples(st.sampled_from(_ROOT_POOL), st.integers(0, 4)),
+                        max_size=4, unique_by=lambda rp: rp[0])
+_scalars = st.builds(F, st.integers(-60, 60).filter(bool), st.sampled_from([1, 2, 3, 7, 12, 35]))
+_cofactors = st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(any)
+
+
+def _product(c, root_powers, cofactor):
+    """c · cofactor · ∏ (b·t − a)^e over the roots a/b."""
+    p = UnivariatePolynomial(cofactor, "a") * c
+    for r, e in root_powers:
+        p = p * UnivariatePolynomial([-r.numerator, r.denominator], "a") ** e
+    return p
+
+
+@settings(deadline=None, max_examples=300)
+@given(_scalars, _root_powers, _cofactors, st.lists(st.sampled_from(_ROOT_POOL), max_size=4))
+def test_factor_out_roots_matches_synthetic_division(c, root_powers, cofactor, extra):
+    p = _product(c, root_powers, cofactor)
+    roots = [r for r, _ in root_powers] + extra
+    q, mults = factor_out_roots(p, roots)
+    ref_q, ref_mults = _ref_factor_out_roots(p, roots)
+    assert mults == ref_mults
+    assert q == ref_q and q.var == "a"
+    assert all(type(v) is F for v in q.coeffs)
+    for r, e in root_powers:
+        assert mults[roots.index(r)] >= e
+
+
+def test_factor_out_roots_content_and_integer_roots():
+    # 6/35 · (3a - 2)^2 (2a + 1) a^3: content 6/35, roots 2/3, -1/2 and 0
+    p = _product(F(6, 35), [(F(2, 3), 2), (F(-1, 2), 1), (F(0), 3)], [1])
+    q, mults = factor_out_roots(p, [F(0), F(-1), F(2, 3), F(-1, 2), 3])
+    assert mults == (3, 0, 2, 1, 0)
+    assert q == UnivariatePolynomial([F(6 * 9 * 2, 35)], "a")
+    with pytest.raises(InputError):
+        factor_out_roots(UnivariatePolynomial.zero(), [F(0)])
+
+
+@settings(deadline=None, max_examples=300)
+@given(_scalars, _root_powers.filter(lambda rps: sum(e for _, e in rps) <= 5), _cofactors)
+def test_rational_roots_match_brute_force(c, root_powers, cofactor):
+    p = _product(c, root_powers, cofactor)
+    roots = rational_roots(p)
+    assert roots == _ref_rational_roots(p)
+    assert {r for r, e in root_powers if e} <= set(roots)
 
 
 # --- Laurent polynomials -------------------------------------------------------

@@ -5,8 +5,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sparsemult.algebra import factor_out_roots
+from sparsemult.algebra import UnivariatePolynomial, factor_out_roots
 from sparsemult.classify import (
     PROJECTIVE_GROUP,
     decide_mult3,
@@ -91,6 +92,52 @@ def test_theta_factorization():
         fxy = UnivariatePolynomial([], "a")
         he = fx * fy * fxy * 2 - fx * fx * fyy - fy * fy * fxx
         assert he == lift
+
+
+def _ref_hessian_at_one(n, m, k, l):
+    # the Fraction-polynomial formula: He = 2 fx fy fxy - fx^2 fyy - fy^2 fxx
+    # with each derivative at (1, 1) equal to c1*a + c2*(-1-a)
+    A = UnivariatePolynomial([0, 1], "a")
+    B = UnivariatePolynomial([-1, -1], "a")
+
+    def comb(c1, c2):
+        return A * c1 + B * c2
+
+    fx, fy = comb(n, k), comb(m, l)
+    fxx = comb(n * (n - 1), k * (k - 1))
+    fyy = comb(m * (m - 1), l * (l - 1))
+    fxy = comb(n * m, k * l)
+    return fx * fy * fxy * 2 - fx * fx * fyy - fy * fy * fxx
+
+
+def _ref_theta_poly(n, m, k):
+    # (k-1)(n + a m)^2 - k (1 + a)(n(n-1) + a m(m-1)) over Fraction polynomials
+    lin = UnivariatePolynomial([n, m], "a")
+    one_plus = UnivariatePolynomial([1, 1], "a")
+    return lin * lin * (k - 1) - one_plus * UnivariatePolynomial([n * (n - 1), m * (m - 1)], "a") * k
+
+
+_exponents = st.integers(-8, 8)
+
+
+@settings(deadline=None, max_examples=500)
+@given(_exponents, _exponents, _exponents, _exponents)
+def test_hessian_matches_fraction_polynomial_oracle(n, m, k, l):
+    if n * l - m * k == 0:
+        with pytest.raises(InputError):
+            hessian_at_one(n, m, k, l)
+        return
+    he = hessian_at_one(n, m, k, l)
+    assert he == _ref_hessian_at_one(n, m, k, l)
+    assert he.var == "a" and all(type(c) is F for c in he.coeffs)
+
+
+@settings(deadline=None, max_examples=500)
+@given(_exponents, _exponents, _exponents)
+def test_theta_matches_fraction_polynomial_oracle(n, m, k):
+    th = theta_poly(n, m, k)
+    assert th == _ref_theta_poly(n, m, k)
+    assert th.var == "a" and all(type(c) is F for c in th.coeffs)
 
 
 # --- triangle verdicts ------------------------------------------------------------
