@@ -245,10 +245,14 @@ def _axis_position(pts: Sequence[Point]) -> Tuple[int, int, int]:
 
 
 def _match_triangle_family(T: SupportSet) -> Tuple[Optional[int], Optional[UnimodularAffineMap]]:
-    """Match a triangle against the four no-inflection families, up to the
+    """Match a triangle against the no-inflection families, up to the
     line-preserving projectivities and translations.
 
     Families can overlap; the smallest matching family index is reported.
+    Family 3, {(1,0), (b,0), (0,1)}, is never reported: the group element
+    ((0,1), (-1,-1)) maps it to {(0,-1), (1,-1), (0,-b)}, a family-1
+    triangle, so families 1 and 3 are one class under the group and only
+    families 1, 2 and 4 are tried.
     """
     pts = T.sorted_points()
 
@@ -264,26 +268,19 @@ def _match_triangle_family(T: SupportSet) -> Tuple[Optional[int], Optional[Unimo
                     return True
         return False
 
-    def fam23(img, want):
+    def fam2(img):
         for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                third = [img[t] for t in range(3) if t not in (i, j)][0]
-                if img[i][1] != img[j][1] or third[1] != img[i][1] + 1:
-                    continue
-                a = img[i][0] - third[0]
-                b = img[j][0] - third[0]
-                if want == 2 and a + b == 1:
-                    return True
-                if want == 3 and (a == 1 or b == 1):
+            for j in range(i + 1, 3):
+                third = img[3 - i - j]
+                if (img[i][1] == img[j][1] and third[1] == img[i][1] + 1
+                        and img[i][0] + img[j][0] - 2 * third[0] == 1):
                     return True
         return False
 
-    for fam in (1, 2, 3, 4):
+    for fam in (1, 2, 4):
         for g in PROJECTIVE_GROUP:
             img = [g.apply(p) for p in pts]
-            hit = fam14(img, fam) if fam in (1, 4) else fam23(img, fam)
+            hit = fam2(img) if fam == 2 else fam14(img, fam)
             if hit:
                 return fam, g
     return None, None
@@ -531,13 +528,13 @@ def decide_mult3(
 ) -> Mult3Report:
     """Classify a support pair by whether multiplicity 3 is achievable.
 
-    The verdict is the root-count criterion: impossible iff the mixed
-    volume of the hulls is at most 2.  For supports that are the full
-    lattice-point sets of their hulls the criterion is exact in both
-    directions; sparser supports get the same hull-based verdict.
-    Impossible verdicts are cross-checked against the exceptional-family
-    catalogue; achievable verdicts come with a verified witness whenever
-    one of the constructive routes succeeds over Q.
+    The verdict is the root-count criterion on the hulls: a mixed volume
+    of at most 2 proves Impossible, and any larger one is reported
+    Achievable.  Impossible verdicts are cross-checked against the
+    exceptional-family catalogue.  An Achievable verdict is proved only
+    when it comes with a verified witness, which one of the constructive
+    routes finds whenever it succeeds over Q; without one it is unproven,
+    and some such verdicts are false (a segment against the 3x3 box).
     """
     mv = mixed_volume(convex_hull(A), convex_hull(B))
     if mv <= 2:

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (
     LaurentPolynomial,
     UnivariatePolynomial,
-    det,
     kernel_basis,
     poly_kernel_basis,
     rational_roots,
@@ -42,6 +41,7 @@ from .lattice import (
     primitivity_index,
     unimodular_triple,
 )
+from .verify import intersection_multiplicity_smooth, rank_impossibility
 
 DEFAULT_SEED = 1729
 RETRY_BUDGET = 16
@@ -135,10 +135,7 @@ def construct_univariate(exponents: Sequence[int], l: int):
     if l < 0:
         raise InputError("multiplicity must be non-negative")
     if l >= k:
-        square = _power_rows(exps, k)
-        d = det(square)
-        if d == 0:
-            raise AssertionError("power matrix on distinct exponents cannot be singular")
+        d = rank_impossibility(exps).transcript["determinant"]
         return ImpossibilityCertificate(
             kind="RankImpossibility",
             transcript={
@@ -212,8 +209,6 @@ def construct_prescribed(
     if m > len(A) - 1:
         raise HypothesisViolation(
             f"m={m} exceeds |A| - 1 = {len(A) - 1}, the largest value D = |A| - dim V - 1 can take")
-
-    from .verify import intersection_multiplicity_smooth
 
     rng = random.Random(seed)
     p = (Fraction(1), Fraction(1))
@@ -304,8 +299,6 @@ def construct_multipoint(
         raise HypothesisViolation(
             f"sum(m)={sum(ms)} exceeds |A| - 1 = {len(A) - 1}, "
             "the largest value D = |A| - dim V - 1 can take")
-
-    from .verify import intersection_multiplicity_smooth
 
     rng = random.Random(seed)
     diagnostics: List[str] = []
@@ -460,8 +453,6 @@ def _basis_to_simplex_map(p0, q0, r0) -> UnimodularAffineMap:
 def _line_contact_on(
     A: SupportSet, r: int, seed: int, retries: int
 ) -> ConstructedSystem:
-    from .verify import intersection_multiplicity_smooth
-
     rng = random.Random(seed)
     rows = _line_rows(A, r)
     cols = A.sorted_points()

@@ -1,13 +1,15 @@
-"""Independent exact verification of multiplicity claims.
+"""Exact verification of multiplicity claims.
 
 The verifier never trusts a constructor: it recomputes branches from
-scratch and reports orders read off exact series coefficients.  A branch
-order is certified within a budget n0 = |f| + |g| + 8 (doubled up to a
-mixed-volume cap when nothing shows): the order is read from the shortest
-Newton rung of the branch that shows it, which gives the same coefficient
-as the expansion to n0, and that rung is checked to annihilate f.  Every
-check returns a replayable certificate whose transcript is reproduced bit
-for bit when re-run on the same inputs.
+scratch (with the constructors' Newton code, ``branch_rungs``) and reports
+orders read off exact series coefficients.  A branch order is certified
+within a budget n0 = |f| + |g| + 8, raised to the Bernstein bound when
+nothing shows: no isolated root exceeds it, so nothing showing by then
+means the root is not isolated.  The order is read from the shortest
+Newton rung that shows it, which gives the coefficient of the expansion to
+the budget, and that rung is checked to annihilate its curve.  Every check
+returns a replayable certificate whose transcript is reproduced bit for
+bit when re-run on the same inputs.
 """
 
 from __future__ import annotations
@@ -16,16 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import (
-    LaurentPolynomial,
-    UnivariatePolynomial,
-    det,
-    sylvester_resultant,
-    _frac,
-)
-from .branches import branch_rungs, branch_series, is_multiple_of
+from .algebra import LaurentPolynomial, UnivariatePolynomial, det, _frac
+from .branches import branch_rungs
 from .errors import InputError, VerificationError
-from .lattice import convex_hull, mixed_volume
+from .lattice import SupportSet, convex_hull, mixed_volume
 
 #: Sentinel returned when the checked root is not isolated.
 NON_ISOLATED = "non-isolated"
@@ -40,8 +36,9 @@ class MultiplicityCertificate:
     ``transcript`` holds the exact data that forces the verdict (leading
     series coefficient, derivative values, per-line orders or determinant).
     A BranchOrder ``truncation`` is the budget within which the order is
-    certified, not the length of the expansion it was read from: the order
-    comes from the shortest Newton rung that shows it.
+    certified (n0, or the Bernstein bound past it), not the length of the
+    expansion it was read from: the order comes from the shortest Newton
+    rung that shows it.
     """
 
     kind: str
@@ -76,6 +73,26 @@ def univariate_multiplicity(
     return m
 
 
+def _bernstein_bound(f: LaurentPolynomial, g: LaurentPolynomial, p: Tuple[Fraction, Fraction]) -> int:
+    """Bound on the multiplicity of p as an isolated root of (f, g): the
+    mixed volume of the hulls (Bernstein 1975), with the origin adjoined at
+    a point with a zero coordinate (Li & Wang 1996).  There a negative
+    exponent lies in p's non-zero coordinate and is first cleared by a
+    monomial factor, a unit at p."""
+
+    def hull(S: SupportSet):
+        if p[0] != 0 and p[1] != 0:
+            return convex_hull(S)
+        x, y = S.min_corner()
+        return convex_hull(SupportSet(S.translate((-min(x, 0), -min(y, 0))).points | {(0, 0)}))
+
+    return mixed_volume(hull(f.support()), hull(g.support()))
+
+
+def _singular_at(h: LaurentPolynomial, p: Tuple[Fraction, Fraction]) -> bool:
+    return h.partial("x").evaluate(p) == 0 and h.partial("y").evaluate(p) == 0
+
+
 def intersection_multiplicity_smooth(
     f: LaurentPolynomial,
     g: LaurentPolynomial,
@@ -86,70 +103,49 @@ def intersection_multiplicity_smooth(
     the vanishing order of g along the branch of f.
 
     Requires f(p) = 0 and f smooth at p (single branch, so the branch order
-    is the full local intersection number).  Returns NON_ISOLATED when g
-    vanishes on the branch itself.
+    is the full local intersection number); when f is singular there and g
+    is smooth with g(p) = 0, the order of f along g's branch is read, as
+    the multiplicity is symmetric.  Returns NON_ISOLATED when no order
+    shows by the Bernstein bound, which an isolated root cannot exceed.
     """
     p = (_frac(p[0]), _frac(p[1]))
     if f.is_zero() or g.is_zero():
         raise InputError("zero polynomial")
     if f.evaluate(p) != 0:
         raise InputError("point is not on the first curve")
+    curve, other = f, g
+    if _singular_at(f, p) and g.evaluate(p) == 0 and not _singular_at(g, p):
+        curve, other = g, f
+
+    def certified(n):
+        # Rungs are prefixes of the branch at n, so the first rung on which
+        # the other curve shows a non-zero coefficient gives the order and
+        # leading coefficient that the expansion at n would.
+        for branch in branch_rungs(curve, p, n):
+            series = branch.evaluate_poly(other)
+            order = series.order()
+            if order is not None:
+                branch.assert_annihilates()
+                return {"order": order, "leading_coefficient": series.coefficient(order),
+                        "truncation": n, "free_variable": branch.free_variable}
+        branch.assert_annihilates()
+        return None
 
     n0 = len(f.terms) + len(g.terms) + 8
-
-    def certified(order, lead, free_variable, n):
-        cert = MultiplicityCertificate(
-            kind="BranchOrder",
-            inputs={"f": f, "g": g, "point": p},
-            transcript={
-                "order": order,
-                "leading_coefficient": lead,
-                "truncation": n,
-                "free_variable": free_variable,
-            },
-        )
-        return (order, cert) if with_certificate else order
-
-    # Rungs are prefixes of the branch at n0, so the first rung on which g
-    # shows a non-zero coefficient gives the order and leading coefficient
-    # that the expansion at n0 would; n0 stays the certified budget.
-    for branch in branch_rungs(f, p, n0):
-        series = branch.evaluate_poly(g)
-        order = series.order()
-        if order is not None:
-            branch.assert_annihilates()
-            return certified(order, series.coefficient(order), branch.free_variable, n0)
-    branch.assert_annihilates()
-
-    hard_cap = 4 * (n0 + mixed_volume(convex_hull(f.support()), convex_hull(g.support())))
-    n = n0
-    while n < hard_cap:
-        n = min(2 * n, hard_cap)
-        branch = branch_series(f, p, n)
-        series = branch.evaluate_poly(g)
-        order = series.order()
-        if order is not None:
-            return certified(order, series.coefficient(order), branch.free_variable, n)
-
-    if is_multiple_of(g, f):
-        verdict = NON_ISOLATED
-        why = "g is a Laurent-polynomial multiple of f"
-    else:
-        dep = "y" if f.partial("y").evaluate(p) != 0 else "x"
-        res = sylvester_resultant(f, g, dep)
-        if res.is_zero():
-            verdict = NON_ISOLATED
-            why = "resultant vanishes identically: shared component through the branch"
-        else:
-            raise AssertionError(
-                "order exceeded every bound for an isolated intersection"
-            )
-    cert = MultiplicityCertificate(
-        kind="BranchOrder",
-        inputs={"f": f, "g": g, "point": p},
-        transcript={"order": NON_ISOLATED, "reason": why, "truncation": hard_cap},
-    )
-    return (verdict, cert) if with_certificate else verdict
+    transcript = certified(n0)
+    if transcript is None:
+        cap = _bernstein_bound(f, g, p)
+        transcript = certified(cap) if cap > n0 else None
+        if transcript is None:
+            origin = "" if p[0] != 0 and p[1] != 0 else " (origin adjoined)"
+            transcript = {"order": NON_ISOLATED,
+                          "reason": f"no order within the Bernstein bound mv = {cap}{origin}, "
+                                    "so the root is not isolated",
+                          "truncation": max(n0, cap)}
+    order = transcript["order"]
+    if not with_certificate:
+        return order
+    return order, MultiplicityCertificate("BranchOrder", {"f": f, "g": g, "point": p}, transcript)
 
 
 def origin_multiplicity_line_product(

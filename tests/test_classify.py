@@ -151,6 +151,21 @@ def test_triangle_family_examples():
     assert tc.reduced_factor.degree() >= 1
 
 
+_ROTATE = next(g for g in PROJECTIVE_GROUP if g.matrix == ((0, 1), (-1, -1)))
+
+
+@pytest.mark.parametrize("b", [b for b in range(-12, 13) if b not in (0, 1)])
+def test_family_3_triangles_are_family_1(b):
+    # the group element ((0,1), (-1,-1)) maps the family-3 triangle
+    # {(1,0), (b,0), (0,1)} to {(0,-1), (1,-1), (0,-b)}, whose edges from
+    # (0,-1) are (1,0) and (0, 1-b): the family-1 shape
+    tri = [(1, 0), (b, 0), (0, 1)]
+    img = [_ROTATE.apply(q) for q in tri]
+    assert sorted(img) == sorted([(0, -1), (1, -1), (0, -b)])
+    tc = triangle_inflection(SupportSet(tri))
+    assert tc.verdict == "NoInflection" and tc.family == 1
+
+
 def test_triangle_has_inflection_generic_case():
     tc = triangle_inflection(SupportSet([(0, 0), (1, 2), (2, 1)]))
     assert tc.verdict == "HasInflection"

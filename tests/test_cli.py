@@ -208,6 +208,17 @@ def _system(**changes):
     return obj
 
 
+
+@pytest.mark.parametrize("swap", [False, True], ids=["singular-f", "singular-g"])
+def test_verify_at_a_singular_point_of_one_curve(capsys, swap):
+    # x^2 - 2x - y^2 + 2y is singular at (1, 1) and y - 1 is smooth there;
+    # the multiplicity 2 is read along the smooth curve in either order
+    node = _terms(([2, 0], "1/1"), ([1, 0], "-2/1"), ([0, 2], "-1/1"), ([0, 1], "2/1"))
+    f, g = (_LINE, node) if swap else (node, _LINE)
+    code, rep = run_cli(capsys, "verify", "--json", json.dumps(_system(f=f, g=g, multiplicity=2)))
+    assert code == 0
+    assert rep["verified"] is True and rep["results"][0]["observed"] == 2
+
 @pytest.mark.parametrize(
     "argv",
     [

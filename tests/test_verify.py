@@ -1,10 +1,11 @@
-"""The independent verifier: orders, derivative tables, line sums,
-impossibility certificates and replays."""
+"""The verifier: orders, derivative tables, line sums, impossibility
+certificates and replays."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from sparsemult import verify
 from sparsemult.algebra import (
@@ -99,16 +100,69 @@ def test_intersection_symmetry_smooth_points():
         count += 1
 
 
-def test_order_past_the_first_budget_doubles_the_truncation():
+def test_intersection_symmetry_at_a_singular_point_of_f():
+    # f = x^2 - 2x - y^2 + 2y is singular at (1, 1); g = y - 1 is smooth there,
+    # so the order is read along the branch of g in either argument order
+    f = LaurentPolynomial({(2, 0): 1, (1, 0): -2, (0, 2): -1, (0, 1): 2})
+    g = LaurentPolynomial({(0, 1): 1, (0, 0): -1})
+    p = (F(1), F(1))
+    for a, b in ((f, g), (g, f)):
+        m, cert = intersection_multiplicity_smooth(a, b, p, with_certificate=True)
+        assert m == 2
+        assert cert.inputs == {"f": a, "g": b, "point": p}
+        assert cert.transcript == {"order": 2, "leading_coefficient": F(1),
+                                   "truncation": 14, "free_variable": "x"}
+        assert replay(cert).transcript == cert.transcript
+    # both singular, or g off the point: nothing smooth to expand along
+    with pytest.raises(InputError, match="singular"):
+        intersection_multiplicity_smooth(f, f * F(3) + g * g, p)
+    with pytest.raises(InputError, match="singular"):
+        intersection_multiplicity_smooth(f, g + 1, p)
+
+
+def test_order_past_the_first_budget_is_certified_at_the_bernstein_bound():
     # along x = 1 + y^k the branch of f, g = (x - 1)^2 has order 2k; with
-    # 3 + 3 terms the budget n0 is 14, so k = 8 needs one doubling to 28
+    # 3 + 3 terms the budget n0 is 14.  At (1, 0) the bound is the mixed
+    # volume with the origin adjoined, 2k, so it is met with equality and,
+    # for k >= 8, lies past n0 and becomes the certified truncation
     g = LaurentPolynomial({(2, 0): 1, (1, 0): -2, (0, 0): 1})
-    for k, order, truncation in ((8, 16, 28), (7, 14, 14)):
+    for k, order, truncation in ((8, 16, 16), (20, 40, 40), (7, 14, 14)):
         f = LaurentPolynomial({(1, 0): 1, (0, k): -1, (0, 0): -1})
         m, cert = intersection_multiplicity_smooth(f, g, (F(1), F(0)), with_certificate=True)
-        assert m == order
+        assert m == order == _bound(f, g, (F(1), F(0)))
         assert cert.transcript == {"order": order, "leading_coefficient": F(1),
                                    "truncation": truncation, "free_variable": "y"}
+        assert replay(cert).transcript == cert.transcript
+
+
+def test_bound_adjoins_the_origin_at_a_zero_coordinate():
+    # y and y - x^12 meet at the origin with multiplicity 12, past n0 = 11;
+    # the torus mixed volume of their supports is 0, with the origin it is 12
+    f = LaurentPolynomial({(0, 1): 1})
+    g = LaurentPolynomial({(0, 1): 1, (12, 0): -1})
+    p = (F(0), F(0))
+    assert mixed_volume(convex_hull(f.support()), convex_hull(g.support())) == 0
+    m, cert = intersection_multiplicity_smooth(f, g, p, with_certificate=True)
+    assert m == 12 == _bound(f, g, p)
+    assert cert.transcript == {"order": 12, "leading_coefficient": F(-1),
+                               "truncation": 12, "free_variable": "x"}
+
+
+def test_non_isolated_transcripts_name_the_bound():
+    # g = (x + 1) f vanishes on the branch, and the bound 16 lies past
+    # n0 = 15; for g = x^-3 f the monomial x^-3, a unit at (1, 0), is
+    # cleared first, so the bound is mv(f, f) = 8 and the truncation n0 = 14
+    f = LaurentPolynomial({(1, 0): 1, (0, 8): -1, (0, 0): -1})
+    p = (F(1), F(0))
+    for cofactor, cap, truncation in (({(1, 0): 1, (0, 0): 1}, 16, 16), ({(-3, 0): 1}, 8, 14)):
+        g = f * LaurentPolynomial(cofactor)
+        order, cert = intersection_multiplicity_smooth(f, g, p, with_certificate=True)
+        assert order == NON_ISOLATED
+        assert cert.transcript == {
+            "order": NON_ISOLATED,
+            "reason": f"no order within the Bernstein bound mv = {cap} (origin adjoined), "
+                      "so the root is not isolated",
+            "truncation": truncation}
         assert replay(cert).transcript == cert.transcript
 
 
@@ -141,29 +195,52 @@ def test_verifier_reproduces_constructor_claims():
 # --- the Newton-rung ladder ------------------------------------------------------------
 
 
-def _expand_once_then_double(f, g, p):
-    """Reference verifier: expand the branch once at n0, then double up to the
-    mixed-volume cap.  Returns (order, transcript)."""
+def _singular(h, p):
+    return h.partial("x").evaluate(p) == 0 and h.partial("y").evaluate(p) == 0
+
+
+def _bound(f, g, p):
+    """Bernstein's bound on an isolated root's multiplicity, computed apart
+    from the verifier: the mixed volume of the hulls at a torus point; at a
+    point with a zero coordinate, each polynomial is first multiplied by the
+    monomial that clears its negative exponents, and the origin is adjoined."""
+    if p[0] != 0 and p[1] != 0:
+        return mixed_volume(convex_hull(f.support()), convex_hull(g.support()))
+    hulls = []
+    for h in (f, g):
+        clear = tuple(-min(min(e[i] for e in h.terms), 0) for i in (0, 1))
+        h = h * LaurentPolynomial({clear: 1})
+        hulls.append(convex_hull(SupportSet(list(h.terms) + [(0, 0)])))
+    return mixed_volume(*hulls)
+
+
+def _expand_to_n0_then_cap(f, g, p):
+    """Reference verifier: expand the branch once at n0 and, when no order
+    shows there, once more at the Bernstein bound if that is larger.
+    Returns (order, transcript, why).  A non-isolated root is confirmed
+    apart from the bound: why is "multiple" when g is a Laurent multiple of
+    f, and "shared component" when the resultant vanishes identically."""
+    curve, other = f, g
+    if _singular(f, p) and g.evaluate(p) == 0 and not _singular(g, p):
+        curve, other = g, f
     n0 = len(f.terms) + len(g.terms) + 8
-    hard_cap = 4 * (n0 + mixed_volume(convex_hull(f.support()), convex_hull(g.support())))
-    n = n0
-    while True:
-        branch = branch_series(f, p, n)
-        series = branch.evaluate_poly(g)
+    cap = _bound(f, g, p)
+    for n in sorted({n0, max(n0, cap)}):
+        branch = branch_series(curve, p, n)
+        series = branch.evaluate_poly(other)
         order = series.order()
         if order is not None:
             return order, {"order": order, "leading_coefficient": series.coefficient(order),
-                           "truncation": n, "free_variable": branch.free_variable}
-        if n >= hard_cap:
-            break
-        n = min(2 * n, hard_cap)
-    if is_multiple_of(g, f):
-        why = "g is a Laurent-polynomial multiple of f"
+                           "truncation": n, "free_variable": branch.free_variable}, None
+    if is_multiple_of(other, curve):
+        why = "multiple"
     else:
-        dep = "y" if f.partial("y").evaluate(p) != 0 else "x"
-        assert sylvester_resultant(f, g, dep).is_zero()
-        why = "resultant vanishes identically: shared component through the branch"
-    return NON_ISOLATED, {"order": NON_ISOLATED, "reason": why, "truncation": hard_cap}
+        dep = "y" if curve.partial("y").evaluate(p) != 0 else "x"
+        assert sylvester_resultant(curve, other, dep).is_zero()
+        why = "shared component"
+    origin = "" if p[0] != 0 and p[1] != 0 else " (origin adjoined)"
+    reason = f"no order within the Bernstein bound mv = {cap}{origin}, so the root is not isolated"
+    return NON_ISOLATED, {"order": NON_ISOLATED, "reason": reason, "truncation": max(n0, cap)}, why
 
 
 def _smooth_through(rng, p, exps, nterms):
@@ -227,27 +304,70 @@ def test_rung_verifier_matches_expand_once_oracle():
     line = y - x
     cases.append((line * (x + y + 3), line * (x + y + 3) * (x - 2 * y + 7), (F(1), F(1))))
     cases.append((line * (x + y + 3), line * (x - 2 * y + 7), (F(1), F(1))))
+    # the bound met with equality: Z(x - 1) meets Z((y - 1)^3) only at (1, 1)
+    cases.append((x - 1, (y - 1) ** 3, (F(1), F(1))))
+    # the bound past n0: met with equality at (1, 0), and a non-isolated root
+    steep = x - y ** 8 - 1
+    cases.append((steep, (x - 1) ** 2, (F(1), F(0))))
+    cases.append((steep, steep * (x + 1), (F(1), F(0))))
+    # f singular at p, g smooth there: the order is read along g
+    cases.append((x ** 2 - 2 * x - y ** 2 + 2 * y, y - 1, (F(1), F(1))))
     seen = set()
     for f, g, p in cases:
         order, cert = intersection_multiplicity_smooth(f, g, p, with_certificate=True)
-        want_order, want = _expand_once_then_double(f, g, p)
+        want_order, want, why = _expand_to_n0_then_cap(f, g, p)
         assert order == want_order
         assert cert.kind == "BranchOrder" and cert.inputs == {"f": f, "g": g, "point": p}
         assert cert.transcript == want and list(cert.transcript) == list(want)
         assert replay(cert).transcript == want
-        if order == NON_ISOLATED:
-            seen.add(f"non-isolated: {want['reason'].split()[0]}")
-            continue
         n0 = len(f.terms) + len(g.terms) + 8
-        shown = next(r.truncation_order for r in branch_rungs(f, p, n0)
-                     if r.evaluate_poly(g).order() is not None)
-        seen.add({0: "rung 0", 1: "rung 1", n0: "rung n0"}.get(shown, "middle rung"))
+        cap = _bound(f, g, p)
+        if cap > n0:
+            seen.add("bound past n0")
+        if order == NON_ISOLATED:
+            seen.add(f"non-isolated: {why}")
+            continue
+        assert order <= cap
+        if order == cap:
+            seen.add("order = bound" + ("" if p[0] and p[1] else " off the torus"))
+        if _singular(f, p):
+            seen.add("singular f")
+            continue
+        shown = next((r.truncation_order for r in branch_rungs(f, p, n0)
+                      if r.evaluate_poly(g).order() is not None), None)
+        seen.add({0: "rung 0", 1: "rung 1", n0: "rung n0", None: "past n0"}.get(shown, "middle rung"))
         if cert.transcript["free_variable"] == "y":
             seen.add("dependent x")
         if any(e[0] < 0 or e[1] < 0 for e in f.terms):
             seen.add("Laurent f")
-    assert seen == {"rung 0", "rung 1", "middle rung", "rung n0", "dependent x", "Laurent f",
-                    "non-isolated: g", "non-isolated: resultant"}
+    assert seen == {"rung 0", "rung 1", "middle rung", "rung n0", "past n0", "dependent x",
+                    "Laurent f", "singular f", "bound past n0", "order = bound",
+                    "order = bound off the torus", "non-isolated: multiple",
+                    "non-isolated: shared component"}
+
+
+_POINTS = [(F(1), F(1)), (F(2), F(-1, 3)), (F(0), F(1)), (F(-3, 2), F(0)), (F(0), F(0))]
+_TERMS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         st.integers(-5, 5).filter(bool), min_size=1, max_size=5)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(_POINTS), _TERMS, _TERMS, st.integers(0, 6), st.sampled_from("xy"),
+       st.tuples(st.integers(-2, 0), st.integers(-2, 0)))
+def test_every_order_is_within_the_bernstein_bound(p, fterms, uterms, k, along, shift):
+    """At torus points (Laurent supports too) and at points with a zero
+    coordinate, no order the verifier returns exceeds the bound."""
+    x, y = LaurentPolynomial({(1, 0): 1}), LaurentPolynomial({(0, 1): 1})
+    h = LaurentPolynomial(fterms)
+    f = h - h.evaluate(p)
+    if p[0] != 0 and p[1] != 0:
+        f = f * LaurentPolynomial({shift: 1})
+    u = LaurentPolynomial(uterms)
+    g = f * u + ((x - p[0]) if along == "x" else (y - p[1])) ** k
+    if f.is_zero() or g.is_zero() or (_singular(f, p) and (g.evaluate(p) != 0 or _singular(g, p))):
+        reject()
+    order = intersection_multiplicity_smooth(f, g, p)
+    assert order == NON_ISOLATED or order <= _bound(f, g, p)
 
 
 def test_rung_used_for_the_order_is_self_checked(monkeypatch):
