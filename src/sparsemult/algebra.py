@@ -11,8 +11,8 @@ construction and all arithmetic is exact.
 Truncated series, the hot loop of branch expansion, are fraction-free: one
 positive common denominator and integer numerators, kept in lowest terms,
 so that normal form is unique.  Fractions are built only where a caller
-reads a coefficient.  Rational evaluation of a Laurent polynomial likewise
-sums integer numerator/denominator pairs.
+reads a coefficient.  Rational evaluation of a Laurent polynomial and of
+its gradient likewise sums integer numerator/denominator pairs.
 
 Univariate decision polynomials are computed on integers as well: the
 triangle Hessian and Theta are integer coefficient lists, and root
@@ -519,6 +519,21 @@ def rational_roots(p: UnivariatePolynomial) -> List[Fraction]:
 # truncated power series over Q
 
 
+def _convolve(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The first min(len(a), len(b)) coefficients of the product of two
+    coefficient lists, schoolbook and not reduced."""
+    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(min(len(a), len(b)))]
+
+
+def _combine(terms: Sequence[Tuple[Fraction, Sequence[int], int]]) -> Tuple[List[int], int]:
+    """sum(c * nums / den for c, nums, den in terms) as numerators over the
+    least common denominator, not reduced, truncated to the shortest list."""
+    dens = [c.denominator * d for c, _, d in terms]
+    den = lcm(*dens)
+    scale = [c.numerator * (den // d) for (c, _, _), d in zip(terms, dens)]
+    return [sum(map(mul, scale, col)) for col in zip(*[n for _, n, _ in terms])], den
+
+
 class TruncatedSeries:
     """One-variable power series over Q, exact up to a stated order.
 
@@ -615,10 +630,7 @@ class TruncatedSeries:
             other = _frac(other)
             return TruncatedSeries._make(
                 [c * other.numerator for c in self.nums], self.den * other.denominator)
-        n = min(len(self.nums), len(other.nums))
-        a, b = self.nums, other.nums
-        return TruncatedSeries._make(
-            [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n)], self.den * other.den)
+        return TruncatedSeries._make(_convolve(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -644,11 +656,7 @@ class TruncatedSeries:
     def linear_combination(terms: Sequence[Tuple[Fraction, "TruncatedSeries"]]) -> "TruncatedSeries":
         """sum(c * s for c, s in terms), truncated to the smallest order, over
         one common denominator."""
-        dens = [c.denominator * s.den for c, s in terms]
-        den = lcm(*dens)
-        scale = [c.numerator * (den // d) for (c, _), d in zip(terms, dens)]
-        return TruncatedSeries._make(
-            [sum(map(mul, scale, col)) for col in zip(*[s.nums for _, s in terms])], den)
+        return TruncatedSeries._make(*_combine([(c, s.nums, s.den) for c, s in terms]))
 
     def int_pow(self, e: int) -> "TruncatedSeries":
         base = self if e >= 0 else self.inverse()
@@ -750,29 +758,14 @@ class LaurentPolynomial:
         return LaurentPolynomial(t)
 
     def evaluate(self, point: Tuple[Fraction, Fraction]):
-        px, py = _frac(point[0]), _frac(point[1])
-        if (px == 0 or py == 0) and any(
-                (e1 < 0 and px == 0) or (e2 < 0 and py == 0) for e1, e2 in self.terms):
-            raise InputError("negative exponent at a zero coordinate")
-        if not all(isinstance(c, Fraction) for c in self.terms.values()):
-            acc = None
-            for (e1, e2), c in self.terms.items():
-                val = c * px**e1 * py**e2
-                acc = val if acc is None else acc + val
-            return Fraction(0) if acc is None else acc
-        # rational coefficients: one numerator/denominator pair per term,
-        # summed over the least common denominator, one Fraction at the end
-        xn, xd, yn, yd = px.numerator, px.denominator, py.numerator, py.denominator
-        num, den = 0, 1
-        for (e1, e2), c in self.terms.items():
-            n = c.numerator * (xn**e1 if e1 >= 0 else xd**-e1) * (yn**e2 if e2 >= 0 else yd**-e2)
-            d = c.denominator * (xd**e1 if e1 >= 0 else xn**-e1) * (yd**e2 if e2 >= 0 else yn**-e2)
-            if d == den:
-                num += n
-            else:
-                g = gcd(den, d)
-                num, den = num * (d // g) + n * (den // g), den // g * d
-        return Fraction(num, den)
+        return _sum_at(point, [(e, c, 1) for e, c in self.terms.items()])
+
+    def gradient(self, point: Tuple[Fraction, Fraction]) -> Tuple:
+        """(df/dx, df/dy) at point, read off the terms without building the
+        partial derivatives; raises where ``evaluate`` does."""
+        terms = self.terms.items()
+        return (_sum_at(point, [((e1 - 1, e2), c, e1) for (e1, e2), c in terms if e1]),
+                _sum_at(point, [((e1, e2 - 1), c, e2) for (e1, e2), c in terms if e2]))
 
     def shift_exponents(self, v: Tuple[int, int]) -> "LaurentPolynomial":
         return LaurentPolynomial({(e[0] + v[0], e[1] + v[1]): c for e, c in self.terms.items()})
@@ -782,6 +775,33 @@ class LaurentPolynomial:
         for e, c in sorted(self.terms.items()):
             parts.append(f"({c})*x^{e[0]}*y^{e[1]}")
         return " + ".join(parts) if parts else "0"
+
+
+def _sum_at(point: Tuple[Fraction, Fraction], terms: Sequence[Tuple[Tuple[int, int], object, int]]):
+    """sum(w * c * x^e1 * y^e2 for (e1, e2), c, w in terms) at the point."""
+    px, py = _frac(point[0]), _frac(point[1])
+    if (px == 0 or py == 0) and any(
+            (e1 < 0 and px == 0) or (e2 < 0 and py == 0) for (e1, e2), _, _ in terms):
+        raise InputError("negative exponent at a zero coordinate")
+    if not all(isinstance(c, Fraction) for _, c, _ in terms):
+        acc = None
+        for (e1, e2), c, w in terms:
+            val = c * w * px**e1 * py**e2
+            acc = val if acc is None else acc + val
+        return Fraction(0) if acc is None else acc
+    # rational coefficients: one numerator/denominator pair per term,
+    # summed over the least common denominator, one Fraction at the end
+    xn, xd, yn, yd = px.numerator, px.denominator, py.numerator, py.denominator
+    num, den = 0, 1
+    for (e1, e2), c, w in terms:
+        n = w * c.numerator * (xn**e1 if e1 >= 0 else xd**-e1) * (yn**e2 if e2 >= 0 else yd**-e2)
+        d = c.denominator * (xd**e1 if e1 >= 0 else xn**-e1) * (yd**e2 if e2 >= 0 else yn**-e2)
+        if d == den:
+            num += n
+        else:
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,16 @@ setting the free coordinate to ``p + t`` and solving for the dependent one
 as an exact truncated series (Newton iteration on the implicit equation).
 The t-expansions of the monomials along such a branch assemble into the
 derivative-style coefficient matrix whose prefix ranks control which
-contact orders hyperplane sections can realize.
+contact orders hyperplane sections can realize.  Newton's Horner steps and
+the power tables run on integer numerator lists over one denominator; a
+series is reduced, by one gcd, only where a caller receives it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import (
@@ -20,6 +23,8 @@ from .algebra import (
     kernel_basis,
     prefix_ranks,
     solve_linear,
+    _combine,
+    _convolve,
     _frac,
 )
 from .errors import InputError, TruncationInsufficient
@@ -33,6 +38,10 @@ class BranchParametrization:
     ``free_variable`` is the coordinate set to ``p + t``; the other one is
     the solved series.  The defining identity f(x(t), y(t)) = 0 holds
     exactly through the truncation order.
+
+    Powers of x(t) and y(t) and monomials x^i y^j are tabled unreduced,
+    each one integer convolution; ``assert_annihilates`` still sums f over
+    them term by term.
     """
 
     defining_polynomial: LaurentPolynomial
@@ -41,11 +50,12 @@ class BranchParametrization:
     x_series: TruncatedSeries
     y_series: TruncatedSeries
     truncation_order: int
-    _monomial_cache: Dict[Tuple[int, int], TruncatedSeries] = field(default_factory=dict, repr=False)
-    _powers: Dict[Tuple[int, bool], List[TruncatedSeries]] = field(default_factory=dict, repr=False)
+    _monomial_cache: Dict[Tuple[int, int], Tuple[List[int], int]] = field(default_factory=dict, repr=False)
+    _powers: Dict[Tuple[int, bool], List[Tuple[List[int], int]]] = field(default_factory=dict, repr=False)
 
-    def _power(self, var: int, e: int) -> TruncatedSeries:
-        """x^e (var 0) or y^e (var 1), one product per power not yet tabled.
+    def _power(self, var: int, e: int) -> Tuple[List[int], int]:
+        """x^e (var 0) or y^e (var 1) as (numerators, denominator), one
+        convolution per power not yet tabled.
 
         The table for (var, e < 0) holds base^(+-k) at index k, with the
         constant 1 at index 0."""
@@ -53,16 +63,15 @@ class BranchParametrization:
         table = self._powers.get(key)
         if table is None:
             base = self.x_series if var == 0 else self.y_series
-            table = [TruncatedSeries.constant(1, self.truncation_order),
-                     base if e >= 0 else base.inverse()]
+            base = base if e >= 0 else base.inverse()
+            table = [([1] + [0] * self.truncation_order, 1), (base.nums, base.den)]
             self._powers[key] = table
         e = abs(e)
         while len(table) <= e:
-            table.append(table[-1] * table[1])
+            table.append((_convolve(table[-1][0], table[1][0]), table[-1][1] * table[1][1]))
         return table[e]
 
-    def monomial_series(self, e: Tuple[int, int]) -> TruncatedSeries:
-        e = (int(e[0]), int(e[1]))
+    def _monomial(self, e: Tuple[int, int]) -> Tuple[List[int], int]:
         cached = self._monomial_cache.get(e)
         if cached is None:
             if e[1] == 0:
@@ -70,26 +79,32 @@ class BranchParametrization:
             elif e[0] == 0:
                 cached = self._power(1, e[1])
             else:
-                cached = self._power(0, e[0]) * self._power(1, e[1])
+                (a, ad), (b, bd) = self._power(0, e[0]), self._power(1, e[1])
+                cached = (_convolve(a, b), ad * bd)
             self._monomial_cache[e] = cached
         return cached
 
+    def monomial_series(self, e: Tuple[int, int]) -> TruncatedSeries:
+        return TruncatedSeries._make(*self._monomial((int(e[0]), int(e[1]))))
+
     def evaluate_poly(self, g: LaurentPolynomial) -> TruncatedSeries:
+        """g along the branch: the sum of c * monomial over one common
+        denominator, reduced once."""
         if not g.terms:
             return TruncatedSeries.constant(0, self.truncation_order)
-        return TruncatedSeries.linear_combination(
-            [(_frac(c), self.monomial_series(e)) for e, c in g.terms.items()])
+        return TruncatedSeries._make(*_combine(
+            [(_frac(c), *self._monomial(e)) for e, c in g.terms.items()]))
 
     def assert_annihilates(self) -> None:
         """Check f(x(t), y(t)) = 0 through the truncation order, term by
-        term, apart from the Taylor shift and Horner scheme that built the
-        series."""
+        term over power tables built by multiplication, apart from the
+        Taylor shift and Horner scheme that built the series."""
         if any(self.evaluate_poly(self.defining_polynomial).nums):
             raise AssertionError("branch expansion does not annihilate f")
 
 
-def _shifted_power(p: Fraction, i: int, order: int) -> TruncatedSeries:
-    """(p + t)^i through t^order.
+def _shifted_power(p: Fraction, i: int, order: int) -> Tuple[List[int], int]:
+    """(p + t)^i through t^order, as numerators over a denominator of either sign.
 
     Generalized binomials C(i, k) p^(i-k), so i may be negative (then p
     must be non-zero); for i >= 0 the expansion stops after t^i.  With
@@ -103,25 +118,7 @@ def _shifted_power(p: Fraction, i: int, order: int) -> TruncatedSeries:
             break
         nums[k] = binom * (u ** (i - k) * v**k if i >= 0 else v ** (k - i) * u ** (order - k))
         binom = binom * (i - k) // (k + 1)
-    den = v**i if i >= 0 else u ** (order - i)
-    if den < 0:
-        nums, den = [-c for c in nums], -den
-    return TruncatedSeries._make(nums, den)
-
-
-def _horner(coeffs: Dict[int, TruncatedSeries], y: TruncatedSeries) -> TruncatedSeries:
-    """Sum of coeffs[j] * y^j by Horner's rule in y, truncated to y's order.
-
-    Exponents run from min(j, 0) up; a negative lowest exponent is
-    factored out and multiplied back as a power of y."""
-    n = y.truncation_order
-    lo, hi = min(min(coeffs), 0), max(coeffs)
-    acc = coeffs[hi].truncate(n)
-    for j in range(hi - 1, lo - 1, -1):
-        acc = acc * y
-        if j in coeffs:
-            acc = acc + coeffs[j].truncate(n)
-    return acc * y.int_pow(lo) if lo < 0 else acc
+    return nums, v**i if i >= 0 else u ** (order - i)
 
 
 def branch_rungs(
@@ -141,17 +138,17 @@ def branch_rungs(
 
     The dependent coordinate is one with a non-zero partial derivative at p
     (``prefer`` wins when both qualify).  f is written once as
-    sum_j a_j(t) dep^j with the free coordinate Taylor-shifted to p + t;
-    each Newton step then evaluates f and its dep-derivative along the
-    current series by Horner's rule in dep.
+    sum_j a_j(t) dep^j with the free coordinate Taylor-shifted to p + t and
+    every a_j over one common denominator D.  Each Newton step evaluates f
+    and its dep-derivative along the current series dep = Y/d by an integer
+    Horner loop, acc <- acc*Y + a_j D d^(hi-j), whose value is acc/(D d^hi).
     """
     p = (_frac(p[0]), _frac(p[1]))
     if order < 0:
         raise InputError("truncation order must be non-negative")
     if f.evaluate(p) != 0:
         raise InputError("base point is not on the curve")
-    fx = f.partial("x").evaluate(p)
-    fy = f.partial("y").evaluate(p)
+    fx, fy = f.gradient(p)
     if fx == 0 and fy == 0:
         raise InputError("curve is singular at the base point")
     if prefer == "y":
@@ -165,23 +162,37 @@ def branch_rungs(
     free_val, dep_val = (p[0], p[1]) if dep == "y" else (p[1], p[0])
     dep_idx = 1 if dep == "y" else 0
 
-    # a_j(t) over one common denominator: the terms with dep-exponent j
-    grouped: Dict[int, List[Tuple[Fraction, TruncatedSeries]]] = {}
-    for e, c in f.terms.items():
-        grouped.setdefault(e[dep_idx], []).append(
-            (_frac(c), _shifted_power(free_val, e[1 - dep_idx], order)))
-    a = {j: TruncatedSeries.linear_combination(terms) for j, terms in grouped.items()}
-    da = {j - 1: s * j for j, s in a.items() if j != 0}
+    # a[j] = numerators of a_j(t) over the common denominator D
+    terms = [(e[dep_idx], _frac(c), *_shifted_power(free_val, e[1 - dep_idx], order))
+             for e, c in f.terms.items()]
+    D = lcm(*[c.denominator * d for _, c, _, d in terms])
+    a: Dict[int, List[int]] = {}
+    for j, c, nums, d in terms:
+        w = c.numerator * (D // (c.denominator * d))
+        a[j] = [x + w * y for x, y in zip(a.get(j, [0] * (order + 1)), nums)]
+
+    def along(Y: TruncatedSeries, k: int) -> TruncatedSeries:
+        # f (k = 0) or its dep-derivative (k = 1: a_j weighted by j) along
+        # dep = Y; exponents run from min(j, 0) up, a negative lowest one
+        # multiplied back
+        ys, d = Y.nums, Y.den
+        js = [j - k for j in a if j or not k]
+        lo, hi = min(min(js), 0), max(js)
+        acc = [(hi + k) ** k * c for c in a[hi + k][: len(ys)]]
+        for j in range(hi - 1, lo - 1, -1):
+            acc = _convolve(acc, ys)
+            if j in js:
+                w = (j + k) ** k * d ** (hi - j)
+                acc = [x + w * c for x, c in zip(acc, a[j + k])]
+        value = TruncatedSeries._make(acc, D * d ** (hi - lo))
+        return value * Y.int_pow(lo) if lo < 0 else value
 
     # the free coordinate p + t, as numerators over p's denominator
     free_nums = (free_val.numerator, free_val.denominator) + (0,) * (order - 1)
 
     def rung(dep_series: TruncatedSeries, k: int) -> BranchParametrization:
         free_series = TruncatedSeries._make(free_nums[: k + 1], free_val.denominator)
-        if dep == "y":
-            xs, ys = free_series, dep_series
-        else:
-            xs, ys = dep_series, free_series
+        xs, ys = (free_series, dep_series) if dep == "y" else (dep_series, free_series)
         return BranchParametrization(f, p, "x" if dep == "y" else "y", xs, ys, k)
 
     # Newton iteration, doubling the reliable order each step.  f along the
@@ -194,8 +205,8 @@ def branch_rungs(
     while good < order:
         target = min(order, 2 * good + 1)
         y_ext = TruncatedSeries._make(y_cur.nums + (0,) * (target - good), y_cur.den)
-        h = _horner(a, y_ext)
-        step = TruncatedSeries._make(h.nums[good + 1:], h.den) * _horner(da, y_cur).inverse()
+        h = along(y_ext, 0)
+        step = TruncatedSeries._make(h.nums[good + 1:], h.den) * along(y_cur, 1).inverse()
         y_cur = y_ext - TruncatedSeries._make((0,) * (good + 1) + step.nums, step.den)
         good = target
         yield rung(y_cur, good)

@@ -37,6 +37,7 @@ from .errors import (
 from .lattice import (
     SupportSet,
     UnimodularAffineMap,
+    is_convex_support,
     is_segment,
     primitivity_index,
     unimodular_triple,
@@ -182,10 +183,6 @@ def _draw_through_one(B: SupportSet, rng: random.Random) -> Optional[LaurentPoly
     return LaurentPolynomial({e: Fraction(c) for e, c in zip(pts, coeffs)})
 
 
-def _smooth_at(f: LaurentPolynomial, p) -> bool:
-    return f.partial("x").evaluate(p) != 0 or f.partial("y").evaluate(p) != 0
-
-
 def construct_prescribed(
     A: SupportSet,
     B: SupportSet,
@@ -198,7 +195,9 @@ def construct_prescribed(
 
     Requires the pairing hypotheses: neither support on a segment and
     primitivity index 1.  m may not exceed D = |A| - dim V - 1 for the drawn
-    curve.  The returned order is re-verified from scratch by the verifier.
+    curve; for convex A that is |A| - |erode(conv A, B)| - 1 on every draw,
+    so the first draw past it raises HypothesisViolation.  The returned
+    order is re-verified from scratch by the verifier.
     """
     if is_segment(A) or is_segment(B):
         raise HypothesisViolation("both supports must be full-dimensional (not segments)")
@@ -217,13 +216,17 @@ def construct_prescribed(
     bound_failures = 0
     for attempt in range(retries):
         f = _draw_through_one(B, rng)
-        if f is None or not _smooth_at(f, p):
+        if f is None or f.gradient(p) == (0, 0):
             diagnostics.append(f"attempt {attempt}: degenerate draw")
             continue
         dim_v, _bound = compute_dim_V(A, f)
         D = len(A) - dim_v - 1
         bound_checks += 1
         if m > D:
+            if is_convex_support(A):
+                raise HypothesisViolation(
+                    f"m={m} exceeds D = |A| - |erode(conv A, B)| - 1 = {D}, "
+                    "the same for every draw since A is convex")
             bound_failures += 1
             diagnostics.append(f"attempt {attempt}: m={m} exceeds D={D}")
             continue
@@ -322,7 +325,7 @@ def construct_multipoint(
         if f.is_zero() or any(f.evaluate(pt) != 0 for pt in points):
             diagnostics.append(f"attempt {attempt}: degenerate combination")
             continue
-        if not all(_smooth_at(f, pt) for pt in points):
+        if any(f.gradient(pt) == (0, 0) for pt in points):
             diagnostics.append(f"attempt {attempt}: singular at a chosen point")
             abscissa_shift += 1
             continue

@@ -7,9 +7,10 @@ within a budget n0 = |f| + |g| + 8, raised to the Bernstein bound when
 nothing shows: no isolated root exceeds it, so nothing showing by then
 means the root is not isolated.  The order is read from the shortest
 Newton rung that shows it, which gives the coefficient of the expansion to
-the budget, and that rung is checked to annihilate its curve.  Every check
-returns a replayable certificate whose transcript is reproduced bit for
-bit when re-run on the same inputs.
+the budget, and that rung is checked to annihilate its curve.  At a
+singular point of f the order is 0 when g(p) != 0, read with no branch.
+Every check returns a replayable certificate whose transcript is
+reproduced bit for bit when re-run on the same inputs.
 """
 
 from __future__ import annotations
@@ -89,10 +90,6 @@ def _bernstein_bound(f: LaurentPolynomial, g: LaurentPolynomial, p: Tuple[Fracti
     return mixed_volume(hull(f.support()), hull(g.support()))
 
 
-def _singular_at(h: LaurentPolynomial, p: Tuple[Fraction, Fraction]) -> bool:
-    return h.partial("x").evaluate(p) == 0 and h.partial("y").evaluate(p) == 0
-
-
 def intersection_multiplicity_smooth(
     f: LaurentPolynomial,
     g: LaurentPolynomial,
@@ -102,20 +99,28 @@ def intersection_multiplicity_smooth(
     """Local intersection multiplicity of Z(f) and Z(g) at p, computed as
     the vanishing order of g along the branch of f.
 
-    Requires f(p) = 0 and f smooth at p (single branch, so the branch order
-    is the full local intersection number); when f is singular there and g
-    is smooth with g(p) = 0, the order of f along g's branch is read, as
-    the multiplicity is symmetric.  Returns NON_ISOLATED when no order
-    shows by the Bernstein bound, which an isolated root cannot exceed.
+    Requires f(p) = 0.  Where f is smooth its single branch carries the
+    whole local intersection number.  Where f is singular the multiplicity
+    is 0 if g(p) != 0 (free variable None); else f is read along g's branch,
+    as the multiplicity is symmetric, and a singular g too raises
+    InputError.  Returns NON_ISOLATED when no order shows by the Bernstein
+    bound, which an isolated root cannot exceed.
     """
     p = (_frac(p[0]), _frac(p[1]))
     if f.is_zero() or g.is_zero():
         raise InputError("zero polynomial")
     if f.evaluate(p) != 0:
         raise InputError("point is not on the first curve")
-    curve, other = f, g
-    if _singular_at(f, p) and g.evaluate(p) == 0 and not _singular_at(g, p):
-        curve, other = g, f
+    n0 = len(f.terms) + len(g.terms) + 8
+    curve, other, transcript = f, g, None
+    if f.gradient(p) == (0, 0):
+        gp = g.evaluate(p)
+        if gp != 0:
+            # p is not on the second curve: order 0 without any branch
+            transcript = {"order": 0, "leading_coefficient": gp, "truncation": n0,
+                          "free_variable": None}
+        elif g.gradient(p) != (0, 0):
+            curve, other = g, f
 
     def certified(n):
         # Rungs are prefixes of the branch at n, so the first rung on which
@@ -131,8 +136,8 @@ def intersection_multiplicity_smooth(
         branch.assert_annihilates()
         return None
 
-    n0 = len(f.terms) + len(g.terms) + 8
-    transcript = certified(n0)
+    if transcript is None:
+        transcript = certified(n0)
     if transcript is None:
         cap = _bernstein_bound(f, g, p)
         transcript = certified(cap) if cap > n0 else None

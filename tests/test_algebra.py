@@ -183,6 +183,33 @@ def test_evaluate_matches_the_fraction_loop(terms, px, py):
         assert type(value) is F and value == _ref_evaluate(p, point)
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), _rationals, max_size=8),
+       _rationals.filter(lambda v: v != 0), _rationals.filter(lambda v: v != 0))
+def test_gradient_matches_the_evaluated_partials(terms, px, py):
+    # rational torus points (Laurent terms included) and points with a zero
+    # coordinate, where a negative exponent there raises in both
+    p = LaurentPolynomial(terms)
+    for point in ((px, py), (F(0), py), (px, F(0)), (F(0), F(0))):
+        try:
+            expected = (p.partial("x").evaluate(point), p.partial("y").evaluate(point))
+        except InputError:
+            with pytest.raises(InputError, match="zero coordinate"):
+                p.gradient(point)
+            with pytest.raises(InputError, match="zero coordinate"):
+                p.evaluate(point)
+            continue
+        gradient = p.gradient(point)
+        assert gradient == expected and all(type(v) is F for v in gradient)
+
+
+def test_gradient_with_parameters():
+    s = MPoly.var(("s",), "s")
+    q = LaurentPolynomial({(1, -1): s, (0, 2): F(1, 2), (-2, 0): s * s})
+    point = (F(2), F(-1, 3))
+    assert q.gradient(point) == (q.partial("x").evaluate(point), q.partial("y").evaluate(point))
+
+
 def test_evaluate_at_a_zero_coordinate_and_with_parameters():
     p = LaurentPolynomial({(2, 0): F(3, 2), (0, 1): F(-1), (1, 1): F(5, 7)})
     assert p.evaluate((F(0), F(-2, 3))) == F(2, 3)

@@ -219,6 +219,18 @@ def test_verify_at_a_singular_point_of_one_curve(capsys, swap):
     assert code == 0
     assert rep["verified"] is True and rep["results"][0]["observed"] == 2
 
+
+def test_verify_order_zero_at_a_singular_point_of_f(capsys):
+    # f = x^2 - 2x - y^2 + 2y is singular at (1, 1) and y - 2 misses the point
+    node = _terms(([2, 0], "1/1"), ([1, 0], "-2/1"), ([0, 2], "-1/1"), ([0, 1], "2/1"))
+    off = _terms(([0, 1], "1/1"), ([0, 0], "-2/1"))
+    code, rep = run_cli(capsys, "verify", "--json", json.dumps(_system(f=node, g=off, multiplicity=0)))
+    assert code == 0
+    assert rep["verified"] is True and rep["results"][0]["observed"] == 0
+    # both curves singular at the point: no branch to read the order from
+    code, rep = run_cli(capsys, "verify", "--json", json.dumps(_system(f=node, g=node, multiplicity=2)))
+    assert code == 2 and rep is None
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -325,6 +337,25 @@ def test_unreachable_multiplicity_exits_3_before_any_draw(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("hypothesis violation:") and "|A| - 1 = 3" in captured.err
+
+
+def test_unreachable_multiplicity_of_a_convex_support_exits_3_after_one_draw(capsys, monkeypatch):
+    # m = 3 passes the |A| - 1 screen, but the square is convex, so
+    # D = 4 - |erode(square, simplex)| - 1 = 2 on every draw; the first bound
+    # check ends the call instead of running the whole retry budget
+    checks = []
+    real = construct.compute_dim_V
+
+    def counted(A, f):
+        checks.append(f)
+        return real(A, f)
+
+    monkeypatch.setattr(construct, "compute_dim_V", counted)
+    code = main(["construct", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 3})])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and len(checks) == 1
+    assert captured.err.startswith("hypothesis violation:")
+    assert "D = |A| - |erode(conv A, B)| - 1 = 2" in captured.err
 
 
 def test_unmapped_exception_is_an_internal_error(capsys, monkeypatch):

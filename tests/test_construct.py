@@ -204,22 +204,24 @@ def _curve_through(rng, p, xs, ys, nterms):
             return f
 
 
+_KERNEL_CASES = [
+    # (base point, x exponents, y exponents)
+    ((F(1), F(1)), range(0, 5), range(0, 5)),
+    ((F(2), F(-1, 3)), range(0, 4), range(0, 4)),
+    ((F(-3, 2), F(2)), range(-2, 3), range(-2, 3)),
+    ((F(1), F(1)), range(-2, 2), range(-3, 1)),
+    ((F(1, 2), F(-2)), range(-2, 3), range(-1, 3)),
+    ((F(0), F(2)), range(0, 4), range(0, 4)),
+    ((F(3, 2), F(0)), range(0, 4), range(0, 4)),
+    ((F(2), F(3)), range(0, 4), range(1, 4)),
+    ((F(-1), F(2)), range(2, 5), range(0, 4)),
+]
+
+
 def test_branch_kernel_matches_naive_expansion():
     rng = random.Random(2024)
-    cases = [
-        # (base point, x exponents, y exponents)
-        ((F(1), F(1)), range(0, 5), range(0, 5)),
-        ((F(2), F(-1, 3)), range(0, 4), range(0, 4)),
-        ((F(-3, 2), F(2)), range(-2, 3), range(-2, 3)),
-        ((F(1), F(1)), range(-2, 2), range(-3, 1)),
-        ((F(1, 2), F(-2)), range(-2, 3), range(-1, 3)),
-        ((F(0), F(2)), range(0, 4), range(0, 4)),
-        ((F(3, 2), F(0)), range(0, 4), range(0, 4)),
-        ((F(2), F(3)), range(0, 4), range(1, 4)),
-        ((F(-1), F(2)), range(2, 5), range(0, 4)),
-    ]
     seen = set()
-    for p, xs, ys in cases:
+    for p, xs, ys in _KERNEL_CASES:
         lo = -2 if min(xs) < 0 or min(ys) < 0 else 0
         monomials = [(a, b) for a in range(lo, 4) for b in range(lo, 4)]
         f = _curve_through(rng, p, xs, ys, rng.randint(3, 7))
@@ -234,12 +236,36 @@ def test_branch_kernel_matches_naive_expansion():
                     assert br.monomial_series(e) == nx.int_pow(e[0]) * ny.int_pow(e[1])
             free = 0 if br.free_variable == "x" else 1
             seen.add(f"dependent {'yx'[free]}")
+            if min(e[1 - free] for e in f.terms) < 0:
+                seen.add(f"dependent {'yx'[free]}, Laurent in it")
             if p[free] == 0:
                 seen.add("zero free coordinate")
             if min(e[1 - free] for e in f.terms) > 0:
                 seen.add("no dependent^0 term")
     assert seen == {"dependent x", "dependent y", "zero free coordinate", "no dependent^0 term",
-                    "negative exponents in both variables"}
+                    "negative exponents in both variables", "dependent x, Laurent in it",
+                    "dependent y, Laurent in it"}
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32), st.sampled_from(_KERNEL_CASES), st.sampled_from("xy"),
+       st.integers(0, 12),
+       st.dictionaries(st.tuples(st.integers(-3, 4), st.integers(-3, 4)),
+                       st.builds(F, st.integers(-9, 9), st.integers(1, 6)), max_size=7))
+def test_evaluate_poly_matches_products_of_powers(seed, case, prefer, order, gterms):
+    # g along the branch, from the integer power tables, against
+    # sum c * x(t)^i * y(t)^j built by TruncatedSeries arithmetic
+    p, xs, ys = case
+    rng = random.Random(seed)
+    br = branch_series(_curve_through(rng, p, xs, ys, rng.randint(3, 7)), p, order, prefer=prefer)
+    if p[0] == 0 or p[1] == 0:
+        gterms = {e: c for e, c in gterms.items() if min(e) >= 0}
+    g = LaurentPolynomial(gterms)
+    nx, ny = br.x_series, br.y_series
+    expected = TruncatedSeries.constant(0, order)
+    for (i, j), c in g.terms.items():
+        expected = expected + nx.int_pow(i) * ny.int_pow(j) * c
+    assert br.evaluate_poly(g) == expected
 
 
 # --- osculating matrices --------------------------------------------------------

@@ -72,7 +72,9 @@ def test_intersection_rejects_off_curve_and_singular():
         intersection_multiplicity_smooth(f, f, (F(0), F(0)))
     node = LaurentPolynomial({(2, 0): 1, (0, 2): -1})
     with pytest.raises(InputError):
-        intersection_multiplicity_smooth(node, f, (F(0), F(0)))
+        intersection_multiplicity_smooth(node, LaurentPolynomial({(2, 0): 1, (1, 1): 1}), (F(0), F(0)))
+    # f does not pass through the node, so the multiplicity there is 0
+    assert intersection_multiplicity_smooth(node, f, (F(0), F(0))) == 0
 
 
 def test_intersection_symmetry_smooth_points():
@@ -113,11 +115,16 @@ def test_intersection_symmetry_at_a_singular_point_of_f():
         assert cert.transcript == {"order": 2, "leading_coefficient": F(1),
                                    "truncation": 14, "free_variable": "x"}
         assert replay(cert).transcript == cert.transcript
-    # both singular, or g off the point: nothing smooth to expand along
+    # g off the point: the multiplicity is 0 with no branch to read it from
+    m, cert = intersection_multiplicity_smooth(f, g - 1, p, with_certificate=True)
+    assert m == 0
+    assert cert.transcript == {"order": 0, "leading_coefficient": F(-1),
+                               "truncation": 14, "free_variable": None}
+    assert replay(cert).transcript == cert.transcript
+    assert intersection_multiplicity_smooth(f, g - 1, p) == 0
+    # both singular: nothing smooth to expand along
     with pytest.raises(InputError, match="singular"):
         intersection_multiplicity_smooth(f, f * F(3) + g * g, p)
-    with pytest.raises(InputError, match="singular"):
-        intersection_multiplicity_smooth(f, g + 1, p)
 
 
 def test_order_past_the_first_budget_is_certified_at_the_bernstein_bound():
