@@ -231,6 +231,7 @@ def test_verify_order_zero_at_a_singular_point_of_f(capsys):
     code, rep = run_cli(capsys, "verify", "--json", json.dumps(_system(f=node, g=node, multiplicity=2)))
     assert code == 2 and rep is None
 
+
 @pytest.mark.parametrize(
     "argv",
     [
