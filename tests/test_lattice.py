@@ -5,8 +5,10 @@ defined in this file (half-plane scans, pairwise-sum hulls, minor gcds),
 never by the code paths under test.
 """
 
+import hashlib
 import random
 from math import gcd, inf
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,7 @@ from sparsemult.lattice import (
 from sparsemult.errors import InputError
 from sparsemult.reproduce import _convex_supports_in_box
 
+GOLDEN = Path(__file__).parent / "golden"
 SIMPLEX = SupportSet([(0, 0), (1, 0), (0, 1)])
 SQUARE = SupportSet([(0, 0), (1, 0), (0, 1), (1, 1)])
 
@@ -495,6 +498,29 @@ def test_normal_form_cached_equals_fresh():
         assert normal_form(SupportSet(S.points)) == first
         canon, M = first
         assert M.apply_set(S) == canon and normal_form(canon)[0] == canon
+
+
+def _canonical_form_lines():
+    """One ``support -> canonical points`` line for every bound-2 convex
+    support and for 200 seeded random supports in [0, 5]^2."""
+    rng = random.Random(23)
+    supports = _convex_supports_in_box(2)
+    for _ in range(200):
+        supports.append(SupportSet((rng.randrange(6), rng.randrange(6)) for _ in range(rng.randint(1, 8))))
+    return [f"{list(S.sorted_points())} -> {list(normal_form(S)[0].sorted_points())}" for S in supports]
+
+
+def _canonical_forms_digest():
+    text = "\n".join(_canonical_form_lines()) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_canonical_forms_pinned():
+    # the canonical point sets are pinned by digest (re-record after a
+    # deliberate change of the canonical order with
+    # `PYTHONPATH=src:tests python -c 'import test_lattice as t; print(t._canonical_forms_digest())'`)
+    pinned = (GOLDEN / "normal_forms.sha256").read_text(encoding="utf-8").split()[0]
+    assert _canonical_forms_digest() == pinned
 
 
 def test_normal_form_searches_once_per_instance(monkeypatch):
