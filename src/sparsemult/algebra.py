@@ -340,7 +340,11 @@ class UnivariatePolynomial:
         return self._wrap([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
     def divmod_linear(self, root: Fraction) -> Tuple["UnivariatePolynomial", Fraction]:
-        """Synthetic division by (var - root); requires Fraction coefficients."""
+        """Synthetic division by (var - root), returning (quotient, remainder).
+
+        The root is a Fraction; the coefficients may be Fractions or any ring
+        elements that add to and multiply by Fractions, such as the MPoly
+        coefficients of a resultant in parameters."""
         root = _frac(root)
         acc = Fraction(0)
         out = []

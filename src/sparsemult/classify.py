@@ -30,7 +30,6 @@ from .construct import (
     ConstructedSystem,
     construct_prescribed,
     construct_univariate,
-    _basis_to_simplex_map,
     _draw_through_one,
     _line_contact_on,
 )
@@ -388,7 +387,6 @@ def _family3_data():
 def _fits_in(S: SupportSet, region: SupportSet) -> bool:
     """Can S be translated into the point set ``region``."""
     rpts = region.points
-    r0 = min(rpts)
     s_pts = S.sorted_points()
     rx0, ry0, rx1, ry1 = (
         min(p[0] for p in rpts),
@@ -452,7 +450,9 @@ def _mult3_witness_routes(
         if len(Y) < 3:
             log.append(f"route ii {orient}: inapplicable (curve support below contact order)")
             continue
-        M = _basis_to_simplex_map(*triple)
+        # the unimodular affine map taking the triple to (0, 0), (1, 0), (0, 1)
+        p, q, s = triple
+        M = UnimodularAffineMap(((q[0] - p[0], s[0] - p[0]), (q[1] - p[1], s[1] - p[1])), p).inverse()
         Ynorm = M.apply_set(Y)
         try:
             system = _line_contact_on(Ynorm, 3, seed, retries)

@@ -348,25 +348,26 @@ def construct_multipoint(
         if not ok:
             continue
         gbasis = kernel_basis(stacked, ncols=len(A)) if stacked else kernel_basis([], ncols=len(A))
-        g = None
+        # every kernel vector meets f to the orders asked for, but one that
+        # shares a component with f through the points has a non-isolated
+        # order there, so each vector is verified in turn
+        shortfalls = []
         for v in gbasis:
-            cand = LaurentPolynomial({e: c for e, c in zip(A.sorted_points(), v) if c != 0})
-            if cand.is_zero() or is_multiple_of(cand, f):
+            g = LaurentPolynomial({e: c for e, c in zip(A.sorted_points(), v) if c != 0})
+            if g.is_zero() or is_multiple_of(g, f):
                 continue
-            g = cand
-            break
-        if g is None:
-            diagnostics.append(f"attempt {attempt}: kernel contained only multiples of f")
-            continue
-        observed = []
-        for pt, mi in zip(points, ms):
-            o = intersection_multiplicity_smooth(f, g, pt)
-            if not isinstance(o, int) or o < mi:
-                diagnostics.append(f"attempt {attempt}: order {o} at {pt}, wanted >= {mi}")
-                ok = False
-                break
-            observed.append(o)
-        if not ok:
+            observed = []
+            for pt, mi in zip(points, ms):
+                o = intersection_multiplicity_smooth(f, g, pt)
+                if not isinstance(o, int) or o < mi:
+                    shortfalls.append(f"order {o} at {pt}, wanted >= {mi}")
+                    break
+                observed.append(o)
+            else:
+                break  # g verified at every point
+        else:
+            first = shortfalls[0] if shortfalls else "kernel contained only multiples of f"
+            diagnostics.append(f"attempt {attempt}: {first}")
             continue
         return ConstructedSystem(
             f=f,
@@ -434,23 +435,14 @@ def line_contact_construct(
     triple = unimodular_triple(A)
     if triple is None:
         raise HypothesisViolation("support contains no unimodular triangle, so no line fits")
-    p0, q0, r0 = triple
-    M = _basis_to_simplex_map(p0, q0, r0)
+    # the unimodular affine map taking the triple to (0, 0), (1, 0), (0, 1)
+    p, q, s = triple
+    M = UnimodularAffineMap(((q[0] - p[0], s[0] - p[0]), (q[1] - p[1], s[1] - p[1])), p).inverse()
     Anorm = M.apply_set(A)
 
     system = _line_contact_on(Anorm, r, seed, retries)
     system.normalization = M
     return system
-
-
-def _basis_to_simplex_map(p0, q0, r0) -> UnimodularAffineMap:
-    d1 = (q0[0] - p0[0], q0[1] - p0[1])
-    d2 = (r0[0] - p0[0], r0[1] - p0[1])
-    detd = d1[0] * d2[1] - d1[1] * d2[0]
-    inv = ((d2[1] * detd, -d2[0] * detd), (-d1[1] * detd, d1[0] * detd))
-    lin = UnimodularAffineMap(inv)
-    shift = lin.apply((-p0[0], -p0[1]))
-    return UnimodularAffineMap(inv, shift)
 
 
 def _line_contact_on(

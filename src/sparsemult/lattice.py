@@ -441,8 +441,13 @@ def _candidate_maps(S: SupportSet, radius: int) -> Iterator[UnimodularAffineMap]
     """All unimodular linear maps M with the two reference difference vectors
     mapped into the box [-radius, radius]^2.
 
-    Every map whose image of S has maxside <= radius appears here, which is
-    what makes the canonical form below input-independent.
+    d1 is the shortest non-zero difference vector of S and d2 the shortest
+    one not parallel to it.  A map is fixed by the images w1 = M d1 and
+    w2 = M d2, so every pair (w1, w2) of box points with
+    det(w1, w2) = +-det(d1, d2) is tried, and M = [w1 w2] [d1 d2]^-1 is
+    yielded when it is integral; its determinant is then +-1.  Every map
+    whose image of S has maxside <= radius appears here, which is what
+    makes the canonical form below input-independent.
     """
     diffs = sorted(
         (v for v in {(q[0] - p[0], q[1] - p[1]) for p in S for q in S} if v != (0, 0)),
@@ -451,64 +456,17 @@ def _candidate_maps(S: SupportSet, radius: int) -> Iterator[UnimodularAffineMap]
     d1 = diffs[0]
     d2 = next(v for v in diffs if d1[0] * v[1] - d1[1] * v[0] != 0)
     det_d = d1[0] * d2[1] - d1[1] * d2[0]
-    r = radius
-    for w1x in range(-r, r + 1):
-        for w1y in range(-r, r + 1):
-            w1 = (w1x, w1y)
-            for sign in (1, -1):
-                target = sign * det_d
-                # solve det(w1, w2) = target along the line of valid w2
-                a, b = w1
-                if a == 0 and b == 0:
-                    continue
-                g = gcd(abs(a), abs(b))
-                if target % g != 0:
-                    continue
-                # particular solution of a*w2y - b*w2x = target
-                # via extended gcd on (a, -b)
-                x0, y0 = _ext_gcd_solution(a, -b, target)
-                # general solution: particular + t * (a, b) / g stays on the line
-                step = (a // g, b // g)
-                w2x0, w2y0 = y0, x0
-                if a * w2y0 - b * w2x0 != target:
-                    continue
-                # intersect the t-ranges keeping each coordinate inside the box
-                def _ceil_div(p, q):
-                    return -((-p) // q)
-
-                t_lo, t_hi = None, None
-                feasible = True
-                for p0, st in ((w2x0, step[0]), (w2y0, step[1])):
-                    if st == 0:
-                        if abs(p0) > r:
-                            feasible = False
-                        continue
-                    if st > 0:
-                        lo, hi = _ceil_div(-r - p0, st), (r - p0) // st
-                    else:
-                        lo, hi = _ceil_div(r - p0, st), (-r - p0) // st
-                    t_lo = lo if t_lo is None else max(t_lo, lo)
-                    t_hi = hi if t_hi is None else min(t_hi, hi)
-                if not feasible or t_lo is None or t_lo > t_hi:
-                    continue
-                for t in range(t_lo, t_hi + 1):
-                    w2 = (w2x0 + t * step[0], w2y0 + t * step[1])
-                    if abs(w2[0]) > r or abs(w2[1]) > r:
-                        continue
-                    det_w = w1[0] * w2[1] - w1[1] * w2[0]
-                    if det_w != target:
-                        continue
-                    # M = [w1 w2] * [d1 d2]^{-1}, must be integral unimodular
-                    m00 = w1[0] * d2[1] - w2[0] * d1[1]
-                    m01 = -w1[0] * d2[0] + w2[0] * d1[0]
-                    m10 = w1[1] * d2[1] - w2[1] * d1[1]
-                    m11 = -w1[1] * d2[0] + w2[1] * d1[0]
-                    if any(v % det_d != 0 for v in (m00, m01, m10, m11)):
-                        continue
-                    mat = ((m00 // det_d, m01 // det_d), (m10 // det_d, m11 // det_d))
-                    if abs(mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]) != 1:
-                        continue
-                    yield UnimodularAffineMap(mat)
+    box = [(x, y) for x in range(-radius, radius + 1) for y in range(-radius, radius + 1)]
+    for w1x, w1y in box:
+        for w2x, w2y in box:
+            if abs(w1x * w2y - w1y * w2x) != abs(det_d):
+                continue
+            # [w1 w2] times the adjugate of [d1 d2], exact when det_d divides it
+            m = (w1x * d2[1] - w2x * d1[1], w2x * d1[0] - w1x * d2[0],
+                 w1y * d2[1] - w2y * d1[1], w2y * d1[0] - w1y * d2[0])
+            if any(v % det_d for v in m):
+                continue
+            yield UnimodularAffineMap(((m[0] // det_d, m[1] // det_d), (m[2] // det_d, m[3] // det_d)))
 
 
 def _ext_gcd_solution(a: int, b: int, c: int) -> Tuple[int, int]:
@@ -535,6 +493,14 @@ def normal_form(S: SupportSet) -> Tuple[SupportSet, UnimodularAffineMap]:
     The canonical set minimizes (maxside, width, height, sorted point list)
     over all unimodular images, so two sets are equivalent iff their normal
     forms are equal.  Returns the witnessing affine map; idempotent.
+
+    A full-dimensional S is first shrunk by :func:`_greedy_reduce`, whose
+    image bounds the maxside of the minimum; :func:`_candidate_maps` then
+    lists every map within that radius, and each image is scored.  When S
+    has symmetries several maps reach the canonical set and the first one
+    found is returned, so callers use a full-dimensional witness only up to
+    the stabilizer of the canonical set.  Points and segments are mapped
+    directly, and their maps are fixed.
 
     The result is cached on the instance S: later calls on S return the same
     (immutable) set and map without searching again.
@@ -598,14 +564,7 @@ def stabilizer(S: SupportSet) -> List[UnimodularAffineMap]:
         raise InputError("stabilizer only implemented for full-dimensional sets")
     radius = max(_maxside(S), 1)
     T0, _ = _translate_normalized(S)
-    out = []
-    seen = set()
-    for M in _candidate_maps(S, radius):
-        T, _ = _translate_normalized(M.apply_set(S))
-        if T == T0 and M.matrix not in seen:
-            seen.add(M.matrix)
-            out.append(M)
-    return out
+    return [M for M in _candidate_maps(S, radius) if _translate_normalized(M.apply_set(S))[0] == T0]
 
 
 def unimodular_triple(S: SupportSet) -> Optional[Tuple[Point, Point, Point]]:

@@ -86,6 +86,22 @@ def test_multipoint(capsys, tmp_path):
     assert code2 == 0 and rep2["verified"] is True
 
 
+def test_multipoint_points_on_a_line_of_f(capsys, tmp_path):
+    # both points lie on y = 1, so every curve on the unit square through
+    # them is (y - 1)(a + b x); the first kernel vector that is not a
+    # multiple of f is y - 1, a component of f, and a later one,
+    # x^2 - 3x + 2, verifies at both points
+    unit_square = {"points": [[0, 0], [1, 0], [0, 1], [1, 1]]}
+    two_simplex = {"points": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]]}
+    req = json.dumps({"A": two_simplex, "B": unit_square, "multiplicities": [1, 1]})
+    code, rep = run_cli(capsys, "multipoint", "--json", req)
+    assert code == 0 and rep["system"]["multiplicities"] == [1, 1]
+    p = tmp_path / "mp.json"
+    p.write_text(json.dumps(rep["system"]))
+    code2, rep2 = run_cli(capsys, "verify", "--input", str(p))
+    assert code2 == 0 and rep2["verified"] is True
+
+
 def test_classify(capsys):
     req = json.dumps({"A": SQUARE, "B": SQUARE})
     code, rep = run_cli(capsys, "classify", "--json", req)

@@ -29,6 +29,7 @@ from sparsemult.lattice import (
     normal_form,
     pick_counts,
     primitivity_index,
+    stabilizer,
 )
 from sparsemult.errors import InputError
 from sparsemult.reproduce import _convex_supports_in_box
@@ -537,6 +538,39 @@ def test_normal_form_searches_once_per_instance(monkeypatch):
     assert normal_form(S) == (canon, M) and len(searches) == 1
     equal = SupportSet(S.points)
     assert normal_form(equal) == (canon, M) and len(searches) == 2
+
+
+# --- stabilizers --------------------------------------------------------------
+
+L_SHAPE = SupportSet([(0, 0), (1, 0), (2, 0), (0, 1)])
+
+
+def _translate_to_origin(S):
+    cx, cy = S.min_corner()
+    return S.translate((-cx, -cy))
+
+
+@pytest.mark.parametrize("S, order", [(SQUARE, 8), (SIMPLEX, 6), (L_SHAPE, 2)])
+def test_stabilizer_orders_and_elements(S, order):
+    stab = stabilizer(S)
+    assert len(stab) == order and len({M.matrix for M in stab}) == order
+    for M in stab:
+        assert M.shift == (0, 0)
+        assert _translate_to_origin(M.apply_set(S)) == _translate_to_origin(S)
+
+
+def test_stabilizer_order_is_invariant():
+    rng = random.Random(18)
+    bases = [SQUARE, SIMPLEX, L_SHAPE, SupportSet([(0, 0), (1, 0), (0, 1), (-1, -1)])]
+    for S in bases:
+        order = len(stabilizer(S))
+        for _ in range(5):
+            assert len(stabilizer(random_unimodular(rng).apply_set(S))) == order
+
+
+def test_stabilizer_rejects_segment():
+    with pytest.raises(InputError):
+        stabilizer(SupportSet([(0, 0), (1, 1), (2, 2)]))
 
 
 # --- affine maps -------------------------------------------------------------
