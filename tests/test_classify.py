@@ -1,8 +1,10 @@
 """Classification: Hessian identities, triangle verdicts, the pair
 catalogue, and the four-point enumeration."""
 
+import hashlib
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,14 +22,32 @@ from sparsemult.classify import (
 from sparsemult.errors import InputError
 from sparsemult.lattice import (
     SupportSet,
+    UnimodularAffineMap,
     convex_hull,
     normal_form,
     pick_counts,
 )
+from sparsemult.reproduce import _convex_supports_in_box
 from sparsemult.verify import intersection_multiplicity_smooth
 
+GOLDEN = Path(__file__).parent / "golden"
 SIMPLEX = SupportSet([(0, 0), (1, 0), (0, 1)])
 SQUARE = SupportSet([(0, 0), (1, 0), (0, 1), (1, 1)])
+# elementary unimodular maps: two shears, the swap and the inverse shear
+GENERATORS = [
+    UnimodularAffineMap(((1, 1), (0, 1))),
+    UnimodularAffineMap(((1, 0), (1, 1))),
+    UnimodularAffineMap(((0, 1), (1, 0))),
+    UnimodularAffineMap(((1, -1), (0, 1))),
+]
+
+
+def random_map(rng, steps=4):
+    """A product of ``steps`` random generators."""
+    M = UnimodularAffineMap.identity()
+    for _ in range(steps):
+        M = rng.choice(GENERATORS).compose(M)
+    return M
 
 
 # --- Hessian identities ---------------------------------------------------------
@@ -232,6 +252,42 @@ def test_match_family_needs_common_map():
     assert match_exceptional_family(SQUARE, SQUARE.translate((5, -2)))["family"] == 2
 
 
+def _catalogue_lines():
+    """One ``A | B -> entry`` line for every ordered pair of bound-2 convex
+    supports and for 400 seeded pairs in boxes up to [0, 3]^2 moved by one common random
+    unimodular map and shift; B is a translate of A in about 30% of them."""
+    supports = _convex_supports_in_box(2)
+    pairs = [(A, B) for A in supports for B in supports]
+    rng = random.Random(31)
+
+    def draw():
+        w, h = rng.randint(2, 4), rng.randint(2, 4)
+        return SupportSet((rng.randrange(w), rng.randrange(h)) for _ in range(rng.randint(1, 6)))
+
+    for _ in range(400):
+        A = draw()
+        B = A.translate((rng.randint(-3, 3), rng.randint(-3, 3))) if rng.random() < 0.3 else draw()
+        M = random_map(rng).compose(UnimodularAffineMap.translation((rng.randint(-5, 5), rng.randint(-5, 5))))
+        pairs.append((M.apply_set(A), M.apply_set(B)))
+    return [
+        f"{list(A.sorted_points())} | {list(B.sorted_points())} -> {match_exceptional_family(A, B)}"
+        for A, B in pairs
+    ]
+
+
+def _catalogue_digest():
+    text = "\n".join(_catalogue_lines()) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_catalogue_pinned():
+    # the catalogue entries are pinned by digest (re-record after a
+    # deliberate change of an entry with
+    # `PYTHONPATH=src:tests python -c 'import test_classify as t; print(t._catalogue_digest())'`)
+    pinned = (GOLDEN / "catalogue.sha256").read_text(encoding="utf-8").split()[0]
+    assert _catalogue_digest() == pinned
+
+
 def test_decide_examples():
     rep = decide_mult3(SQUARE, SQUARE)
     assert rep.verdict == "Impossible" and rep.family["family"] == 2 and rep.mixed_volume == 2
@@ -286,23 +342,12 @@ def test_four_point_bodies():
 
 
 def test_four_point_bodies_closed_under_equivalence():
-    from sparsemult.lattice import UnimodularAffineMap
-
     rng = random.Random(45)
-    gens = [
-        UnimodularAffineMap(((1, 1), (0, 1))),
-        UnimodularAffineMap(((1, 0), (1, 1))),
-        UnimodularAffineMap(((0, 1), (1, 0))),
-        UnimodularAffineMap(((1, -1), (0, 1))),
-    ]
     bodies = enumerate_four_point_bodies()
     canon = {b.sorted_points() for b in bodies}
     for b in bodies:
         for _ in range(10):
-            M = UnimodularAffineMap.identity()
-            for _ in range(4):
-                M = rng.choice(gens).compose(M)
-            img = M.apply_set(b)
+            img = random_map(rng).apply_set(b)
             c, _ = normal_form(img)
             assert c.sorted_points() in canon
 
