@@ -11,10 +11,10 @@ impossible verdict against the exceptional-family catalogue.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -26,7 +26,6 @@ from .branches import compute_dim_V
 from .construct import (
     DEFAULT_SEED,
     RETRY_BUDGET,
-    STANDARD_SIMPLEX,
     ConstructedSystem,
     construct_prescribed,
     construct_univariate,
@@ -43,17 +42,17 @@ from .lattice import (
     Point,
     SupportSet,
     UnimodularAffineMap,
+    area2,
     convex_hull,
     cross,
     erode,
     is_convex_support,
     is_segment,
-    lattice_points,
     mixed_volume,
     normal_form,
     pick_counts,
     primitivity_index,
-    stabilizer,
+    simplex_map,
     unimodular_triple,
 )
 from .verify import segment_product_multiplicity
@@ -302,107 +301,63 @@ class Mult3Report:
 
 
 def _segment_measurements(S: SupportSet, Q: SupportSet) -> Tuple[int, int]:
-    """(h, v) for a segment support S against Q, after rotating S horizontal.
+    """(h, v) for a segment support S against Q, as if S were horizontal.
 
-    h is the lattice length of S's hull plus one, v the lattice point count
-    of Q's projection interval along the segment direction.  Extents (not
-    sparse point counts) are what the root-count criterion sees: roots off
-    the torus can exhaust the full exponent gap of a sparse support.
+    h = gcd(dx, dy) + 1 is the lattice length of S's hull plus one, (dx, dy)
+    its endpoint difference.  v is the range plus one of Q's levels
+    a*y - b*x, with (a, b) the primitive direction of S ((1, 0) for a single
+    point): a unimodular map taking S horizontal has second row +-(-b, a),
+    so these are its levels up to sign and shift.  Extents (not sparse point
+    counts) are what the root-count criterion sees: roots off the torus can
+    exhaust the full exponent gap of a sparse support.
     """
-    canonS, M = normal_form(S)
-    h = max(p[0] for p in canonS) - min(p[0] for p in canonS) + 1
-    img = M.apply_set(Q)
-    levels = [p[1] for p in img]
-    v = max(levels) - min(levels) + 1
-    return h, v
+    pts = S.sorted_points()
+    dx, dy = pts[-1][0] - pts[0][0], pts[-1][1] - pts[0][1]
+    g = gcd(dx, dy)
+    a, b = (dx // g, dy // g) if g else (1, 0)
+    levels = [a * y - b * x for x, y in Q.points]
+    return g + 1, max(levels) - min(levels) + 1
 
 
 def match_exceptional_family(A: SupportSet, B: SupportSet) -> Optional[Dict[str, object]]:
     """Membership of (A, B) in the no-multiplicity-3 catalogue, up to
-    monomial changes of variables and transposition of the pair.
+    monomial changes of variables and transposition of the pair, read off
+    elementary lattice invariants.
 
     Family 1: one support on a segment, measured by (h, v) with
-    (h-1)(v-1) <= 2.  Family 2: equal full-dimensional supports equivalent,
-    by one common map, to the unit square or to the four-point L.  Family
-    3: one support a unimodular triangle and the other inside a doubled
-    simplex under the same map.
+    (h-1)(v-1) <= 2 (see :func:`_segment_measurements`).  Family 2: equal
+    full-dimensional supports equivalent, by one common map, to the unit
+    square or to the four-point L; that is, B a translate of A, |A| = 4 and
+    area2(conv A) = 2.  By Pick's theorem conv A then has 4 boundary and no
+    interior points: an empty quadrilateral is a unimodular parallelogram
+    (the square), a triangle with one edge midpoint is the L.  Family 3: one
+    support X a unimodular triangle (|X| = 3, area2 = 1) and the other
+    inside a doubled simplex under the same map.  Any map taking X onto the
+    standard simplex will do, since each symmetry of the simplex carries
+    its double to a translate of it; the other support's image Z fits in
+    the double after a translation iff max(x + y) - min x - min y <= 2.
     """
     if len(A) == 0 or len(B) == 0:
         raise InputError("empty support")
 
     if is_segment(A) or is_segment(B):
         for X, Y, orient in ((A, B, "as-given"), (B, A, "transposed")):
-            if not is_segment(X):
-                continue
-            h, v = _segment_measurements(X, Y)
-            if (h - 1) * (v - 1) <= 2:
-                return {"family": 1, "h": h, "v": v, "orientation": orient}
+            if is_segment(X):
+                h, v = _segment_measurements(X, Y)
+                if (h - 1) * (v - 1) <= 2:
+                    return {"family": 1, "h": h, "v": v, "orientation": orient}
         return None
     # both full-dimensional from here on
 
-    canon_A, M_A = normal_form(A)
-    canon_B, M_B = normal_form(B)
-    for rep_name, canon_rep, stab in _family2_data():
-        if canon_A != canon_rep or canon_B != canon_rep:
-            continue
-        rel = M_A.compose(M_B.inverse())
-        if rel.matrix in stab:
-            return {"family": 2, "shape": rep_name}
-
-    two_simplex, canon_simplex, M_simplex, simplex_stab = _family3_data()
-    for (canon_X, M_X), Y, orient in (
-        ((canon_A, M_A), B, "as-given"),
-        ((canon_B, M_B), A, "transposed"),
-    ):
-        if canon_X != canon_simplex:
-            continue
-        to_simplex = M_simplex.inverse().compose(M_X)
-        for s in simplex_stab:
-            img = s.apply_set(to_simplex.apply_set(Y))
-            if _fits_in(img, two_simplex):
+    a0, b0 = A.sorted_points()[0], B.sorted_points()[0]
+    if len(A) == 4 and area2(convex_hull(A)) == 2 and B == A.translate((b0[0] - a0[0], b0[1] - a0[1])):
+        return {"family": 2, "shape": "unit-square" if len(convex_hull(A).vertices) == 4 else "four-point-L"}
+    for X, Y, orient in ((A, B, "as-given"), (B, A, "transposed")):
+        if len(X) == 3 and area2(convex_hull(X)) == 1:
+            Z = simplex_map(*X.sorted_points()).apply_set(Y).points
+            if max(x + y for x, y in Z) - min(x for x, _ in Z) - min(y for _, y in Z) <= 2:
                 return {"family": 3, "orientation": orient}
     return None
-
-
-@functools.cache
-def _family2_data():
-    data = []
-    for rep_name, rep in (
-        ("unit-square", SupportSet([(0, 0), (1, 0), (0, 1), (1, 1)])),
-        ("four-point-L", SupportSet([(0, 0), (1, 0), (0, 1), (2, 0)])),
-    ):
-        canon_rep, _ = normal_form(rep)
-        stab = {s.matrix for s in stabilizer(canon_rep)}
-        data.append((rep_name, canon_rep, stab))
-    return data
-
-
-@functools.cache
-def _family3_data():
-    two_simplex = lattice_points(convex_hull(SupportSet([(0, 0), (2, 0), (0, 2)])))
-    canon_simplex, M_simplex = normal_form(STANDARD_SIMPLEX)
-    return two_simplex, canon_simplex, M_simplex, stabilizer(STANDARD_SIMPLEX)
-
-
-def _fits_in(S: SupportSet, region: SupportSet) -> bool:
-    """Can S be translated into the point set ``region``."""
-    rpts = region.points
-    s_pts = S.sorted_points()
-    rx0, ry0, rx1, ry1 = (
-        min(p[0] for p in rpts),
-        min(p[1] for p in rpts),
-        max(p[0] for p in rpts),
-        max(p[1] for p in rpts),
-    )
-    sx0 = min(p[0] for p in s_pts)
-    sy0 = min(p[1] for p in s_pts)
-    sx1 = max(p[0] for p in s_pts)
-    sy1 = max(p[1] for p in s_pts)
-    for tx in range(rx0 - sx0, rx1 - sx1 + 1):
-        for ty in range(ry0 - sy0, ry1 - sy1 + 1):
-            if all((p[0] + tx, p[1] + ty) in rpts for p in s_pts):
-                return True
-    return False
 
 
 def _mult3_witness_routes(
@@ -424,13 +379,12 @@ def _mult3_witness_routes(
         if primitivity_index(X, Y) != 1:
             log.append(f"route i {orient}: inapplicable (sublattice pair)")
             continue
-        d_est = len(X) - len(erode(convex_hull(X), Y)) - 1
-        rng = random.Random(seed)
-        probe = _draw_through_one(Y, rng)
-        d_actual = d_est
-        if probe is not None:
-            dim_v, _ = compute_dim_V(X, probe)
-            d_actual = max(d_est, len(X) - dim_v - 1)
+        # compute_dim_V holds dim V to the erosion by the probe's support, Y
+        probe = _draw_through_one(Y, random.Random(seed))
+        if probe is None:
+            d_actual = len(X) - len(erode(convex_hull(X), Y)) - 1
+        else:
+            d_actual = len(X) - compute_dim_V(X, probe)[0] - 1
         if d_actual < 3:
             log.append(f"route i {orient}: inapplicable (contact bound D={d_actual} < 3)")
             continue
@@ -450,9 +404,7 @@ def _mult3_witness_routes(
         if len(Y) < 3:
             log.append(f"route ii {orient}: inapplicable (curve support below contact order)")
             continue
-        # the unimodular affine map taking the triple to (0, 0), (1, 0), (0, 1)
-        p, q, s = triple
-        M = UnimodularAffineMap(((q[0] - p[0], s[0] - p[0]), (q[1] - p[1], s[1] - p[1])), p).inverse()
+        M = simplex_map(*triple)
         Ynorm = M.apply_set(Y)
         try:
             system = _line_contact_on(Ynorm, 3, seed, retries)

@@ -43,6 +43,7 @@ from .errors import (
 from .jsonio import (
     _check_keys,
     certificate_to_json,
+    exponents_from_json,
     int_from_json,
     ints_from_json,
     point_to_json,
@@ -168,11 +169,11 @@ def cmd_multipoint(args) -> int:
 def cmd_verify(args) -> int:
     req = _load_request(args)
     if "system" in req:
-        # the report written by `construct --output`: verify the system it carries
-        _check_keys(req, {"version", "request", "system"}, "construct report")
+        # the report `construct --output` or `multipoint --output` writes: verify its system
+        _check_keys(req, {"version", "request", "system"}, "system report")
         request = req.get("request")
-        if not isinstance(request, dict) or request.get("command") != "construct":
-            raise InputError("a report with a 'system' field must come from 'construct'")
+        if not isinstance(request, dict) or request.get("command") not in ("construct", "multipoint"):
+            raise InputError("a report with a 'system' field must come from 'construct' or 'multipoint'")
         req = req["system"]
     system = system_from_json(req)
     results = []
@@ -243,7 +244,7 @@ def cmd_triangle(args) -> int:
 def cmd_univariate(args) -> int:
     req = _load_request(args)
     require_keys(req, ["exponents", "l"], "univariate request")
-    exponents = ints_from_json(req["exponents"], "exponents")
+    exponents = exponents_from_json(req["exponents"])
     l = int_from_json(req["l"], "l")
     result = construct_univariate(exponents, l)
     if isinstance(result, ImpossibilityCertificate):

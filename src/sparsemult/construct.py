@@ -40,14 +40,13 @@ from .lattice import (
     is_convex_support,
     is_segment,
     primitivity_index,
+    simplex_map,
     unimodular_triple,
 )
 from .verify import intersection_multiplicity_smooth, rank_impossibility
 
 DEFAULT_SEED = 1729
 RETRY_BUDGET = 16
-
-STANDARD_SIMPLEX = SupportSet([(0, 0), (1, 0), (0, 1)])
 
 
 @dataclass
@@ -435,9 +434,7 @@ def line_contact_construct(
     triple = unimodular_triple(A)
     if triple is None:
         raise HypothesisViolation("support contains no unimodular triangle, so no line fits")
-    # the unimodular affine map taking the triple to (0, 0), (1, 0), (0, 1)
-    p, q, s = triple
-    M = UnimodularAffineMap(((q[0] - p[0], s[0] - p[0]), (q[1] - p[1], s[1] - p[1])), p).inverse()
+    M = simplex_map(*triple)
     Anorm = M.apply_set(A)
 
     system = _line_contact_on(Anorm, r, seed, retries)

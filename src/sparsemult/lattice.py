@@ -367,7 +367,10 @@ class UnimodularAffineMap:
         return (a * x + b * y + self.shift[0], c * x + d * y + self.shift[1])
 
     def apply_set(self, S: SupportSet) -> SupportSet:
-        return SupportSet(self.apply(p) for p in S)
+        # the points of S are already pairs of ints; SupportSet checks the images
+        (a, b), (c, d) = self.matrix
+        sx, sy = self.shift
+        return SupportSet((a * x + b * y + sx, c * x + d * y + sy) for x, y in S.points)
 
     def compose(self, other: "UnimodularAffineMap") -> "UnimodularAffineMap":
         """self after other: (self . other)(p) = self(other(p))."""
@@ -498,8 +501,8 @@ def normal_form(S: SupportSet) -> Tuple[SupportSet, UnimodularAffineMap]:
     image bounds the maxside of the minimum; :func:`_candidate_maps` then
     lists every map within that radius, and each image is scored.  When S
     has symmetries several maps reach the canonical set and the first one
-    found is returned, so callers use a full-dimensional witness only up to
-    the stabilizer of the canonical set.  Points and segments are mapped
+    found is returned, so a full-dimensional witness is fixed only up to
+    the symmetries of the canonical set.  Points and segments are mapped
     directly, and their maps are fixed.
 
     The result is cached on the instance S: later calls on S return the same
@@ -558,15 +561,6 @@ def _segment_normal_form(S: SupportSet) -> Tuple[SupportSet, UnimodularAffineMap
     return SupportSet(k), full
 
 
-def stabilizer(S: SupportSet) -> List[UnimodularAffineMap]:
-    """Linear unimodular maps sending S to a translate of itself."""
-    if is_segment(S):
-        raise InputError("stabilizer only implemented for full-dimensional sets")
-    radius = max(_maxside(S), 1)
-    T0, _ = _translate_normalized(S)
-    return [M for M in _candidate_maps(S, radius) if _translate_normalized(M.apply_set(S))[0] == T0]
-
-
 def unimodular_triple(S: SupportSet) -> Optional[Tuple[Point, Point, Point]]:
     """First point triple spanning a unimodular triangle, in sorted order."""
     pts = S.sorted_points()
@@ -577,3 +571,9 @@ def unimodular_triple(S: SupportSet) -> Optional[Tuple[Point, Point, Point]]:
                 if abs(cross(pts[i], pts[j], pts[k])) == 1:
                     return pts[i], pts[j], pts[k]
     return None
+
+
+def simplex_map(p: Point, q: Point, r: Point) -> UnimodularAffineMap:
+    """The unimodular affine map taking the unimodular triple p, q, r to
+    (0, 0), (1, 0), (0, 1), the inverse of [q - p, r - p] + p."""
+    return UnimodularAffineMap(((q[0] - p[0], r[0] - p[0]), (q[1] - p[1], r[1] - p[1])), p).inverse()

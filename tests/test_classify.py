@@ -2,6 +2,7 @@
 catalogue, and the four-point enumeration."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -24,6 +25,7 @@ from sparsemult.lattice import (
     SupportSet,
     UnimodularAffineMap,
     convex_hull,
+    is_segment,
     normal_form,
     pick_counts,
 )
@@ -33,7 +35,7 @@ from sparsemult.verify import intersection_multiplicity_smooth
 GOLDEN = Path(__file__).parent / "golden"
 SIMPLEX = SupportSet([(0, 0), (1, 0), (0, 1)])
 SQUARE = SupportSet([(0, 0), (1, 0), (0, 1), (1, 1)])
-# elementary unimodular maps: two shears, the swap and the inverse shear
+# elementary unimodular maps: two shears, the swap and an inverse shear
 GENERATORS = [
     UnimodularAffineMap(((1, 1), (0, 1))),
     UnimodularAffineMap(((1, 0), (1, 1))),
@@ -42,10 +44,10 @@ GENERATORS = [
 ]
 
 
-def random_map(rng, steps=4):
-    """A product of ``steps`` random generators."""
+def random_map(rng):
+    """A product of 4 random generators."""
     M = UnimodularAffineMap.identity()
-    for _ in range(steps):
+    for _ in range(4):
         M = rng.choice(GENERATORS).compose(M)
     return M
 
@@ -254,8 +256,9 @@ def test_match_family_needs_common_map():
 
 def _catalogue_lines():
     """One ``A | B -> entry`` line for every ordered pair of bound-2 convex
-    supports and for 400 seeded pairs in boxes up to [0, 3]^2 moved by one common random
-    unimodular map and shift; B is a translate of A in about 30% of them."""
+    supports and for 400 seeded pairs in boxes up to [0, 3]^2, moved by one
+    common random unimodular map and shift; B is a translate of A in about
+    30% of them."""
     supports = _convex_supports_in_box(2)
     pairs = [(A, B) for A in supports for B in supports]
     rng = random.Random(31)
@@ -286,6 +289,83 @@ def test_catalogue_pinned():
     # `PYTHONPATH=src:tests python -c 'import test_classify as t; print(t._catalogue_digest())'`)
     pinned = (GOLDEN / "catalogue.sha256").read_text(encoding="utf-8").split()[0]
     assert _catalogue_digest() == pinned
+
+
+# every unimodular matrix with entries in [-3, 3]; the edge matrix of a
+# unimodular triple in [0, 3]^2 has such an inverse, so these maps reach every
+# family-2 and family-3 pair of supports in that box
+SMALL_MATRICES = [
+    ((a, b), (c, d)) for a, b, c, d in itertools.product(range(-3, 4), repeat=4) if abs(a * d - b * c) == 1
+]
+
+
+def _image_at_origin(m, S):
+    """The image of S under the matrix m, translated to touch both axes."""
+    (a, b), (c, d) = m
+    img = [(a * x + b * y, c * x + d * y) for x, y in S]
+    x0, y0 = min(x for x, _ in img), min(y for _, y in img)
+    return frozenset((x - x0, y - y0) for x, y in img)
+
+
+FAMILY2_SHAPES = [("unit-square", SQUARE.points), ("four-point-L", frozenset({(0, 0), (1, 0), (2, 0), (0, 1)}))]
+# the doubled simplex is closed downwards, so a set fits in it after some
+# translation exactly when it fits after touching both axes
+TWO_SIMPLEX = frozenset((i, j) for i in range(3) for j in range(3 - i))
+
+
+def _catalogue_oracle(A, B):
+    """match_exceptional_family by brute force: family 1 measured on the
+    normal form of the segment, families 2 and 3 by trying every matrix of
+    SMALL_MATRICES."""
+    if is_segment(A) or is_segment(B):
+        for X, Y, orient in ((A, B, "as-given"), (B, A, "transposed")):
+            if not is_segment(X):
+                continue
+            canon, M = normal_form(X)
+            h = max(x for x, _ in canon) - min(x for x, _ in canon) + 1
+            levels = [y for _, y in M.apply_set(Y)]
+            v = max(levels) - min(levels) + 1
+            if (h - 1) * (v - 1) <= 2:
+                return {"family": 1, "h": h, "v": v, "orientation": orient}
+        return None
+    for name, shape in FAMILY2_SHAPES:
+        if any(_image_at_origin(m, A) == shape == _image_at_origin(m, B) for m in SMALL_MATRICES):
+            return {"family": 2, "shape": name}
+    for X, Y, orient in ((A, B, "as-given"), (B, A, "transposed")):
+        for m in SMALL_MATRICES:
+            if _image_at_origin(m, X) == SIMPLEX.points and _image_at_origin(m, Y) <= TWO_SIMPLEX:
+                return {"family": 3, "orientation": orient}
+    return None
+
+
+@st.composite
+def _box_support(draw, max_size=6):
+    """A support in [0, w] x [0, h] for a drawn w, h <= 3; small boxes make
+    squares, L shapes and unimodular triangles common."""
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(1, min(max_size, (w + 1) * (h + 1))))
+    return SupportSet(draw(st.sets(st.tuples(st.integers(0, w), st.integers(0, h)), min_size=n, max_size=n)))
+
+
+@st.composite
+def _box_pairs(draw):
+    """Support pairs in [0, 3]^2, in either order: the second member is a
+    translate of the first in a third of the draws, and has at most 3 points
+    in another third."""
+    A = draw(_box_support())
+    kind = draw(st.sampled_from(["any", "translate", "small"]))
+    if kind == "translate":
+        B = A.translate(draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))))
+    else:
+        B = draw(_box_support(3 if kind == "small" else 6))
+    return (B, A) if draw(st.booleans()) else (A, B)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_box_pairs())
+def test_catalogue_matches_brute_force_oracle(pair):
+    A, B = pair
+    assert match_exceptional_family(A, B) == _catalogue_oracle(A, B)
 
 
 def test_decide_examples():

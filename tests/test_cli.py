@@ -16,6 +16,8 @@ from sparsemult import cli, construct, reproduce
 from sparsemult.classify import decide_mult3
 from sparsemult.cli import main
 from sparsemult.jsonio import (
+    MAX_EXPONENT,
+    MAX_EXPONENTS,
     MAX_SPAN,
     MAX_SUPPORT_POINTS,
     laurent_from_json,
@@ -100,6 +102,19 @@ def test_multipoint_points_on_a_line_of_f(capsys, tmp_path):
     p.write_text(json.dumps(rep["system"]))
     code2, rep2 = run_cli(capsys, "verify", "--input", str(p))
     assert code2 == 0 and rep2["verified"] is True
+
+
+def test_verify_reads_multipoint_output(capsys, tmp_path):
+    # multipoint --output mp.json, then verify --input mp.json
+    out = tmp_path / "mp.json"
+    unit_square = {"points": [[0, 0], [1, 0], [0, 1], [1, 1]]}
+    two_simplex = {"points": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]]}
+    req = json.dumps({"A": two_simplex, "B": unit_square, "multiplicities": [1, 1]})
+    code, _ = run_cli(capsys, "multipoint", "--json", req, "--output", str(out))
+    assert code == 0
+    code2, rep2 = run_cli(capsys, "verify", "--input", str(out))
+    assert code2 == 0 and rep2["verified"] is True
+    assert [(r["claimed"], r["observed"]) for r in rep2["results"]] == [(1, 1), (1, 1)]
 
 
 def test_classify(capsys):
@@ -202,7 +217,7 @@ def test_verify_rejects_other_envelopes(capsys, tmp_path):
     _, rep = run_cli(capsys, "construct", "--json", req)
     for bad in (
         {**rep, "extra": 1},
-        {**rep, "request": {"command": "multipoint"}},
+        {**rep, "request": {"command": "classify"}},
         {"system": rep["system"]},
     ):
         code = main(["verify", "--json", json.dumps(bad)])
@@ -295,6 +310,11 @@ def test_verify_order_zero_at_a_singular_point_of_f(capsys):
                                                 point=["2", "1"]))],
         ["verify", "--json", json.dumps(_system(g=_terms(([0, -11], "1"), ([0, 0], "-1"))))],
         ["verify", "--json", json.dumps(_system(f=_terms(([-1, 0], "1"), ([10, 0], "-1"))))],
+        # and univariate exponents, before the dense polynomial is built
+        ["univariate", "--json", json.dumps({"exponents": [0, 1, MAX_EXPONENT + 1], "l": 2})],
+        ["univariate", "--json", json.dumps({"exponents": [-MAX_EXPONENT - 1, 0, 1], "l": 2})],
+        ["univariate", "--json", json.dumps({"exponents": [0, 1, 10**12], "l": 2})],
+        ["univariate", "--json", json.dumps({"exponents": list(range(MAX_EXPONENTS + 1)), "l": 2})],
     ],
 )
 def test_invalid_json_values_exit_2(capsys, argv):
@@ -337,6 +357,12 @@ def test_support_caps_admit_their_boundary():
     assert len(support_from_json({"points": corners})) == 4
     f = laurent_from_json(_terms(([-MAX_SPAN, 0], "1"), ([0, MAX_SPAN], "-1")))
     assert f.support() == SupportSet([(-MAX_SPAN, 0), (0, MAX_SPAN)])
+
+
+def test_univariate_caps_admit_their_boundary(capsys):
+    for exps in ([-MAX_EXPONENT, 0, MAX_EXPONENT], list(range(-MAX_EXPONENTS // 2, MAX_EXPONENTS // 2))):
+        code, rep = run_cli(capsys, "univariate", "--json", json.dumps({"exponents": exps, "l": 2}))
+        assert code == 0 and rep["verified_multiplicity"] == 2
 
 
 def test_unreachable_multiplicity_exits_3_before_any_draw(capsys, monkeypatch):

@@ -29,7 +29,7 @@ from sparsemult.lattice import (
     normal_form,
     pick_counts,
     primitivity_index,
-    stabilizer,
+    simplex_map,
 )
 from sparsemult.errors import InputError
 from sparsemult.reproduce import _convex_supports_in_box
@@ -540,39 +540,6 @@ def test_normal_form_searches_once_per_instance(monkeypatch):
     assert normal_form(equal) == (canon, M) and len(searches) == 2
 
 
-# --- stabilizers --------------------------------------------------------------
-
-L_SHAPE = SupportSet([(0, 0), (1, 0), (2, 0), (0, 1)])
-
-
-def _translate_to_origin(S):
-    cx, cy = S.min_corner()
-    return S.translate((-cx, -cy))
-
-
-@pytest.mark.parametrize("S, order", [(SQUARE, 8), (SIMPLEX, 6), (L_SHAPE, 2)])
-def test_stabilizer_orders_and_elements(S, order):
-    stab = stabilizer(S)
-    assert len(stab) == order and len({M.matrix for M in stab}) == order
-    for M in stab:
-        assert M.shift == (0, 0)
-        assert _translate_to_origin(M.apply_set(S)) == _translate_to_origin(S)
-
-
-def test_stabilizer_order_is_invariant():
-    rng = random.Random(18)
-    bases = [SQUARE, SIMPLEX, L_SHAPE, SupportSet([(0, 0), (1, 0), (0, 1), (-1, -1)])]
-    for S in bases:
-        order = len(stabilizer(S))
-        for _ in range(5):
-            assert len(stabilizer(random_unimodular(rng).apply_set(S))) == order
-
-
-def test_stabilizer_rejects_segment():
-    with pytest.raises(InputError):
-        stabilizer(SupportSet([(0, 0), (1, 1), (2, 2)]))
-
-
 # --- affine maps -------------------------------------------------------------
 
 
@@ -604,3 +571,23 @@ def test_map_compose_inverse():
 def test_non_unimodular_rejected():
     with pytest.raises(InputError):
         UnimodularAffineMap(((2, 0), (0, 1)))
+
+
+def test_apply_set_agrees_with_apply():
+    rng = random.Random(19)
+    for _ in range(20):
+        M = random_unimodular(rng)
+        S = SupportSet((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 8)))
+        assert M.apply_set(S) == SupportSet(M.apply(p) for p in S)
+
+
+def test_simplex_map_takes_triple_to_simplex():
+    rng = random.Random(20)
+    for _ in range(20):
+        M = random_unimodular(rng)
+        p, q, r = (M.apply(v) for v in ((0, 0), (1, 0), (0, 1)))
+        for a, b, c in ((p, q, r), (q, r, p), (r, p, q)):
+            N = simplex_map(a, b, c)
+            assert (N.apply(a), N.apply(b), N.apply(c)) == ((0, 0), (1, 0), (0, 1))
+    with pytest.raises(InputError):
+        simplex_map((0, 0), (2, 0), (0, 1))
