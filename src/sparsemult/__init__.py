@@ -49,7 +49,6 @@ from .algebra import (
 )
 from .branches import (
     BranchParametrization,
-    OsculatingData,
     branch_series,
     compute_dim_V,
     is_multiple_of,

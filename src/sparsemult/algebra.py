@@ -23,7 +23,6 @@ boundary, in the :class:`UnivariatePolynomial` that is returned.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
@@ -155,23 +154,6 @@ class MPoly:
         for e, c in self.terms.items():
             re = tuple(k for j, k in enumerate(e) if j != i)
             out[e[i]] = out[e[i]] + MPoly(rest, {re: c})
-        return out
-
-    def subs(self, values: Dict[str, Fraction]):
-        """Substitute rationals for a subset of the variables."""
-        remaining = tuple(v for v in self.vars if v not in values)
-        out = MPoly(remaining, {})
-        for e, c in self.terms.items():
-            factor = c
-            re = []
-            for v, k in zip(self.vars, e):
-                if v in values:
-                    factor *= _frac(values[v]) ** k
-                else:
-                    re.append(k)
-            out = out + MPoly(remaining, {tuple(re): factor})
-        if not remaining:
-            return out.const_value()
         return out
 
     def _lead(self) -> Tuple[Tuple[int, ...], Fraction]:
@@ -656,12 +638,6 @@ class TruncatedSeries:
             d, den = -d, -den
         return TruncatedSeries._make([d * qk * a0 ** (n - k) for k, qk in enumerate(q)], den)
 
-    @staticmethod
-    def linear_combination(terms: Sequence[Tuple[Fraction, "TruncatedSeries"]]) -> "TruncatedSeries":
-        """sum(c * s for c, s in terms), truncated to the smallest order, over
-        one common denominator."""
-        return TruncatedSeries._make(*_combine([(c, s.nums, s.den) for c, s in terms]))
-
     def int_pow(self, e: int) -> "TruncatedSeries":
         base = self if e >= 0 else self.inverse()
         return _square_and_multiply(base, abs(e), TruncatedSeries.constant(1, self.truncation_order))
@@ -859,19 +835,6 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     m = _integerize_rows(rows)
     _, piv, _ = _bareiss_echelon(m)
     return len(piv)
-
-
-def prefix_ranks(rows: Sequence[Sequence[Fraction]]) -> List[int]:
-    """rank(rows[:i]) for i = 1..len(rows), from one echelon pass.
-
-    Row i raises the rank exactly when it is not in the span of the rows
-    before it, that is when column i of the transposed matrix is a pivot
-    column of its echelon form.  Scaling rows to integers keeps every span.
-    """
-    if not rows:
-        return []
-    _, piv, _ = _bareiss_echelon([list(col) for col in zip(*_integerize_rows(rows))])
-    return [bisect_right(piv, i) for i in range(len(rows))]
 
 
 def _kernel_numerators(ech: List[List], piv: List[int], ncols: int, zero, one) -> List[Tuple[int, List]]:

@@ -4,8 +4,8 @@ A smooth point of a curve has a unique local branch; we parametrize it by
 setting the free coordinate to ``p + t`` and solving for the dependent one
 as an exact truncated series (Newton iteration on the implicit equation).
 The t-expansions of the monomials along such a branch assemble into the
-derivative-style coefficient matrix whose prefix ranks control which
-contact orders hyperplane sections can realize.  Newton's Horner steps and
+derivative-style coefficient matrix whose kernels control which contact
+orders hyperplane sections can realize.  Newton's Horner steps and
 the power tables run on integer numerator lists over one denominator; a
 series is reduced, by one gcd, only where a caller receives it.
 """
@@ -20,8 +20,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .algebra import (
     LaurentPolynomial,
     TruncatedSeries,
-    kernel_basis,
-    prefix_ranks,
+    rank,
     solve_linear,
     _combine,
     _convolve,
@@ -226,38 +225,29 @@ def branch_series(
     return branch
 
 
-@dataclass
-class OsculatingData:
-    """Monomial t-expansions along a branch, one row per t-power."""
-
-    support: SupportSet
-    matrix: List[List[Fraction]]
-    row_ranks: List[int]
-
-    def columns(self) -> Tuple[Tuple[int, int], ...]:
-        return self.support.sorted_points()
-
-
-def osculating_matrix(A: SupportSet, branch: BranchParametrization, m: int) -> OsculatingData:
+def osculating_matrix(A: SupportSet, branch: BranchParametrization, m: int) -> List[List[Fraction]]:
     """Rows 0..m of the monomial expansions of A along the branch.
 
-    Row i holds the t^i coefficients of every monomial; consecutive prefix
-    ranks increase by at most 1.  Raises TruncationInsufficient when the
-    branch is too shallow to read off row m.
+    Row i holds the t^i coefficients of every monomial, one column per
+    point of ``A.sorted_points()``.  A kernel vector of rows 0..m-1 that is
+    non-zero on row m gives a curve meeting the branch with contact order
+    exactly m.  Raises TruncationInsufficient when the branch is too
+    shallow to read off row m.
     """
     if branch.truncation_order < m:
         raise TruncationInsufficient(f"need order {m}, branch has {branch.truncation_order}")
-    cols = A.sorted_points()
-    series = [branch.monomial_series(e) for e in cols]
-    matrix = [[s.coefficient(i) for s in series] for i in range(m + 1)]
-    return OsculatingData(A, matrix, prefix_ranks(matrix))
+    series = [branch.monomial_series(e) for e in A.sorted_points()]
+    return [[s.coefficient(i) for s in series] for i in range(m + 1)]
 
 
 def compute_dim_V(A: SupportSet, f: LaurentPolynomial) -> Tuple[int, int]:
     """Dimension of { g supported in A : g is a Laurent-polynomial multiple of f }.
 
     Returns (dim, bound) where bound is the erosion count from the hull of
-    A; dim never exceeds bound and equals it whenever A is convex.
+    A; dim never exceeds bound and equals it whenever A is convex.  A
+    multiple c*f lies in A exactly when c is supported in C = erode(conv A,
+    supp f) and its coefficients cancel every exponent of c*f outside A,
+    so dim = |C| - rank of those cancellation rows.
     """
     if f.is_zero():
         raise InputError("zero polynomial")
@@ -280,10 +270,7 @@ def compute_dim_V(A: SupportSet, f: LaurentPolynomial) -> Tuple[int, int]:
                 constraints_idx[e] = len(rows)
                 rows.append([Fraction(0)] * len(cvec))
             rows[constraints_idx[e]][ci] += _frac(coeff)
-    if not rows:
-        dim = bound
-    else:
-        dim = len(kernel_basis(rows))
+    dim = bound - rank(rows)
     if dim > bound:
         raise AssertionError("dimension exceeded its erosion bound")
     if dim != bound and is_convex_support(A):

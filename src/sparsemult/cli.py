@@ -77,14 +77,18 @@ def _load_request(args) -> dict:
     if getattr(args, "json", None):
         text = args.json
     elif getattr(args, "input", None):
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {args.input}: {exc}") from None
     else:
         raise InputError("provide --input FILE or --json TEXT")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc}")
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an integer literal past the digit limit
+        raise InputError(f"malformed JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InputError("request must be a JSON object")
     return obj
@@ -94,8 +98,11 @@ def _emit(args, report: dict) -> None:
     report = {"version": __version__, **report}
     text = json.dumps(report, indent=2, sort_keys=False)
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from None
     print(text)
 
 
@@ -372,9 +379,6 @@ def _run(args) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except FileNotFoundError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BrokenPipeError:
         raise  # main ends a closed stdout quietly
     except Exception as exc:

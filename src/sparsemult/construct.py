@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -195,7 +196,9 @@ def construct_prescribed(
     Requires the pairing hypotheses: neither support on a segment and
     primitivity index 1.  m may not exceed D = |A| - dim V - 1 for the drawn
     curve; for convex A that is |A| - |erode(conv A, B)| - 1 on every draw,
-    so the first draw past it raises HypothesisViolation.  The returned
+    so the first draw past it raises HypothesisViolation.  A draw is kept
+    when the kernel of osculating rows 0..m-1 has |A| - m vectors and one of
+    them is non-zero on row m; the first such vector is g.  The returned
     order is re-verified from scratch by the verifier.
     """
     if is_segment(A) or is_segment(B):
@@ -232,22 +235,16 @@ def construct_prescribed(
         try:
             # rows 0..m of the osculating matrix are exact from order m on
             branch = branch_series(f, p, m)
-            osc = osculating_matrix(A, branch, m)
+            rows = osculating_matrix(A, branch, m)
         except InputError as exc:
             diagnostics.append(f"attempt {attempt}: {exc}")
             continue
-        if osc.row_ranks[m] != m + 1 or (m > 0 and osc.row_ranks[m - 1] != m):
-            diagnostics.append(f"attempt {attempt}: rank chain stalled {osc.row_ranks}")
-            continue
-        basis = kernel_basis(osc.matrix[:m], ncols=len(A)) if m > 0 else kernel_basis([], ncols=len(A))
-        residual_row = osc.matrix[m]
-        chosen = None
-        for v in basis:
-            if sum(r * c for r, c in zip(residual_row, v)) != 0:
-                chosen = v
-                break
-        if chosen is None:
-            diagnostics.append(f"attempt {attempt}: no kernel vector with non-zero residual")
+        # contact order exactly m needs rank m on rows 0..m-1 and row m
+        # outside their span: a full-size kernel with a vector off row m
+        basis = kernel_basis(rows[:m], ncols=len(A))
+        chosen = next((v for v in basis if sum(map(mul, rows[m], v))), None)
+        if len(basis) != len(A) - m or chosen is None:
+            diagnostics.append(f"attempt {attempt}: rank chain stalled")
             continue
         first = next(i for i, c in enumerate(chosen) if c != 0)
         chosen = [c / chosen[first] for c in chosen]
@@ -338,15 +335,14 @@ def construct_multipoint(
         for pt, mi in zip(points, ms):
             try:
                 branch = branch_series(f, pt, mi)
-                osc = osculating_matrix(A, branch, mi)
+                stacked.extend(osculating_matrix(A, branch, mi)[:mi])
             except InputError as exc:
                 diagnostics.append(f"attempt {attempt}: {exc}")
                 ok = False
                 break
-            stacked.extend(osc.matrix[:mi])
         if not ok:
             continue
-        gbasis = kernel_basis(stacked, ncols=len(A)) if stacked else kernel_basis([], ncols=len(A))
+        gbasis = kernel_basis(stacked, ncols=len(A))
         # every kernel vector meets f to the orders asked for, but one that
         # shares a component with f through the points has a non-isolated
         # order there, so each vector is verified in turn
@@ -622,22 +618,14 @@ def build_gap_family_member(n: int, m: int, seed: int = DEFAULT_SEED):
 
     if m <= n + 1:
         # triangular solve: f_A = x - q(y), f_B = y - p(x), p(s) = s^2 + s,
-        # q chosen so p(q(y)) - y vanishes to order exactly m at y = 0
-        a_param = Fraction(1)
-        qc = [Fraction(0)] * (n + 1)  # q coefficients, a_0 = 0
-        for j in range(1, m):
-            if j == 1:
-                qc[1] = 1 / a_param
-            else:
-                s = sum(qc[i] * qc[j - i] for i in range(1, j))
-                qc[j] = -s / a_param
+        # q chosen so p(q(y)) - y vanishes to order exactly m at y = 0; that
+        # is q_1 = 1, q_j = -sum q_i q_(j-i), so q_j = (-1)^(j+1) phi_j
         f_terms: Dict[Tuple[int, int], Fraction] = {(1, 0): Fraction(1)}
-        for j, c in enumerate(qc):
-            if c != 0:
-                f_terms[(0, j)] = f_terms.get((0, j), Fraction(0)) - c
+        for j, phi_j in enumerate(gap_family_phi(m)[: m - 1], start=1):
+            f_terms[(0, j)] = Fraction((-1) ** j * phi_j)
         fA = LaurentPolynomial(f_terms)  # x - q(y)
         fB = LaurentPolynomial(
-            {(0, 1): Fraction(1), (2, 0): -Fraction(1), (1, 0): -a_param}
+            {(0, 1): Fraction(1), (2, 0): -Fraction(1), (1, 0): -Fraction(1)}
         )  # y - (x^2 + x)
         return "system", {
             "f_A": fA,

@@ -248,6 +248,9 @@ def system_from_json(obj) -> ConstructedSystem:
         mults = tuple(ints_from_json(obj["multiplicities"], "multiplicity"))
         if not points or len(points) != len(mults):
             raise InputError("'points' and 'multiplicities' must be non-empty and of equal length")
+    exact = obj.get("exact", True)
+    if not isinstance(exact, bool):
+        raise InputError(f"exact must be a boolean, got {exact!r}")
     norm = None
     if "normalization" in obj and obj["normalization"] is not None:
         n = obj["normalization"]
@@ -269,7 +272,7 @@ def system_from_json(obj) -> ConstructedSystem:
         multiplicities=mults,
         seed=int_from_json(obj.get("seed", 0), "seed"),
         retries_used=0,
-        exact=bool(obj.get("exact", True)),
+        exact=exact,
         certificate=None,
         normalization=norm,
     )

@@ -315,6 +315,9 @@ def test_verify_order_zero_at_a_singular_point_of_f(capsys):
         ["univariate", "--json", json.dumps({"exponents": [-MAX_EXPONENT - 1, 0, 1], "l": 2})],
         ["univariate", "--json", json.dumps({"exponents": [0, 1, 10**12], "l": 2})],
         ["univariate", "--json", json.dumps({"exponents": list(range(MAX_EXPONENTS + 1)), "l": 2})],
+        # a system's exact flag is a JSON boolean: "false" is not coerced to True
+        ["verify", "--json", json.dumps(_system(exact="false"))],
+        ["verify", "--json", json.dumps(_system(exact=0))],
     ],
 )
 def test_invalid_json_values_exit_2(capsys, argv):
@@ -323,6 +326,32 @@ def test_invalid_json_values_exit_2(capsys, argv):
     assert code == 2
     assert err.startswith("invalid input:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_unreadable_request_and_report_files_exit_2(capsys, tmp_path):
+    # read, decode and write failures of the request or report file are
+    # invalid input, with nothing on stdout; the 5000-digit coordinate is past
+    # the interpreter's digit limit, or else past the support caps
+    req = json.dumps({"A": SQUARE, "B": SIMPLEX})
+    big = req.replace("[1, 1]", "[1, " + "9" * 5000 + "]", 1)
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff" + req.encode())
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for argv in (
+        ["bounds", "--json", big],
+        ["bounds", "--input", str(not_utf8)],
+        ["bounds", "--input", str(tmp_path)],
+        ["bounds", "--input", str(tmp_path / "missing.json")],
+        ["bounds", "--input", str(deep)],
+        ["bounds", "--json", req, "--output", str(tmp_path)],
+        ["bounds", "--json", req, "--output", str(tmp_path / "missing" / "report.json")],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ worked families.  Every derived value is recomputed by an oracle in-test."""
 import random
 from fractions import Fraction as F
 from math import factorial, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from sparsemult.algebra import (
     LaurentPolynomial,
     TruncatedSeries,
     UnivariatePolynomial,
+    kernel_basis,
     poly_gcd,
     poly_kernel_basis,
     rank,
@@ -274,36 +276,42 @@ def test_evaluate_poly_matches_products_of_powers(seed, case, prefer, order, gte
 def test_osculating_simplex_rows():
     f = LaurentPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -2})
     br = branch_series(f, (F(1), F(1)), 6)
-    osc = osculating_matrix(SIMPLEX, br, 1)
-    assert osc.columns() == ((0, 0), (0, 1), (1, 0))
     # expansions: 1 -> [1, 0]; y = 1 - t -> [1, -1]; x = 1 + t -> [1, 1]
-    assert osc.matrix == [[1, 1, 1], [0, -1, 1]]
+    assert SIMPLEX.sorted_points() == ((0, 0), (0, 1), (1, 0))
+    assert osculating_matrix(SIMPLEX, br, 1) == [[1, 1, 1], [0, -1, 1]]
 
 
 def test_osculating_constant_column():
     f = LaurentPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -2})
     br = branch_series(f, (F(1), F(1)), 4)
-    osc = osculating_matrix(SupportSet([(0, 0)]), br, 0)
-    assert osc.matrix == [[1]]
+    assert osculating_matrix(SupportSet([(0, 0)]), br, 0) == [[1]]
 
 
 def test_osculating_square_row2():
     f = LaurentPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -2})
     br = branch_series(f, (F(1), F(1)), 6)
-    osc = osculating_matrix(SQUARE, br, 2)
     # xy = (1+t)(1-t) = 1 - t^2 contributes the only t^2 term
-    assert osc.matrix[2] == [0, 0, 0, -1]
+    assert osculating_matrix(SQUARE, br, 2)[2] == [0, 0, 0, -1]
 
 
-def test_osculating_row_ranks_match_prefix_rank():
-    # the one-pass prefix ranks against rank() of every prefix, on seeded
-    # branches and on chains that stall before they grow again
+def _kernel_accepts(A, rows, m):
+    # construct_prescribed's check for contact order exactly m: rows
+    # 0..m-1 leave a kernel of |A| - m vectors, one of them off row m
+    basis = kernel_basis(rows[:m], ncols=len(A))
+    return len(basis) == len(A) - m and any(sum(map(mul, rows[m], v)) for v in basis)
+
+
+def test_kernel_check_matches_prefix_rank():
+    # the kernel check against rank() of rows 0..m, on seeded branches and
+    # on chains that stall before they grow again
     x, y = LaurentPolynomial({(1, 0): 1}), LaurentPolynomial({(0, 1): 1})
     one = LaurentPolynomial({(0, 0): 1})
     flex = y - one - (x - one) ** 3  # y = 1 + t^3: the t^2 row of 1, x, y is 0
-    assert osculating_matrix(SIMPLEX, branch_series(flex, (F(1), F(1)), 3), 3).row_ranks == [1, 2, 2, 3]
+    rows = osculating_matrix(SIMPLEX, branch_series(flex, (F(1), F(1)), 3), 3)
+    assert [rank(rows[:i]) for i in range(1, 5)] == [1, 2, 2, 3]
+    assert [_kernel_accepts(SIMPLEX, rows, m) for m in range(4)] == [True, True, False, False]
     rng = random.Random(23)
-    stalled = checked = 0
+    stalled = in_span = checked = 0
     while checked < 60:
         if checked % 2:
             A = SupportSet((rng.randrange(5), rng.randrange(5)) for _ in range(rng.randint(2, 7)))
@@ -315,12 +323,16 @@ def test_osculating_row_ranks_match_prefix_rank():
             A = SupportSet((rng.randrange(2), rng.randrange(5)) for _ in range(rng.randint(2, 7)))
             f = y - one - (x - one) ** rng.randint(2, 5) * rng.choice([-3, -1, 2, 5])
         m = rng.randint(0, 8)
-        osc = osculating_matrix(A, branch_series(f, (F(1), F(1)), m), m)
-        r = osc.row_ranks
-        assert r == [rank(osc.matrix[:i]) for i in range(1, m + 2)]
+        rows = osculating_matrix(A, branch_series(f, (F(1), F(1)), m), m)
+        r = [rank(rows[:i]) for i in range(1, m + 2)]
+        accepts = [_kernel_accepts(A, rows, k) for k in range(m + 1)]
+        assert accepts == [r[k] == k + 1 for k in range(m + 1)]
         stalled += any(a == b < r[-1] for a, b in zip(r, r[1:]))
+        # rows 0..k-1 independent and row k in their span: the kernel has
+        # full size but no vector off row k
+        in_span += sum(r[k] == k and (k == 0 or r[k - 1] == k) for k in range(m + 1))
         checked += 1
-    assert stalled >= 10
+    assert stalled >= 10 and in_span >= 20
 
 
 # --- dim V ----------------------------------------------------------------------
@@ -415,8 +427,8 @@ def test_prescribed_rank_chain():
     # on every successful run the solution-space dimension drops by one per row
     system = construct_prescribed(SQUARE, SIMPLEX, 2, seed=7)
     br = branch_series(system.f, system.point, 2 + len(SQUARE) + 4)
-    osc = osculating_matrix(SQUARE, br, 2)
-    assert osc.row_ranks == [1, 2, 3]
+    rows = osculating_matrix(SQUARE, br, 2)
+    assert [rank(rows[:i]) for i in range(1, 4)] == [1, 2, 3]
 
 
 # --- multipoint -------------------------------------------------------------------
