@@ -2,10 +2,11 @@
 for sparse bivariate polynomial systems.
 
 The package builds systems with prescribed local intersection
-multiplicities from their Newton supports, verifies every claim with
-independent exact arithmetic, and classifies support pairs by the
-multiplicities they admit (including the multiplicity-3 decision by mixed
-volume).  All computation is over Q; nothing here floats.
+multiplicities from their Newton supports, re-checks every claim with
+exact arithmetic (sharing the constructors' Newton code, so not
+independently), and classifies support pairs by the multiplicities they
+admit (including the multiplicity-3 decision by mixed volume).  All
+computation is over Q; nothing here floats.
 """
 
 __version__ = "0.1.0"
@@ -25,13 +26,11 @@ from .lattice import (
     area2,
     convex_hull,
     erode,
-    erode_set,
     is_segment,
     lattice_points,
     minkowski_sum,
     mixed_volume,
     normal_form,
-    pick_counts,
     primitivity_index,
 )
 from .algebra import (
@@ -44,7 +43,6 @@ from .algebra import (
     kernel_basis,
     rank,
     rational_roots,
-    squarefree_part,
     sylvester_resultant,
 )
 from .branches import (
@@ -81,7 +79,6 @@ from .classify import (
     Mult3Report,
     TriangleClass,
     decide_mult3,
-    enumerate_four_point_bodies,
     hessian_at_one,
     match_exceptional_family,
     triangle_inflection,

@@ -11,8 +11,9 @@ construction and all arithmetic is exact.
 Truncated series, the hot loop of branch expansion, are fraction-free: one
 positive common denominator and integer numerators, kept in lowest terms,
 so that normal form is unique.  Fractions are built only where a caller
-reads a coefficient.  Rational evaluation of a Laurent polynomial and of
-its gradient likewise sums integer numerator/denominator pairs.
+reads a coefficient.  Evaluation of a Laurent polynomial and of its
+gradient, for rational coefficients only, likewise sums integer
+numerator/denominator pairs.
 
 Univariate decision polynomials are computed on integers as well: the
 triangle Hessian and Theta are integer coefficient lists, and root
@@ -393,16 +394,6 @@ def _poly_divmod(
     return UnivariatePolynomial(q, a.var), UnivariatePolynomial(r[:db], a.var)
 
 
-def squarefree_part(p: UnivariatePolynomial) -> UnivariatePolynomial:
-    """p divided by gcd(p, p'), made monic."""
-    if p.is_zero():
-        raise InputError("zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    if g.degree() <= 0:
-        return p.monic()
-    return (p // g).monic()
-
-
 def _integer_numerators(p: UnivariatePolynomial) -> Tuple[List[int], int]:
     """Integer numerators of p's coefficients over the lcm of their
     denominators: p = Σ nums[i]·t^i / den."""
@@ -657,7 +648,9 @@ class LaurentPolynomial:
     """Map from integer exponent pairs to non-zero coefficients.
 
     Coefficients are Fractions, or MPolys when symbolic parameters are in
-    play; negative exponents are allowed (evaluation then requires non-zero
+    play.  Parameters are carried through arithmetic and the resultant, not
+    evaluated: ``evaluate`` and ``gradient`` take rational coefficients only.
+    Negative exponents are allowed (evaluation then requires non-zero
     coordinates).
     """
 
@@ -758,19 +751,15 @@ class LaurentPolynomial:
 
 
 def _sum_at(point: Tuple[Fraction, Fraction], terms: Sequence[Tuple[Tuple[int, int], object, int]]):
-    """sum(w * c * x^e1 * y^e2 for (e1, e2), c, w in terms) at the point."""
+    """sum(w * c * x^e1 * y^e2 for (e1, e2), c, w in terms) at the point,
+    for rational c: one numerator/denominator pair per term, summed over the
+    least common denominator, one Fraction at the end."""
     px, py = _frac(point[0]), _frac(point[1])
     if (px == 0 or py == 0) and any(
             (e1 < 0 and px == 0) or (e2 < 0 and py == 0) for (e1, e2), _, _ in terms):
         raise InputError("negative exponent at a zero coordinate")
     if not all(isinstance(c, Fraction) for _, c, _ in terms):
-        acc = None
-        for (e1, e2), c, w in terms:
-            val = c * w * px**e1 * py**e2
-            acc = val if acc is None else acc + val
-        return Fraction(0) if acc is None else acc
-    # rational coefficients: one numerator/denominator pair per term,
-    # summed over the least common denominator, one Fraction at the end
+        raise InputError("only a polynomial with rational coefficients can be evaluated")
     xn, xd, yn, yd = px.numerator, px.denominator, py.numerator, py.denominator
     num, den = 0, 1
     for (e1, e2), c, w in terms:

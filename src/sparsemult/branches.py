@@ -26,7 +26,7 @@ from .algebra import (
     _convolve,
     _frac,
 )
-from .errors import InputError, TruncationInsufficient
+from .errors import InputError
 from .lattice import SupportSet, convex_hull, erode, is_convex_support
 
 
@@ -124,7 +124,6 @@ def branch_rungs(
     f: LaurentPolynomial,
     p: Tuple[Fraction, Fraction],
     order: int,
-    prefer: str = "y",
 ) -> Iterator[BranchParametrization]:
     """Yield the branch of Z(f) through p at each precision Newton doubling
     reaches: 0, 1, 3, 7, ..., capped at ``order``, which is always the last.
@@ -135,12 +134,12 @@ def branch_rungs(
     one checks it with ``assert_annihilates``.  Raises, on the first
     ``next``, for points off the curve and for singular points.
 
-    The dependent coordinate is one with a non-zero partial derivative at p
-    (``prefer`` wins when both qualify).  f is written once as
-    sum_j a_j(t) dep^j with the free coordinate Taylor-shifted to p + t and
-    every a_j over one common denominator D.  Each Newton step evaluates f
-    and its dep-derivative along the current series dep = Y/d by an integer
-    Horner loop, acc <- acc*Y + a_j D d^(hi-j), whose value is acc/(D d^hi).
+    The dependent coordinate is y unless df/dy(p) = 0, then x.  f is
+    written once as sum_j a_j(t) dep^j with the free coordinate
+    Taylor-shifted to p + t and every a_j over one common denominator D.
+    Each Newton step evaluates f and its dep-derivative along the current
+    series dep = Y/d by an integer Horner loop, acc <- acc*Y + a_j D
+    d^(hi-j), whose value is acc/(D d^hi).
     """
     p = (_frac(p[0]), _frac(p[1]))
     if order < 0:
@@ -150,10 +149,7 @@ def branch_rungs(
     fx, fy = f.gradient(p)
     if fx == 0 and fy == 0:
         raise InputError("curve is singular at the base point")
-    if prefer == "y":
-        dep = "y" if fy != 0 else "x"
-    else:
-        dep = "x" if fx != 0 else "y"
+    dep = "y" if fy != 0 else "x"
 
     if any(e[0] < 0 or e[1] < 0 for e in f.terms) and (p[0] == 0 or p[1] == 0):
         raise InputError("Laurent support needs a torus base point")
@@ -215,11 +211,10 @@ def branch_series(
     f: LaurentPolynomial,
     p: Tuple[Fraction, Fraction],
     order: int,
-    prefer: str = "y",
 ) -> BranchParametrization:
     """Expand the branch of Z(f) through p to the given truncation order:
     the last rung of ``branch_rungs``, self-checked."""
-    for branch in branch_rungs(f, p, order, prefer):
+    for branch in branch_rungs(f, p, order):
         pass
     branch.assert_annihilates()
     return branch
@@ -231,11 +226,11 @@ def osculating_matrix(A: SupportSet, branch: BranchParametrization, m: int) -> L
     Row i holds the t^i coefficients of every monomial, one column per
     point of ``A.sorted_points()``.  A kernel vector of rows 0..m-1 that is
     non-zero on row m gives a curve meeting the branch with contact order
-    exactly m.  Raises TruncationInsufficient when the branch is too
-    shallow to read off row m.
+    exactly m.  Raises InputError when the branch is too shallow to read
+    off row m.
     """
     if branch.truncation_order < m:
-        raise TruncationInsufficient(f"need order {m}, branch has {branch.truncation_order}")
+        raise InputError(f"need order {m}, branch has {branch.truncation_order}")
     series = [branch.monomial_series(e) for e in A.sorted_points()]
     return [[s.coefficient(i) for s in series] for i in range(m + 1)]
 

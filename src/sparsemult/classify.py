@@ -50,7 +50,6 @@ from .lattice import (
     is_segment,
     mixed_volume,
     normal_form,
-    pick_counts,
     primitivity_index,
     simplex_map,
     unimodular_triple,
@@ -151,9 +150,6 @@ class TriangleClass:
     decision_poly: Optional[UnivariatePolynomial] = None
     reduced_factor: Optional[UnivariatePolynomial] = None
     case: str = ""
-
-
-_SPECIAL_DIRS = ((1, 0), (0, 1), (1, -1))
 
 
 def _edge_directions(pts: Sequence[Point]) -> List[Point]:
@@ -512,33 +508,3 @@ def decide_mult3(
         route_log=log,
     )
 
-
-def enumerate_four_point_bodies() -> List[SupportSet]:
-    """All four-point full-dimensional convex supports containing a
-    unimodular triangle, with at most one interior hull point, as normal
-    forms in a deterministic order.
-
-    The Pick bound (boundary 4 - i, interior i <= 1) caps the hull area at
-    3/2, so a bounded scan of the fourth point is exhaustive.
-    """
-    found: Dict[Tuple[Point, ...], SupportSet] = {}
-    simplex = [(0, 0), (1, 0), (0, 1)]
-    for vx in range(-5, 7):
-        for vy in range(-5, 7):
-            v = (vx, vy)
-            if v in simplex:
-                continue
-            S = SupportSet(simplex + [v])
-            hull = convex_hull(S)
-            if hull.dim != 2:
-                continue
-            if not is_convex_support(S):
-                continue
-            interior, boundary = pick_counts(hull)
-            if interior > 1:
-                continue
-            if max(abs(vx), abs(vy)) >= 5:
-                raise AssertionError("scan box for fourth points is too small")
-            canon, _ = normal_form(S)
-            found[canon.sorted_points()] = canon
-    return [found[k] for k in sorted(found)]

@@ -41,6 +41,7 @@ from .errors import (
     VerificationError,
 )
 from .jsonio import (
+    MAX_RETRIES,
     _check_keys,
     certificate_to_json,
     exponents_from_json,
@@ -359,8 +360,8 @@ def main(argv: Optional[list] = None) -> int:
 
 def _run(args) -> int:
     try:
-        if getattr(args, "retries", 1) < 1:
-            raise InputError(f"--retries must be at least 1, got {args.retries}")
+        if not 1 <= getattr(args, "retries", 1) <= MAX_RETRIES:
+            raise InputError(f"--retries must lie in [1, {MAX_RETRIES}], got {args.retries}")
         return args.func(args)
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
 """Constructors for systems with prescribed root multiplicities.
 
 Everything here follows one recipe: realize the target contact order as a
-linear-algebra condition on coefficients, solve it exactly over Q, and hand
-the candidate to the independent verifier before returning it.  A
-constructor never returns unverified output; randomized draws are retried
-up to a budget and failures surface as exceptions with diagnostics.
+linear-algebra condition on coefficients, solve it exactly over Q, and
+re-check the candidate with the verifier before returning it.  The verifier
+expands branches with the same Newton code (``branch_rungs``), so the
+re-check is not independent.  A constructor never returns unverified
+output; randomized draws are retried up to a budget and failures surface as
+exceptions with diagnostics.
 """
 
 from __future__ import annotations

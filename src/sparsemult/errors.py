@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: InputError -> 2,
-HypothesisViolation -> 3, RetryBudgetExhausted -> 4, and
-VerificationError -> 1.
+The CLI maps these onto exit codes: VerificationError -> 1,
+InputError -> 2, HypothesisViolation and ConstructionFailure -> 3, and
+RetryBudgetExhausted -> 4; any other exception is an internal error, 5.
 """
 
 
@@ -36,7 +36,3 @@ class ConstructionFailure(RuntimeError):
     def __init__(self, message, certificate=None):
         super().__init__(message)
         self.certificate = certificate or {}
-
-
-class TruncationInsufficient(RuntimeError):
-    """Internal signal: a series was not computed far enough; retry deeper."""

@@ -91,6 +91,14 @@ MAX_SUPPORT_POINTS = (MAX_SPAN + 1) ** 2
 MAX_EXPONENT = 1000
 MAX_EXPONENTS = 40
 
+# Caps on the CLI's integer options, checked before any work (2-vCPU Xeon,
+# Python 3.11): --retries costs one draw each, about 1.7 s at the cap for a
+# multipoint request that fails every draw; ex10 --n costs about n^2.6,
+# 0.6 s at the cap; triangle-atlas --bound about bound^6, 35 s at the cap.
+MAX_RETRIES = 1000
+MAX_GAP_FAMILY_N = 51
+MAX_TRIANGLE_BOUND = 10
+
 
 def _check_span(points, what: str):
     """Raise unless every axis of the non-empty points keeps the caps; ``what``
@@ -125,13 +133,8 @@ def support_from_json(obj) -> SupportSet:
 
 
 def laurent_to_json(f: LaurentPolynomial) -> dict:
-    terms = []
-    for e, c in sorted(f.terms.items()):
-        if isinstance(c, Fraction):
-            terms.append({"exp": [e[0], e[1]], "coeff": fraction_to_json(c)})
-        else:
-            terms.append({"exp": [e[0], e[1]], "coeff": repr(c)})
-    return {"terms": terms}
+    return {"terms": [{"exp": [e[0], e[1]], "coeff": fraction_to_json(c)}
+                      for e, c in sorted(f.terms.items())]}
 
 
 def laurent_from_json(obj) -> LaurentPolynomial:
@@ -157,12 +160,7 @@ def laurent_from_json(obj) -> LaurentPolynomial:
 
 
 def upoly_to_json(p: UnivariatePolynomial) -> dict:
-    return {
-        "var": p.var,
-        "coeffs": [
-            fraction_to_json(c) if isinstance(c, Fraction) else repr(c) for c in p.coeffs
-        ],
-    }
+    return {"var": p.var, "coeffs": [fraction_to_json(c) for c in p.coeffs]}
 
 
 def point_to_json(p) -> list:

@@ -7,8 +7,8 @@ polygon) and degenerate hulls are ordinary values, not errors.
 
 The operations here are the geometric substrate for everything else:
 hulls, lattice-point enumeration, Minkowski sums, erosions (the set of
-shifts taking one set inside another), normalized 2D mixed volumes, Pick
-counts, and canonical forms under the unimodular affine group.
+shifts taking one set inside another), normalized 2D mixed volumes and
+canonical forms under the unimodular affine group.
 """
 
 from __future__ import annotations
@@ -251,19 +251,6 @@ def erode(P: LatticePolygon, B: SupportSet) -> SupportSet:
     return SupportSet(out)
 
 
-def erode_set(A: SupportSet, B: SupportSet) -> SupportSet:
-    """Finite-set erosion: shifts c with c + B a subset of the finite set A."""
-    if len(A) == 0 or len(B) == 0:
-        raise InputError("erosion with an empty set")
-    out = []
-    b0 = next(iter(B))
-    for a in A:
-        c = (a[0] - b0[0], a[1] - b0[1])
-        if all((c[0] + bx, c[1] + by) in A for bx, by in B):
-            out.append(c)
-    return SupportSet(out)
-
-
 def mixed_volume(P: LatticePolygon, Q: LatticePolygon) -> int:
     """Normalized 2D mixed volume: mv(P, P) equals area2(P).
 
@@ -274,29 +261,6 @@ def mixed_volume(P: LatticePolygon, Q: LatticePolygon) -> int:
     if s % 2 != 0 or s < 0:
         raise AssertionError(f"mixed volume defect {s} is not an even non-negative integer")
     return s // 2
-
-
-def pick_counts(P: LatticePolygon) -> Tuple[int, int]:
-    """Interior and boundary lattice-point counts of a dim-2 polygon.
-
-    Counts are obtained by enumeration; the Pick identity
-    ``area2 == 2*interior + boundary - 2`` is asserted before returning.
-    """
-    if P.dim != 2:
-        raise InputError("pick_counts requires a full-dimensional polygon")
-    boundary = 0
-    interior = 0
-    for p in lattice_points(P):
-        if any(cross(a, b, p) == 0 for a, b in P.edges()):
-            boundary += 1
-        else:
-            interior += 1
-    b_gcd = sum(gcd(abs(b[0] - a[0]), abs(b[1] - a[1])) for a, b in P.edges())
-    if boundary != b_gcd:
-        raise AssertionError("boundary enumeration disagrees with edge gcd count")
-    if area2(P) != 2 * interior + boundary - 2:
-        raise AssertionError("Pick identity failed")
-    return interior, boundary
 
 
 def is_segment(S: SupportSet) -> bool:
@@ -356,10 +320,6 @@ class UnimodularAffineMap:
     @classmethod
     def translation(cls, v: Point) -> "UnimodularAffineMap":
         return cls(((1, 0), (0, 1)), _as_point(v))
-
-    def det(self) -> int:
-        (a, b), (c, d) = self.matrix
-        return a * d - b * c
 
     def apply(self, p) -> Point:
         x, y = _as_point(p)

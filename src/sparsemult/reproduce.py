@@ -42,6 +42,7 @@ from .construct import (
     require_gap_family_n,
 )
 from .errors import InputError
+from .jsonio import MAX_GAP_FAMILY_N, MAX_TRIANGLE_BOUND
 from .lattice import (
     SupportSet,
     convex_hull,
@@ -155,11 +156,15 @@ def scenario_exim(seed: int = DEFAULT_SEED) -> dict:
     return {"scenario": "exim", "checks": checks, "ok": all(c["pass"] for c in checks)}
 
 
-def scenario_ex3(cases=((3, 2, 0), (4, 3, 2), (5, 4, 0)), seed: int = DEFAULT_SEED) -> dict:
+# the (n, k, l) of the line-product systems that ex3 builds
+_EX3_CASES = ((3, 2, 0), (4, 3, 2), (5, 4, 0))
+
+
+def scenario_ex3(seed: int = DEFAULT_SEED) -> dict:
     """Line-product systems: origin multiplicity n*k + l, verified by
     summing vanishing orders along the lines."""
     checks: List[dict] = []
-    for n, k, l in cases:
+    for n, k, l in _EX3_CASES:
         u, v, lines, expected = build_line_product_system(n, k, l, seed=seed)
         got = origin_multiplicity_line_product(lines, v)
         _check(
@@ -175,6 +180,8 @@ def scenario_ex10(n: int = 3, seed: int = DEFAULT_SEED) -> dict:
     """The gap family: all achievable multiplicities realized and verified,
     the odd values above n + 1 obstructed by the positive recursion."""
     require_gap_family_n(n)
+    if n > MAX_GAP_FAMILY_N:
+        raise InputError(f"ex10 needs n <= {MAX_GAP_FAMILY_N}, got {n}")
     checks: List[dict] = []
     achievable = gap_family_achievable_set(n)
     realized = []
@@ -254,8 +261,8 @@ def scenario_triangle_atlas(bound: int = 5) -> dict:
     """Classify every non-degenerate triangle with coordinates in
     [0, bound]^2; check family coverage, orbit consistency and the Hessian
     anchor identities."""
-    if bound < 1:
-        raise InputError(f"triangle-atlas needs bound >= 1, got {bound}")
+    if not 1 <= bound <= MAX_TRIANGLE_BOUND:
+        raise InputError(f"triangle-atlas needs 1 <= bound <= {MAX_TRIANGLE_BOUND}, got {bound}")
     checks: List[dict] = []
     pts_all = [(x, y) for x in range(bound + 1) for y in range(bound + 1)]
     verdict_by_class: Dict[Tuple, str] = {}

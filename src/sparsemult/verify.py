@@ -30,12 +30,14 @@ NON_ISOLATED = "non-isolated"
 
 @dataclass
 class MultiplicityCertificate:
-    """Machine-checkable record of one verification.
+    """Replayable record of one verification.
 
     ``kind`` is one of BranchOrder, DerivativeTable, LineSum and
     RankImpossibility.  ``inputs`` identifies the checked objects;
     ``transcript`` holds the exact data that forces the verdict (leading
     series coefficient, derivative values, per-line orders or determinant).
+    ``replay`` re-runs the same check and compares transcripts: it shows a
+    claim reproducible, not confirmed by an independent method.
     A BranchOrder ``truncation`` is the budget within which the order is
     certified (n0, or the Bernstein bound past it), not the length of the
     expansion it was read from: the order comes from the shortest Newton

@@ -175,5 +175,6 @@ def test_criterion_8_pair_atlas():
     report(8, code == 0 and rep["ok"] and rep["bound"] == 2 and digest == pinned,
            f"{rep['pairs']} support pairs: impossibility coincides with the "
            f"exceptional catalogue; {rep['witnessed']} verified witnesses; "
-           f"{unwitnessed} logged cases where every route certified failure; "
+           f"{unwitnessed} logged cases where every route was inapplicable or "
+           f"certified failure; "
            f"report digest {digest[:12]} (pinned {pinned[:12]})")

@@ -1,5 +1,5 @@
-"""Classification: Hessian identities, triangle verdicts, the pair
-catalogue, and the four-point enumeration."""
+"""Classification: Hessian identities, triangle verdicts and the pair
+catalogue."""
 
 import hashlib
 import itertools
@@ -14,7 +14,6 @@ from sparsemult.algebra import UnivariatePolynomial, factor_out_roots
 from sparsemult.classify import (
     PROJECTIVE_GROUP,
     decide_mult3,
-    enumerate_four_point_bodies,
     hessian_at_one,
     match_exceptional_family,
     theta_poly,
@@ -24,10 +23,8 @@ from sparsemult.errors import InputError
 from sparsemult.lattice import (
     SupportSet,
     UnimodularAffineMap,
-    convex_hull,
     is_segment,
     normal_form,
-    pick_counts,
 )
 from sparsemult.reproduce import _convex_supports_in_box
 from sparsemult.verify import intersection_multiplicity_smooth
@@ -403,36 +400,3 @@ def test_segment_measurement_uses_extents():
     assert match_exceptional_family(A, B) is None
     assert decide_mult3(A, B).verdict == "Achievable"
 
-
-# --- four-point bodies -----------------------------------------------------------------
-
-
-def test_four_point_bodies():
-    bodies = enumerate_four_point_bodies()
-    canon = {b.sorted_points() for b in bodies}
-    sq, _ = normal_form(SQUARE)
-    quad, _ = normal_form(SupportSet([(0, 0), (1, 0), (0, 1), (-1, -1)]))
-    ell, _ = normal_form(SupportSet([(0, 0), (1, 0), (0, 1), (2, 0)]))
-    assert sq.sorted_points() in canon
-    assert quad.sorted_points() in canon
-    assert ell.sorted_points() in canon
-    for b in bodies:
-        interior, _ = pick_counts(convex_hull(b))
-        assert interior <= 1
-
-
-def test_four_point_bodies_closed_under_equivalence():
-    rng = random.Random(45)
-    bodies = enumerate_four_point_bodies()
-    canon = {b.sorted_points() for b in bodies}
-    for b in bodies:
-        for _ in range(10):
-            img = random_map(rng).apply_set(b)
-            c, _ = normal_form(img)
-            assert c.sorted_points() in canon
-
-
-def test_four_point_bodies_deterministic():
-    assert [b.sorted_points() for b in enumerate_four_point_bodies()] == [
-        b.sorted_points() for b in enumerate_four_point_bodies()
-    ]

@@ -1,12 +1,16 @@
-"""The command-line surface: JSON round-trips, exit codes, reproducibility."""
+"""The command-line surface: JSON round-trips, exit codes, reproducibility,
+and the package exports it rests on."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +22,11 @@ from sparsemult.cli import main
 from sparsemult.jsonio import (
     MAX_EXPONENT,
     MAX_EXPONENTS,
+    MAX_GAP_FAMILY_N,
+    MAX_RETRIES,
     MAX_SPAN,
     MAX_SUPPORT_POINTS,
+    MAX_TRIANGLE_BOUND,
     laurent_from_json,
     laurent_to_json,
     support_from_json,
@@ -362,6 +369,10 @@ def test_unreadable_request_and_report_files_exit_2(capsys, tmp_path):
         ["multipoint", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "multiplicities": [1]}),
          "--retries", "0"],
         ["classify", "--json", json.dumps({"A": SQUARE, "B": SQUARE}), "--retries", "-1"],
+        # and budgets past the cap
+        ["construct", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 2}),
+         "--retries", str(MAX_RETRIES + 1)],
+        ["classify", "--json", json.dumps({"A": SQUARE, "B": SQUARE}), "--retries", "1000000000"],
         # reproduce refuses the options a scenario does not read
         ["reproduce", "exim", "--n", "9"],
         ["reproduce", "triangle-atlas", "--seed", "3"],
@@ -369,14 +380,38 @@ def test_unreadable_request_and_report_files_exit_2(capsys, tmp_path):
         # and values outside a scenario's domain, before any work
         ["reproduce", "ex10", "--n", "-3"],
         ["reproduce", "ex10", "--n", "4"],
+        ["reproduce", "ex10", "--n", str(MAX_GAP_FAMILY_N + 2)],
         ["reproduce", "triangle-atlas", "--bound", "-1"],
         ["reproduce", "triangle-atlas", "--bound", "0"],
+        ["reproduce", "triangle-atlas", "--bound", str(MAX_TRIANGLE_BOUND + 1)],
         ["reproduce", "th2-atlas", "--bound", "-1"],
         ["reproduce", "th2-atlas", "--bound", "4"],
     ],
 )
 def test_invalid_options_exit_2(capsys, argv):
     test_invalid_json_values_exit_2(capsys, argv)
+
+
+def test_option_caps_admit_their_boundary(capsys, monkeypatch):
+    # construct runs to a verified system with the largest budget; each
+    # scenario passes its checks and reaches its first unit of work, stubbed
+    # here to stop the run
+    req = json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 2})
+    code, rep = run_cli(capsys, "construct", "--json", req, "--retries", str(MAX_RETRIES))
+    assert code == 0 and rep["system"]["multiplicity"] == 2
+
+    class Reached(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Reached("past the checks")
+
+    monkeypatch.setattr(reproduce, "build_gap_family_member", stop)
+    monkeypatch.setattr(reproduce, "triangle_inflection", stop)
+    for argv in (["reproduce", "ex10", "--n", str(MAX_GAP_FAMILY_N)],
+                 ["reproduce", "triangle-atlas", "--bound", str(MAX_TRIANGLE_BOUND)]):
+        assert main(argv) == 5, argv
+        assert capsys.readouterr().err == "internal error: Reached: past the checks\n"
 
 
 def test_support_caps_admit_their_boundary():
@@ -586,10 +621,12 @@ _reproduce = st.one_of(
     st.builds(lambda name, n: ["reproduce", name, "--n", str(n)],
               st.sampled_from(["exim", "ex3", "triangle-atlas", "th2-atlas"]), st.integers(-9, 9)),
     st.builds(lambda n: ["reproduce", "ex10", "--n", str(n)],
-              st.integers(-9, 2) | st.integers(2, 9).map(lambda k: 2 * k)),
+              st.integers(-9, 2) | st.integers(2, 9).map(lambda k: 2 * k)
+              | st.integers(MAX_GAP_FAMILY_N + 1, 10**9)),
     st.builds(lambda name, b: ["reproduce", name, "--bound", str(b)],
               st.sampled_from(["exim", "ex3", "ex10"]), st.integers(-9, 9)),
-    st.builds(lambda b: ["reproduce", "triangle-atlas", "--bound", str(b)], st.integers(-9, 0)),
+    st.builds(lambda b: ["reproduce", "triangle-atlas", "--bound", str(b)],
+              st.integers(-9, 0) | st.integers(MAX_TRIANGLE_BOUND + 1, 10**9)),
     st.builds(lambda b: ["reproduce", "th2-atlas", "--bound", str(b)],
               st.integers(-9, -1) | st.integers(4, 9)),
     st.builds(lambda v: ["reproduce", "triangle-atlas", "--seed", str(v)], st.integers(-9, 9)),
@@ -611,3 +648,29 @@ def test_random_requests_exit_cleanly(argv):
     assert time.perf_counter() - start < 10
     assert code in range(6), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# --- the package exports -------------------------------------------------------------
+
+
+# exported but reached by no other line of the package, on purpose
+_EXPORT_ALLOW = {
+    # the public single-support form of route ii's line contact, pinned by
+    # tests/golden/line_contact_grid2x3.json
+    "line_contact_construct",
+}
+
+
+def test_every_export_is_used_by_the_package():
+    init = Path(sparsemult.__file__)
+    names = [alias.asname or alias.name for node in ast.parse(init.read_text()).body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    lines = [line for path in sorted(init.parent.glob("*.py")) if path != init
+             for line in path.read_text().splitlines()]
+    unused = []
+    for name in names:
+        used = re.compile(rf"\b{name}\b")
+        defined = re.compile(rf"\s*(def|class)\s+{name}\b|{name}\s*[:=]")
+        if not any(used.search(line) and not defined.match(line) for line in lines):
+            unused.append(name)
+    assert sorted(unused) == sorted(_EXPORT_ALLOW)

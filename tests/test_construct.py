@@ -155,14 +155,10 @@ def test_branch_annihilates_f():
         assert all(c == 0 for c in br.evaluate_poly(f).coeffs)
 
 
-def _naive_branch(f, p, order, prefer="y"):
+def _naive_branch(f, p, order):
     """Reference expansion: every term of f and of its dep-derivative raised
     to its power anew at every Newton step.  Returns (x_series, y_series)."""
-    fx, fy = f.partial("x").evaluate(p), f.partial("y").evaluate(p)
-    if prefer == "y":
-        dep = "y" if fy != 0 else "x"
-    else:
-        dep = "x" if fx != 0 else "y"
+    dep = "y" if f.partial("y").evaluate(p) != 0 else "x"
     free_val, dep_val = (p[0], p[1]) if dep == "y" else (p[1], p[0])
     free_series = TruncatedSeries.from_coeff_map({0: free_val, 1: F(1)}, order)
 
@@ -190,8 +186,9 @@ def _naive_branch(f, p, order, prefer="y"):
     return (free_series, y_cur) if dep == "y" else (y_cur, free_series)
 
 
-def _curve_through(rng, p, xs, ys, nterms):
-    """Random f with exponents drawn from xs x ys, vanishing and smooth at p."""
+def _curve_through(rng, p, xs, ys, nterms, dep="y"):
+    """Random f with exponents drawn from xs x ys, vanishing and smooth at p;
+    with dep="x", df/dy(p) = 0, so the branch solves for x."""
     while True:
         exps = list({(rng.choice(xs), rng.choice(ys)) for _ in range(nterms)})
         f = LaurentPolynomial({e: F(rng.randint(-9, 9), rng.randint(1, 4)) for e in exps})
@@ -202,7 +199,15 @@ def _curve_through(rng, p, xs, ys, nterms):
         if at_e0 == 0:
             continue
         f = f - LaurentPolynomial({e0: f.evaluate(p) / at_e0})
-        if len(f.terms) >= 3 and (f.partial("x").evaluate(p) != 0 or f.partial("y").evaluate(p) != 0):
+        if dep == "x":
+            # h - (h_y / f_y) f vanishes at p with zero y-derivative there
+            h = _curve_through(rng, p, xs, ys, nterms)
+            fy = f.partial("y").evaluate(p)
+            if fy == 0:
+                continue
+            f = h - f * (h.partial("y").evaluate(p) / fy)
+        fx, fy = f.partial("x").evaluate(p), f.partial("y").evaluate(p)
+        if len(f.terms) >= 3 and (fy != 0 if dep == "y" else fx != 0):
             return f
 
 
@@ -226,13 +231,13 @@ def test_branch_kernel_matches_naive_expansion():
     for p, xs, ys in _KERNEL_CASES:
         lo = -2 if min(xs) < 0 or min(ys) < 0 else 0
         monomials = [(a, b) for a in range(lo, 4) for b in range(lo, 4)]
-        f = _curve_through(rng, p, xs, ys, rng.randint(3, 7))
-        if min(e[0] for e in f.terms) < 0 and min(e[1] for e in f.terms) < 0:
-            seen.add("negative exponents in both variables")
-        for prefer in ("x", "y"):
+        for dep in ("x", "y"):
+            f = _curve_through(rng, p, xs, ys, rng.randint(3, 7), dep)
+            if min(e[0] for e in f.terms) < 0 and min(e[1] for e in f.terms) < 0:
+                seen.add("negative exponents in both variables")
             for order in (0, 1, 12, 24):
-                br = branch_series(f, p, order, prefer=prefer)
-                nx, ny = _naive_branch(f, p, order, prefer=prefer)
+                br = branch_series(f, p, order)
+                nx, ny = _naive_branch(f, p, order)
                 assert br.x_series == nx and br.y_series == ny
                 for e in monomials:
                     assert br.monomial_series(e) == nx.int_pow(e[0]) * ny.int_pow(e[1])
@@ -254,12 +259,12 @@ def test_branch_kernel_matches_naive_expansion():
        st.integers(0, 12),
        st.dictionaries(st.tuples(st.integers(-3, 4), st.integers(-3, 4)),
                        st.builds(F, st.integers(-9, 9), st.integers(1, 6)), max_size=7))
-def test_evaluate_poly_matches_products_of_powers(seed, case, prefer, order, gterms):
+def test_evaluate_poly_matches_products_of_powers(seed, case, dep, order, gterms):
     # g along the branch, from the integer power tables, against
     # sum c * x(t)^i * y(t)^j built by TruncatedSeries arithmetic
     p, xs, ys = case
     rng = random.Random(seed)
-    br = branch_series(_curve_through(rng, p, xs, ys, rng.randint(3, 7)), p, order, prefer=prefer)
+    br = branch_series(_curve_through(rng, p, xs, ys, rng.randint(3, 7), dep), p, order)
     if p[0] == 0 or p[1] == 0:
         gterms = {e: c for e, c in gterms.items() if min(e) >= 0}
     g = LaurentPolynomial(gterms)

@@ -21,13 +21,11 @@ from sparsemult.lattice import (
     convex_hull,
     cross,
     erode,
-    erode_set,
     is_segment,
     lattice_points,
     minkowski_sum,
     mixed_volume,
     normal_form,
-    pick_counts,
     primitivity_index,
     simplex_map,
 )
@@ -327,12 +325,6 @@ def test_erosion_sum_containment():
         assert inner.points <= outer.points
 
 
-def test_erode_set_finite():
-    A = SupportSet([(0, 0), (1, 0), (2, 0), (0, 1)])
-    B = SupportSet([(0, 0), (1, 0)])
-    assert erode_set(A, B).sorted_points() == ((0, 0), (1, 0))
-
-
 # --- mixed volume ------------------------------------------------------------
 
 
@@ -367,11 +359,7 @@ def test_mixed_volume_properties():
         assert mixed_volume(MP, MQ) == mixed_volume(P, Q)
 
 
-# --- Pick counts -------------------------------------------------------------
-
-
-def test_pick_unit_square():
-    assert pick_counts(convex_hull(SQUARE)) == (0, 4)
+# --- Pick's theorem --------------------------------------------------------
 
 
 def test_pick_three_simplex():
@@ -380,24 +368,18 @@ def test_pick_three_simplex():
     pts = oracle_points_in_hull([(0, 0), (3, 0), (0, 3)])
     boundary = [p for p in pts if p[0] == 0 or p[1] == 0 or p[0] + p[1] == 3]
     assert (len(pts) - len(boundary), len(boundary)) == (1, 9)
-    assert pick_counts(h) == (1, 9)
-
-
-def test_pick_simplex():
-    assert pick_counts(convex_hull(SIMPLEX)) == (0, 3)
+    assert lattice_points(h).sorted_points() == tuple(pts)
+    assert area2(h) == 2 * 1 + 9 - 2
 
 
 def test_pick_identity_random():
+    # area2 and lattice_points agree by Pick: area2 = 2 i + b - 2, with the
+    # b boundary points counted by edge gcds
     rng = random.Random(10)
     for _ in range(30):
         P = random_polygon(rng)
-        i, b = pick_counts(P)
-        assert area2(P) == 2 * i + b - 2
-
-
-def test_pick_rejects_degenerate():
-    with pytest.raises(InputError):
-        pick_counts(convex_hull(SupportSet([(0, 0), (2, 0)])))
+        b = sum(gcd(abs(v[0] - u[0]), abs(v[1] - u[1])) for u, v in P.edges())
+        assert area2(P) == 2 * (len(lattice_points(P)) - b) + b - 2
 
 
 # --- segments and primitivity ------------------------------------------------

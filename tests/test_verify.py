@@ -278,9 +278,9 @@ def test_rungs_are_prefixes_of_the_full_branch():
     for case in range(30):
         p = points[case % 3]
         f = _smooth_through(rng, p, grids[case % 2], rng.randint(3, 7))
-        n0, prefer = rng.randint(0, 24), rng.choice("xy")
-        full = branch_series(f, p, n0, prefer=prefer)
-        rungs = list(branch_rungs(f, p, n0, prefer=prefer))
+        n0 = rng.randint(0, 24)
+        full = branch_series(f, p, n0)
+        rungs = list(branch_rungs(f, p, n0))
         assert [r.truncation_order for r in rungs] == _rung_precisions(n0)
         for r in rungs:
             k = r.truncation_order
@@ -380,8 +380,8 @@ def test_every_order_is_within_the_bernstein_bound(p, fterms, uterms, k, along, 
 def test_rung_used_for_the_order_is_self_checked(monkeypatch):
     real = verify.branch_rungs
 
-    def corrupted(f, p, order, prefer="y"):
-        for br in real(f, p, order, prefer):
+    def corrupted(f, p, order):
+        for br in real(f, p, order):
             ys = br.y_series.coeffs
             yield BranchParametrization(f, br.base_point, br.free_variable, br.x_series,
                                         TruncatedSeries(ys[:-1] + (ys[-1] + 1,)),
