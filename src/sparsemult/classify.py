@@ -11,7 +11,6 @@ impossible verdict against the exceptional-family catalogue.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -29,8 +28,8 @@ from .construct import (
     ConstructedSystem,
     construct_prescribed,
     construct_univariate,
-    _draw_through_one,
     _line_contact_on,
+    _probe,
 )
 from .errors import (
     ConstructionFailure,
@@ -375,8 +374,9 @@ def _mult3_witness_routes(
         if primitivity_index(X, Y) != 1:
             log.append(f"route i {orient}: inapplicable (sublattice pair)")
             continue
-        # compute_dim_V holds dim V to the erosion by the probe's support, Y
-        probe = _draw_through_one(Y, random.Random(seed))
+        # compute_dim_V holds dim V to the erosion by the probe's support, Y;
+        # the probe is the first curve construct_prescribed draws on Y
+        probe, _ = _probe(Y, seed).draw(0)
         if probe is None:
             d_actual = len(X) - len(erode(convex_hull(X), Y)) - 1
         else:

@@ -7,13 +7,23 @@ expands branches with the same Newton code (``branch_rungs``), so the
 re-check is not independent.  A constructor never returns unverified
 output; randomized draws are retried up to a budget and failures surface as
 exceptions with diagnostics.
+
+The random curve f of ``construct_prescribed`` depends only on its support
+B and the seed, not on A or m, so an atlas draws the same few curves for
+every pair.  A bounded cache of probes, keyed by (B's point set, seed),
+keeps each key's draws, whether each is smooth at (1, 1), and each
+self-checked branch with its power and monomial tables.  That is safe: the
+key fixes everything a probe holds, and every system is still verified from
+scratch before it is returned, by a verifier that never reads the cache.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,6 +36,7 @@ from .algebra import (
     _frac,
 )
 from .branches import (
+    BranchParametrization,
     branch_series,
     compute_dim_V,
     is_multiple_of,
@@ -185,6 +196,66 @@ def _draw_through_one(B: SupportSet, rng: random.Random) -> Optional[LaurentPoly
     return LaurentPolynomial({e: Fraction(c) for e, c in zip(pts, coeffs)})
 
 
+_ONE = (Fraction(1), Fraction(1))
+
+
+class _Probe:
+    """The random curves ``construct_prescribed`` draws on one support B with
+    one seed, and their branches at (1, 1), shared by every A paired with B.
+
+    Draw k is the k-th call of ``_draw_through_one`` on
+    ``random.Random(seed)``, as the retry loop makes them.  No generator is
+    kept (its state is about 2.8 KB): reaching past the drawn prefix replays
+    the stream from the seed, at least doubling the prefix.  A branch is
+    ``branch_series`` of a draw, self-checked there; its lazy power and
+    monomial tables grow with the A's that read it.  They grow in place, so
+    one thread at a time reads or extends a probe.
+    """
+
+    __slots__ = ("support", "seed", "draws", "branches", "lock")
+
+    def __init__(self, support: SupportSet, seed: int):
+        self.support = support
+        self.seed = seed
+        self.draws: List[Tuple[Optional[LaurentPolynomial], bool]] = []
+        self.branches: Dict[Tuple[int, int], BranchParametrization] = {}
+        self.lock = threading.Lock()
+
+    def draw(self, attempt: int) -> Tuple[Optional[LaurentPolynomial], bool]:
+        """Draw number ``attempt`` and whether it is smooth at (1, 1)."""
+        with self.lock:
+            if attempt >= len(self.draws):
+                rng = random.Random(self.seed)
+                fresh = [_draw_through_one(self.support, rng)
+                         for _ in range(max(attempt + 1, 2 * len(self.draws)))]
+                self.draws.extend((f, f is not None and f.gradient(_ONE) != (0, 0))
+                                  for f in fresh[len(self.draws):])
+            return self.draws[attempt]
+
+    def osculating_rows(self, attempt: int, A: SupportSet, order: int) -> List[List[Fraction]]:
+        """``osculating_matrix`` of A along the branch of the smooth draw
+        ``attempt`` through (1, 1), expanded to ``order``."""
+        with self.lock:
+            key = (attempt, order)
+            branch = self.branches.get(key)
+            if branch is None:
+                branch = self.branches[key] = branch_series(self.draws[attempt][0], _ONE, order)
+            return osculating_matrix(A, branch, order)
+
+
+# The th2-atlas draws on the 132 convex supports of the bound-2 box under
+# one seed, so 160 probes keep all of them.  More would only hold memory
+# where the seed changes per call: the criterion-2 sweep draws a fresh seed
+# for every construction and never asks for a probe twice.
+PROBE_CAPACITY = 160
+
+
+@lru_cache(maxsize=PROBE_CAPACITY)
+def _probe(support: SupportSet, seed: int) -> _Probe:
+    """The shared probe of (support, seed): equal point sets share one."""
+    return _Probe(support, seed)
+
+
 def construct_prescribed(
     A: SupportSet,
     B: SupportSet,
@@ -213,14 +284,14 @@ def construct_prescribed(
         raise HypothesisViolation(
             f"m={m} exceeds |A| - 1 = {len(A) - 1}, the largest value D = |A| - dim V - 1 can take")
 
-    rng = random.Random(seed)
-    p = (Fraction(1), Fraction(1))
+    probe = _probe(B, seed)
+    p = _ONE
     diagnostics: List[str] = []
     bound_checks = 0
     bound_failures = 0
     for attempt in range(retries):
-        f = _draw_through_one(B, rng)
-        if f is None or f.gradient(p) == (0, 0):
+        f, smooth = probe.draw(attempt)
+        if not smooth:
             diagnostics.append(f"attempt {attempt}: degenerate draw")
             continue
         dim_v, _bound = compute_dim_V(A, f)
@@ -236,8 +307,7 @@ def construct_prescribed(
             continue
         try:
             # rows 0..m of the osculating matrix are exact from order m on
-            branch = branch_series(f, p, m)
-            rows = osculating_matrix(A, branch, m)
+            rows = probe.osculating_rows(attempt, A, m)
         except InputError as exc:
             diagnostics.append(f"attempt {attempt}: {exc}")
             continue
@@ -357,7 +427,9 @@ def construct_multipoint(
             for pt, mi in zip(points, ms):
                 o = intersection_multiplicity_smooth(f, g, pt)
                 if not isinstance(o, int) or o < mi:
-                    shortfalls.append(f"order {o} at {pt}, wanted >= {mi}")
+                    # p/q, as the reports write a rational
+                    at = ", ".join(f"{c.numerator}/{c.denominator}" for c in pt)
+                    shortfalls.append(f"order {o} at ({at}), wanted >= {mi}")
                     break
                 observed.append(o)
             else:

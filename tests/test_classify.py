@@ -3,6 +3,7 @@ catalogue."""
 
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsemult import construct
 from sparsemult.algebra import UnivariatePolynomial, factor_out_roots
 from sparsemult.classify import (
     PROJECTIVE_GROUP,
@@ -20,6 +22,7 @@ from sparsemult.classify import (
     triangle_inflection,
 )
 from sparsemult.errors import InputError
+from sparsemult.jsonio import _value_to_json, system_to_json
 from sparsemult.lattice import (
     SupportSet,
     UnimodularAffineMap,
@@ -391,6 +394,34 @@ def test_decide_inflection_quad_logged():
     assert all(
         "inapplicable" in line or "certified failure" in line for line in rep.route_log
     )
+
+
+def _canonical_mult3(A, B):
+    rep = decide_mult3(A, B)
+    w = rep.construction
+    return json.dumps({
+        "mixed_volume": rep.mixed_volume, "verdict": rep.verdict,
+        "family": _value_to_json(rep.family), "route": rep.route, "route_log": rep.route_log,
+        "construction": None if w is None else [system_to_json(w), w.retries_used],
+    }, sort_keys=True)
+
+
+def test_decide_same_on_cold_and_warm_probe_cache():
+    # route i draws its probe curve from the cache that construct_prescribed
+    # fills; no order of earlier pairs may change a report
+    pairs = random.Random(8).sample(
+        list(itertools.combinations_with_replacement(_convex_supports_in_box(2), 2)), 200)
+    cold = []
+    for A, B in pairs:
+        construct._probe.cache_clear()
+        cold.append(_canonical_mult3(A, B))
+    order = list(range(len(pairs)))
+    random.Random(9).shuffle(order)
+    shuffled = {i: _canonical_mult3(*pairs[i]) for i in order}
+    assert [shuffled[i] for i in range(len(pairs))] == cold
+    assert [_canonical_mult3(A, B) for A, B in pairs] == cold
+    assert sum("route i" in line and "witness found" in line for c in cold
+               for line in json.loads(c)["route_log"]) >= 50
 
 
 def test_segment_measurement_uses_extents():

@@ -111,6 +111,20 @@ def test_multipoint_points_on_a_line_of_f(capsys, tmp_path):
     assert code2 == 0 and rep2["verified"] is True
 
 
+def test_multipoint_diagnostics_write_points_as_rationals(capsys):
+    # on every attempt the first kernel curve that is not a multiple of f
+    # shares a component with f through a chosen point, so each attempt logs
+    # a non-isolated order there
+    A = {"points": [[0, 0], [3, 0], [0, 3], [1, 1]]}
+    req = json.dumps({"A": A, "B": SQUARE, "multiplicities": [2, 1]})
+    code = main(["multipoint", "--json", req, "--retries", "50"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.count("  attempt ") == 50
+    assert "Fraction(" not in err
+    assert "attempt 0: order non-isolated at (1/1, 1/1), wanted >= 2" in err
+
+
 def test_verify_reads_multipoint_output(capsys, tmp_path):
     # multipoint --output mp.json, then verify --input mp.json
     out = tmp_path / "mp.json"

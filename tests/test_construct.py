@@ -1,7 +1,10 @@
 """Constructors: univariate sparse roots, osculants, line contact, and the
 worked families.  Every derived value is recomputed by an oracle in-test."""
 
+import json
 import random
+import sys
+import threading
 from fractions import Fraction as F
 from math import factorial, prod
 from operator import mul
@@ -18,6 +21,7 @@ from sparsemult.algebra import (
     poly_kernel_basis,
     rank,
 )
+from sparsemult import construct
 from sparsemult.branches import branch_series, compute_dim_V, osculating_matrix
 from sparsemult.construct import (
     ImpossibilityCertificate,
@@ -37,8 +41,17 @@ from sparsemult.errors import (
     ConstructionFailure,
     HypothesisViolation,
     InputError,
+    RetryBudgetExhausted,
 )
-from sparsemult.lattice import SupportSet, convex_hull, lattice_points
+from sparsemult.jsonio import system_to_json
+from sparsemult.lattice import (
+    SupportSet,
+    convex_hull,
+    erode,
+    is_segment,
+    lattice_points,
+    primitivity_index,
+)
 from sparsemult.verify import (
     intersection_multiplicity_smooth,
     segment_product_multiplicity,
@@ -434,6 +447,131 @@ def test_prescribed_rank_chain():
     br = branch_series(system.f, system.point, 2 + len(SQUARE) + 4)
     rows = osculating_matrix(SQUARE, br, 2)
     assert [rank(rows[:i]) for i in range(1, 4)] == [1, 2, 3]
+
+
+# --- the probe cache ----------------------------------------------------------------
+
+
+def _criterion_2_ops(pairs):
+    """The first support pairs of acceptance criterion 2, every order from 1 to
+    one past the pairing bound, under two seeds per pair, so that orders of a
+    pair share their draws and one support is drawn on under two seeds."""
+    rng = random.Random(616)
+    ops = []
+    while pairs:
+        na, nb = rng.randint(3, 8), rng.randint(3, 8)
+        A = SupportSet({(rng.randrange(6), rng.randrange(6)) for _ in range(na)})
+        B = SupportSet({(rng.randrange(6), rng.randrange(6)) for _ in range(nb)})
+        if is_segment(A) or is_segment(B) or primitivity_index(A, B) != 1:
+            continue
+        d = len(A) - len(erode(convex_hull(A), B)) - 1
+        if d < 1:
+            continue
+        pairs -= 1
+        ops.extend((A, B, m, 2 * pairs + m % 2) for m in range(1, d + 2))
+    return ops
+
+
+def _prescribed_outcome(op):
+    """Canonical JSON of the system, or the class and text of the failure."""
+    A, B, m, seed = op
+    try:
+        s = construct_prescribed(A, B, m, seed=seed)
+    except (HypothesisViolation, RetryBudgetExhausted) as exc:
+        return f"{type(exc).__name__}: {exc} {getattr(exc, 'diagnostics', '')}"
+    return json.dumps([system_to_json(s), s.retries_used], sort_keys=True)
+
+
+def test_probe_replays_the_draw_stream():
+    B = SupportSet([(0, 0), (2, 0), (0, 1), (1, 2), (2, 2)])
+    rng = random.Random(99)
+    stream = [_draw_through_one(B, rng) for _ in range(12)]
+    probe = construct._Probe(B, 99)
+    for k in (0, 3, 1, 11, 6):  # past the prefix, then inside it
+        f, smooth = probe.draw(k)
+        assert f == stream[k]
+        assert smooth == (f is not None and f.gradient((F(1), F(1))) != (0, 0))
+
+
+def test_prescribed_same_on_cold_and_warm_probe_cache():
+    ops = _criterion_2_ops(25)
+    cold = []
+    for op in ops:
+        construct._probe.cache_clear()
+        cold.append(_prescribed_outcome(op))
+    order = list(range(len(ops)))
+    random.Random(3).shuffle(order)
+    shuffled = {i: _prescribed_outcome(ops[i]) for i in order}
+    assert [shuffled[i] for i in range(len(ops))] == cold
+    assert [_prescribed_outcome(op) for op in ops] == cold
+    assert construct._probe.cache_info().hits > len(ops)
+
+
+def test_warm_probe_cache_still_verifies_every_system(monkeypatch):
+    ops, systems = [], []
+    for A, B, m, seed in _criterion_2_ops(10):
+        try:
+            systems.append(construct_prescribed(A, B, m, seed=seed))
+        except (HypothesisViolation, RetryBudgetExhausted):
+            continue
+        ops.append((A, B, m, seed))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return intersection_multiplicity_smooth(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "intersection_multiplicity_smooth", counted)
+    hits = construct._probe.cache_info().hits
+    for (A, B, m, seed), s in zip(ops, systems):
+        before = len(calls)
+        again = construct_prescribed(A, B, m, seed=seed)
+        assert system_to_json(again) == system_to_json(s)
+        assert len(calls) == before + 1 and calls[-1][:2] == (again.f, again.g)
+    assert construct._probe.cache_info().hits == hits + len(ops)
+
+
+def test_probe_shared_by_threads_gives_the_same_systems():
+    # threads that grow one probe's power tables at once: an append computed
+    # from a stale table end would shift every higher power
+    A = lattice_points(convex_hull(SupportSet([(0, 0), (10, 0), (0, 10)])))
+    short = lattice_points(convex_hull(SupportSet([(0, 0), (3, 0), (0, 3)])))
+    construct._probe.cache_clear()
+    expected = system_to_json(construct_prescribed(A, SQUARE, 6, seed=1))
+    results = []
+
+    def work(barrier):
+        barrier.wait(10)
+        results.append(system_to_json(construct_prescribed(A, SQUARE, 6, seed=1)))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(12):
+            construct._probe.cache_clear()
+            construct_prescribed(short, SQUARE, 6, seed=1)  # the branch, with short tables
+            barrier = threading.Barrier(8)
+            threads = [threading.Thread(target=work, args=(barrier,)) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(results) == 96 and all(r == expected for r in results)
+
+
+def test_probe_cache_keeps_at_most_its_capacity():
+    cap = construct.PROBE_CAPACITY
+    assert construct._probe.cache_info().maxsize == cap
+    for seed in range(cap + 20):
+        construct_prescribed(SQUARE, SIMPLEX, 1, seed=seed)
+        assert construct._probe.cache_info().currsize <= cap
+    assert construct._probe.cache_info().currsize == cap
+    misses = construct._probe.cache_info().misses
+    construct_prescribed(SQUARE, SIMPLEX, 1, seed=0)  # the oldest, evicted
+    assert construct._probe.cache_info().misses == misses + 1
 
 
 # --- multipoint -------------------------------------------------------------------
