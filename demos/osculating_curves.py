@@ -10,15 +10,15 @@ The verifier then recomputes each order from scratch.
 from sparsemult import (
     SupportSet,
     construct_prescribed,
+    contact_bound,
     convex_hull,
-    erode,
     intersection_multiplicity_smooth,
     lattice_points,
 )
 
 A = lattice_points(convex_hull(SupportSet([(0, 0), (2, 0), (0, 2)])))
 B = SupportSet([(0, 0), (1, 0), (0, 1)])
-bound = len(A) - len(erode(convex_hull(A), B)) - 1
+bound = contact_bound(A, B, None)  # the erosion estimate, which convex A meets
 print(f"A = lattice points of a doubled simplex ({len(A)} points)")
 print(f"B = the unit simplex; contact bound D = {bound}\n")
 

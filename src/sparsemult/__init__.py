@@ -61,6 +61,7 @@ from .construct import (
     construct_multipoint,
     construct_prescribed,
     construct_univariate,
+    contact_bound,
     gap_family_achievable_set,
     gap_family_phi,
     gap_family_supports,

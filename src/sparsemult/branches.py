@@ -235,6 +235,27 @@ def osculating_matrix(A: SupportSet, branch: BranchParametrization, m: int) -> L
     return [[s.coefficient(i) for s in series] for i in range(m + 1)]
 
 
+def _product_rows(
+    C: SupportSet, f: LaurentPolynomial, skip
+) -> Tuple[Dict[Tuple[int, int], int], List[List[Fraction]]]:
+    """The linear map c -> c*f on coefficient vectors c over
+    ``C.sorted_points()``: one row per exponent of c*f not in ``skip``, in
+    the order first met, and the row index of each such exponent."""
+    cvec = C.sorted_points()
+    index: Dict[Tuple[int, int], int] = {}
+    rows: List[List[Fraction]] = []
+    for ci, c in enumerate(cvec):
+        for b, coeff in f.terms.items():
+            e = (c[0] + b[0], c[1] + b[1])
+            if e in skip:
+                continue
+            if e not in index:
+                index[e] = len(rows)
+                rows.append([Fraction(0)] * len(cvec))
+            rows[index[e]][ci] += _frac(coeff)
+    return index, rows
+
+
 def compute_dim_V(A: SupportSet, f: LaurentPolynomial) -> Tuple[int, int]:
     """Dimension of { g supported in A : g is a Laurent-polynomial multiple of f }.
 
@@ -246,26 +267,11 @@ def compute_dim_V(A: SupportSet, f: LaurentPolynomial) -> Tuple[int, int]:
     """
     if f.is_zero():
         raise InputError("zero polynomial")
-    B = f.support()
-    hull = convex_hull(A)
-    C = erode(hull, B)
+    C = erode(convex_hull(A), f.support())
     bound = len(C)
     if bound == 0:
         return 0, 0
-    cvec = C.sorted_points()
-    Aset = A.points
-    constraints_idx: Dict[Tuple[int, int], int] = {}
-    rows: List[List[Fraction]] = []
-    for ci, c in enumerate(cvec):
-        for b, coeff in f.terms.items():
-            e = (c[0] + b[0], c[1] + b[1])
-            if e in Aset:
-                continue
-            if e not in constraints_idx:
-                constraints_idx[e] = len(rows)
-                rows.append([Fraction(0)] * len(cvec))
-            rows[constraints_idx[e]][ci] += _frac(coeff)
-    dim = bound - rank(rows)
+    dim = bound - rank(_product_rows(C, f, A.points)[1])
     if dim > bound:
         raise AssertionError("dimension exceeded its erosion bound")
     if dim != bound and is_convex_support(A):
@@ -277,32 +283,19 @@ def multiple_witness(g: LaurentPolynomial, f: LaurentPolynomial) -> Optional[Lau
     """The Laurent cofactor c with g = c*f, or None if g is not a multiple."""
     if g.is_zero():
         return LaurentPolynomial({})
-    hull = convex_hull(g.support())
-    C = erode(hull, f.support())
+    C = erode(convex_hull(g.support()), f.support())
     if len(C) == 0:
         return None
-    cvec = C.sorted_points()
-    exps: Dict[Tuple[int, int], int] = {}
-    for c in cvec:
-        for b in f.terms:
-            e = (c[0] + b[0], c[1] + b[1])
-            if e not in exps:
-                exps[e] = len(exps)
-    for e in g.terms:
-        if e not in exps:
-            return None
-    rows = [[Fraction(0)] * len(cvec) for _ in exps]
+    exps, rows = _product_rows(C, f, ())
+    if any(e not in exps for e in g.terms):
+        return None
     rhs = [Fraction(0)] * len(exps)
-    for ci, c in enumerate(cvec):
-        for b, coeff in f.terms.items():
-            e = (c[0] + b[0], c[1] + b[1])
-            rows[exps[e]][ci] += _frac(coeff)
     for e, coeff in g.terms.items():
         rhs[exps[e]] = _frac(coeff)
     sol = solve_linear(rows, rhs)
     if sol is None:
         return None
-    c = LaurentPolynomial({cv: s for cv, s in zip(cvec, sol)})
+    c = LaurentPolynomial({cv: s for cv, s in zip(C.sorted_points(), sol)})
     if (c * f - g).is_zero():
         return c
     return None

@@ -21,15 +21,15 @@ from .algebra import (
     UnivariatePolynomial,
     factor_out_roots,
 )
-from .branches import compute_dim_V
 from .construct import (
     DEFAULT_SEED,
     RETRY_BUDGET,
     ConstructedSystem,
+    contact_bound,
     construct_prescribed,
     construct_univariate,
+    probe_curve,
     _line_contact_on,
-    _probe,
 )
 from .errors import (
     ConstructionFailure,
@@ -44,7 +44,6 @@ from .lattice import (
     area2,
     convex_hull,
     cross,
-    erode,
     is_convex_support,
     is_segment,
     mixed_volume,
@@ -364,6 +363,8 @@ def _mult3_witness_routes(
     line (the line living in whichever support holds a unimodular triangle),
     and the univariate route for segment pairs.  The log records, for every
     applicable route, either success or the exact reason it cannot work.
+    Route i calls ``construct_prescribed`` only when ``contact_bound`` on
+    its draw 0 (kept for the constructor's first check) allows D >= 3.
     """
     log: List[str] = []
 
@@ -374,15 +375,9 @@ def _mult3_witness_routes(
         if primitivity_index(X, Y) != 1:
             log.append(f"route i {orient}: inapplicable (sublattice pair)")
             continue
-        # compute_dim_V holds dim V to the erosion by the probe's support, Y;
-        # the probe is the first curve construct_prescribed draws on Y
-        probe, _ = _probe(Y, seed).draw(0)
-        if probe is None:
-            d_actual = len(X) - len(erode(convex_hull(X), Y)) - 1
-        else:
-            d_actual = len(X) - compute_dim_V(X, probe)[0] - 1
-        if d_actual < 3:
-            log.append(f"route i {orient}: inapplicable (contact bound D={d_actual} < 3)")
+        d = contact_bound(X, Y, probe_curve(Y, seed, 0))
+        if d < 3:
+            log.append(f"route i {orient}: inapplicable (contact bound D={d} < 3)")
             continue
         try:
             system = construct_prescribed(X, Y, 3, seed=seed, retries=retries)

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .branches import compute_dim_V
 from .classify import decide_mult3, triangle_inflection
 from .construct import (
     DEFAULT_SEED,
@@ -31,7 +30,8 @@ from .construct import (
     construct_multipoint,
     construct_prescribed,
     construct_univariate,
-    _draw_through_one,
+    contact_bound,
+    probe_curve,
 )
 from .errors import (
     ConstructionFailure,
@@ -57,7 +57,7 @@ from .jsonio import (
     upoly_to_json,
     _value_to_json,
 )
-from .lattice import convex_hull, erode, mixed_volume
+from .lattice import convex_hull, mixed_volume
 from .reproduce import SCENARIOS, run_scenario
 from .verify import (
     NON_ISOLATED,
@@ -112,28 +112,17 @@ def cmd_bounds(args) -> int:
     require_keys(req, ["A", "B"], "bounds request")
     A = support_from_json(req["A"])
     B = support_from_json(req["B"])
-    hull = convex_hull(A)
-    ero = erode(hull, B)
-    d_est = len(A) - len(ero) - 1
-    import random
-
-    rng = random.Random(args.seed)
-    probe = None
-    for _ in range(RETRY_BUDGET):
-        probe = _draw_through_one(B, rng)
-        if probe is not None:
-            break
-    d_refined = d_est
-    if probe is not None:
-        dim_v, _ = compute_dim_V(A, probe)
-        d_refined = len(A) - dim_v - 1
-    mv = mixed_volume(hull, convex_hull(B))
+    d_est = contact_bound(A, B, None)
+    # refined along the first non-degenerate draw of construct_prescribed on B
+    draws = (probe_curve(B, args.seed, k) for k in range(RETRY_BUDGET))
+    d_refined = contact_bound(A, B, next((f for f in draws if f is not None), None))
+    mv = mixed_volume(convex_hull(A), convex_hull(B))
     _emit(
         args,
         {
             "request": {"command": "bounds", "A": support_to_json(A), "B": support_to_json(B)},
             "A_size": len(A),
-            "erosion_size": len(ero),
+            "erosion_size": len(A) - d_est - 1,
             "D_estimate": d_est,
             "D_refined": d_refined,
             "mixed_volume": mv,
@@ -255,30 +244,16 @@ def cmd_univariate(args) -> int:
     exponents = exponents_from_json(req["exponents"])
     l = int_from_json(req["l"], "l")
     result = construct_univariate(exponents, l)
+    request = {"command": "univariate", "exponents": exponents, "l": l}
     if isinstance(result, ImpossibilityCertificate):
-        _emit(
-            args,
-            {
-                "request": {"command": "univariate", "exponents": exponents, "l": l},
-                "outcome": "impossible",
-                "certificate": {"kind": result.kind,
-                                "transcript": _value_to_json(result.transcript)},
-            },
-        )
+        _emit(args, {"request": request, "outcome": "impossible",
+                     "certificate": {"kind": result.kind,
+                                     "transcript": _value_to_json(result.transcript)}})
         return EXIT_OK
     mult, cert = univariate_multiplicity(result, Fraction(1), with_certificate=True)
-    ok = mult == l
-    _emit(
-        args,
-        {
-            "request": {"command": "univariate", "exponents": exponents, "l": l},
-            "outcome": "constructed",
-            "polynomial": upoly_to_json(result),
-            "verified_multiplicity": mult,
-            "certificate": certificate_to_json(cert),
-        },
-    )
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    _emit(args, {"request": request, "outcome": "constructed", "polynomial": upoly_to_json(result),
+                 "verified_multiplicity": mult, "certificate": certificate_to_json(cert)})
+    return EXIT_OK if mult == l else EXIT_VERIFICATION
 
 
 def cmd_reproduce(args) -> int:

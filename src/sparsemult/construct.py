@@ -33,7 +33,6 @@ from .algebra import (
     kernel_basis,
     poly_kernel_basis,
     rational_roots,
-    _frac,
 )
 from .branches import (
     BranchParametrization,
@@ -51,6 +50,8 @@ from .errors import (
 from .lattice import (
     SupportSet,
     UnimodularAffineMap,
+    convex_hull,
+    erode,
     is_convex_support,
     is_segment,
     primitivity_index,
@@ -100,19 +101,11 @@ class ImpossibilityCertificate:
 # univariate sparse polynomials (one variable, prescribed exponents)
 
 
-def _power_rows(exponents: Sequence[int], nrows: int) -> List[List[Fraction]]:
-    return [[Fraction(a) ** j for a in exponents] for j in range(nrows)]
-
-
 def _repair_full_support(
     v: List[Fraction], basis: List[List[Fraction]], residual_row: List[Fraction]
 ) -> List[Fraction]:
     """Make every coordinate non-zero by adding other kernel vectors,
     keeping the residual against ``residual_row`` non-zero."""
-
-    def residual(w):
-        return sum(r * c for r, c in zip(residual_row, w))
-
     for idx in range(len(v)):
         if v[idx] != 0:
             continue
@@ -124,7 +117,7 @@ def _repair_full_support(
             if all(c != 0 for c in cand) or (
                 cand[idx] != 0 and all(c != 0 for i, c in enumerate(cand) if v[i] != 0 or i == idx)
             ):
-                if residual(cand) != 0:
+                if sum(map(mul, residual_row, cand)):
                     v = cand
                     break
     return v
@@ -160,14 +153,9 @@ def construct_univariate(exponents: Sequence[int], l: int):
                 "coefficient vector satisfies k vanishing conditions at t = 1",
             },
         )
-    rows = _power_rows(exps, l)
+    *rows, residual_row = [[Fraction(a) ** j for a in exps] for j in range(l + 1)]
     basis = kernel_basis(rows, ncols=k)
-    residual_row = [Fraction(a) ** l for a in exps]
-
-    def residual(w):
-        return sum(r * c for r, c in zip(residual_row, w))
-
-    chosen = next((b for b in basis if residual(b) != 0), None)
+    chosen = next((b for b in basis if sum(map(mul, residual_row, b))), None)
     if chosen is None:
         raise AssertionError("rank of the power matrix must grow at row l")
     chosen = _repair_full_support(list(chosen), basis, residual_row)
@@ -256,6 +244,39 @@ def _probe(support: SupportSet, seed: int) -> _Probe:
     return _Probe(support, seed)
 
 
+def probe_curve(B: SupportSet, seed: int, attempt: int) -> Optional[LaurentPolynomial]:
+    """Draw number ``attempt`` of ``construct_prescribed`` on B under ``seed``,
+    or None when that draw is degenerate (a zero coefficient)."""
+    return _probe(B, seed).draw(attempt)[0]
+
+
+@lru_cache(maxsize=1)
+def _dim_V(A: SupportSet, f: LaurentPolynomial, kernel) -> int:
+    """dim V by ``kernel``, kept for the next call: route i checks D on draw
+    0 just before ``construct_prescribed`` checks the same (A, f).  A counter
+    that rebinds ``compute_dim_V`` changes the key, so it sees every call."""
+    return kernel(A, f)[0]
+
+
+def contact_bound(A: SupportSet, B: SupportSet, f: Optional[LaurentPolynomial]) -> int:
+    """D = |A| - dim V - 1 along the curve f on B, V the multiples of f
+    supported in A: they lie in the kernel of every osculating row, so rows
+    0..m reach rank m + 1 only for m <= D.  Without a curve (a degenerate
+    draw) D is the erosion estimate |A| - |erode(conv A, B)| - 1, which
+    dim V meets when A is convex."""
+    if f is None:
+        return len(A) - len(erode(convex_hull(A), B)) - 1
+    return len(A) - _dim_V(A, f, compute_dim_V) - 1
+
+
+def _require_pairing(A: SupportSet, B: SupportSet) -> None:
+    """Neither support on a segment, and primitivity index 1."""
+    if is_segment(A) or is_segment(B):
+        raise HypothesisViolation("both supports must be full-dimensional (not segments)")
+    if primitivity_index(A, B) != 1:
+        raise HypothesisViolation("supports must not fit in a common proper sublattice")
+
+
 def construct_prescribed(
     A: SupportSet,
     B: SupportSet,
@@ -267,17 +288,15 @@ def construct_prescribed(
     with local intersection multiplicity exactly m at (1, 1).
 
     Requires the pairing hypotheses: neither support on a segment and
-    primitivity index 1.  m may not exceed D = |A| - dim V - 1 for the drawn
-    curve; for convex A that is |A| - |erode(conv A, B)| - 1 on every draw,
-    so the first draw past it raises HypothesisViolation.  A draw is kept
-    when the kernel of osculating rows 0..m-1 has |A| - m vectors and one of
-    them is non-zero on row m; the first such vector is g.  The returned
-    order is re-verified from scratch by the verifier.
+    primitivity index 1.  Each smooth draw f is checked against its own
+    ``contact_bound`` D = |A| - dim V - 1, and skipped when m > D; for
+    convex A that is |A| - |erode(conv A, B)| - 1 on every draw, so the
+    first draw past it raises HypothesisViolation.  A draw is kept when the
+    kernel of osculating rows 0..m-1 has |A| - m vectors and one of them is
+    non-zero on row m; the first such vector is g.  The returned order is
+    re-verified from scratch by the verifier.
     """
-    if is_segment(A) or is_segment(B):
-        raise HypothesisViolation("both supports must be full-dimensional (not segments)")
-    if primitivity_index(A, B) != 1:
-        raise HypothesisViolation("supports must not fit in a common proper sublattice")
+    _require_pairing(A, B)
     if m < 0:
         raise InputError("multiplicity must be non-negative")
     if m > len(A) - 1:
@@ -294,8 +313,7 @@ def construct_prescribed(
         if not smooth:
             diagnostics.append(f"attempt {attempt}: degenerate draw")
             continue
-        dim_v, _bound = compute_dim_V(A, f)
-        D = len(A) - dim_v - 1
+        D = contact_bound(A, B, f)
         bound_checks += 1
         if m > D:
             if is_convex_support(A):
@@ -344,6 +362,17 @@ def construct_prescribed(
     )
 
 
+def _forces_the_line(A: SupportSet, B: SupportSet, ms: Sequence[int]) -> bool:
+    """Whether every pair the multipoint loop can build shares y - 1.  By
+    Descartes' rule a k-term polynomial has at most k - 1 positive roots with
+    multiplicity.  With at most l = len(ms) x-exponents in B, f(x, 1)
+    vanishes at the l points on y = 1, so y - 1 divides f, and f smooth there
+    meets g to the orders of g(x, 1)'s roots; with at most sum(ms)
+    x-exponents in A they reach sum(ms) only if g(x, 1) = 0 too."""
+    return (len({x for x, _ in B.points}) <= len(ms)
+            and len({x for x, _ in A.points}) <= sum(ms))
+
+
 def construct_multipoint(
     A: SupportSet,
     B: SupportSet,
@@ -354,15 +383,13 @@ def construct_multipoint(
     """One curve supported at A meeting a random curve supported at B with
     multiplicity at least m_i at the i-th of several distinct points.
 
-    The guarantee is "at least": per-point exactness is not promised.
+    The guarantee is "at least": per-point exactness is not promised.  The
+    points lie on y = 1; ``_forces_the_line`` screens requests before any draw.
     """
     ms = [int(m) for m in multiplicities]
     if any(m < 0 for m in ms) or not ms:
         raise InputError("multiplicities must be non-negative and non-empty")
-    if is_segment(A) or is_segment(B):
-        raise HypothesisViolation("both supports must be full-dimensional (not segments)")
-    if primitivity_index(A, B) != 1:
-        raise HypothesisViolation("supports must not fit in a common proper sublattice")
+    _require_pairing(A, B)
     l = len(ms)
     if l >= len(B):
         raise HypothesisViolation("need fewer points than |B| to pass a curve through them")
@@ -370,6 +397,10 @@ def construct_multipoint(
         raise HypothesisViolation(
             f"sum(m)={sum(ms)} exceeds |A| - 1 = {len(A) - 1}, "
             "the largest value D = |A| - dim V - 1 can take")
+    if _forces_the_line(A, B, ms):
+        raise HypothesisViolation(
+            f"every curve on B through {l} points of y = 1 contains that line, and so would "
+            f"every curve on A meeting it to a total order of {sum(ms)} there")
 
     rng = random.Random(seed)
     diagnostics: List[str] = []
@@ -377,9 +408,7 @@ def construct_multipoint(
     for attempt in range(retries):
         points = [(Fraction(1 + i + abscissa_shift), Fraction(1)) for i in range(l)]
         Bpts = B.sorted_points()
-        eval_rows = [
-            [_frac(pt[0]) ** e[0] * _frac(pt[1]) ** e[1] for e in Bpts] for pt in points
-        ]
+        eval_rows = [[pt[0] ** e[0] * pt[1] ** e[1] for e in Bpts] for pt in points]
         fbasis = kernel_basis(eval_rows, ncols=len(Bpts))
         if not fbasis:
             abscissa_shift += 1
@@ -397,22 +426,15 @@ def construct_multipoint(
             diagnostics.append(f"attempt {attempt}: singular at a chosen point")
             abscissa_shift += 1
             continue
-        dim_v, _ = compute_dim_V(A, f)
-        D = len(A) - dim_v - 1
+        D = contact_bound(A, B, f)
         if sum(ms) > D:
             diagnostics.append(f"attempt {attempt}: sum(m)={sum(ms)} exceeds D={D}")
             continue
-        stacked: List[List[Fraction]] = []
-        ok = True
-        for pt, mi in zip(points, ms):
-            try:
-                branch = branch_series(f, pt, mi)
-                stacked.extend(osculating_matrix(A, branch, mi)[:mi])
-            except InputError as exc:
-                diagnostics.append(f"attempt {attempt}: {exc}")
-                ok = False
-                break
-        if not ok:
+        try:
+            stacked = [row for pt, mi in zip(points, ms)
+                       for row in osculating_matrix(A, branch_series(f, pt, mi), mi)[:mi]]
+        except InputError as exc:
+            diagnostics.append(f"attempt {attempt}: {exc}")
             continue
         gbasis = kernel_basis(stacked, ncols=len(A))
         # every kernel vector meets f to the orders asked for, but one that

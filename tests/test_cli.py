@@ -111,10 +111,12 @@ def test_multipoint_points_on_a_line_of_f(capsys, tmp_path):
     assert code2 == 0 and rep2["verified"] is True
 
 
-def test_multipoint_diagnostics_write_points_as_rationals(capsys):
+def test_multipoint_diagnostics_write_points_as_rationals(capsys, monkeypatch):
     # on every attempt the first kernel curve that is not a multiple of f
     # shares a component with f through a chosen point, so each attempt logs
-    # a non-isolated order there
+    # a non-isolated order there; the Descartes rule, which stops this
+    # request before any draw, is switched off to reach those diagnostics
+    monkeypatch.setattr(construct, "_forces_the_line", lambda A, B, ms: False)
     A = {"points": [[0, 0], [3, 0], [0, 3], [1, 1]]}
     req = json.dumps({"A": A, "B": SQUARE, "multiplicities": [2, 1]})
     code = main(["multipoint", "--json", req, "--retries", "50"])
@@ -458,6 +460,24 @@ def test_unreachable_multiplicity_exits_3_before_any_draw(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("hypothesis violation:") and "|A| - 1 = 3" in captured.err
+
+
+def test_multipoint_forced_onto_the_line_exits_3_before_any_draw(capsys, monkeypatch):
+    # every curve on the square through two points of y = 1 contains that
+    # line (two x-exponents), and g(x, 1) has three terms, too few for the
+    # three roots [2, 1] asks for, so g would contain the line as well
+    def no_work(*args, **kwargs):
+        raise AssertionError("a curve was drawn")
+
+    monkeypatch.setattr(construct, "kernel_basis", no_work)
+    A = {"points": [[0, 0], [3, 0], [0, 3], [1, 1]]}
+    req = json.dumps({"A": A, "B": SQUARE, "multiplicities": [2, 1]})
+    code = main(["multipoint", "--json", req, "--retries", "1000"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (
+        "hypothesis violation: every curve on B through 2 points of y = 1 contains that "
+        "line, and so would every curve on A meeting it to a total order of 3 there\n")
 
 
 def test_unreachable_multiplicity_of_a_convex_support_exits_3_after_one_draw(capsys, monkeypatch):

@@ -602,6 +602,29 @@ def test_multipoint_full_budget():
     assert all(o >= m for o, m in zip(got, system.multiplicities))
 
 
+def test_multipoint_line_rule_never_blocks_a_satisfiable_request(monkeypatch):
+    # the loop runs with the Descartes rule off: no request it satisfies may
+    # be one the rule stops, and the rule must fire on some it cannot satisfy
+    rule = construct._forces_the_line
+    monkeypatch.setattr(construct, "_forces_the_line", lambda A, B, ms: False)
+    rng = random.Random(39)
+    fired = satisfied = 0
+    for _ in range(400):
+        A = SupportSet((rng.randrange(4), rng.randrange(4)) for _ in range(rng.randint(3, 8)))
+        B = SupportSet((rng.randrange(3), rng.randrange(3)) for _ in range(rng.randint(3, 6)))
+        ms = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+        try:
+            construct_multipoint(A, B, ms, seed=rng.randrange(100), retries=4)
+        except (HypothesisViolation, InputError):
+            continue  # stopped by a screen that runs before the rule
+        except RetryBudgetExhausted:
+            fired += rule(A, B, ms)
+            continue
+        satisfied += 1
+        assert not rule(A, B, ms), (sorted(A.points), sorted(B.points), ms)
+    assert fired >= 20 and satisfied >= 100
+
+
 # --- line contact -----------------------------------------------------------------
 
 

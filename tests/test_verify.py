@@ -155,6 +155,19 @@ def test_bound_adjoins_the_origin_at_a_zero_coordinate():
                                "truncation": 12, "free_variable": "x"}
 
 
+def test_bound_adjoins_the_origin_at_exactly_one_zero_coordinate():
+    # x + y and x - 2y span parallel segments, torus mixed volume 0; at a
+    # point with a zero coordinate, one or both, the origin joins both hulls,
+    # which become unit simplices with mixed volume 1
+    f = LaurentPolynomial({(1, 0): 1, (0, 1): 1})
+    g = LaurentPolynomial({(1, 0): 1, (0, 1): -2})
+    simplex = convex_hull(SupportSet([(0, 0), (1, 0), (0, 1)]))
+    assert mixed_volume(simplex, simplex) == 1
+    assert verify._bernstein_bound(f, g, (F(1), F(1))) == 0
+    for p in ((F(0), F(1)), (F(1), F(0)), (F(0), F(0))):
+        assert verify._bernstein_bound(f, g, p) == 1 == _bound(f, g, p), p
+
+
 def test_non_isolated_transcripts_name_the_bound():
     # g = (x + 1) f vanishes on the branch, and the bound 16 lies past
     # n0 = 15; for g = x^-3 f the monomial x^-3, a unit at (1, 0), is
@@ -408,6 +421,14 @@ def test_line_sum_worked_examples():
         assert origin_multiplicity_line_product(lines, v) == expect
 
 
+def test_line_sum_of_a_form_without_a_pure_x_term():
+    # v = x y^2 + y^3 + y^4 is 2t^3 + t^4 along (t, t) and 3t^3 + t^4 along
+    # (2t, t); its degree, 4, is the largest e1 + e2, not e1 - e2
+    v = LaurentPolynomial({(1, 2): 1, (0, 3): 1, (0, 4): 1})
+    total, cert = origin_multiplicity_line_product([(1, -1), (1, -2)], v, with_certificate=True)
+    assert total == 6 and cert.transcript["per_line_orders"] == [3, 3]
+
+
 def test_line_sum_rejects_dividing_line():
     v = LaurentPolynomial({(1, 0): 1})  # v = x vanishes on the line x = 0
     with pytest.raises(InputError):
@@ -427,6 +448,21 @@ def test_segment_product():
     fB = LaurentPolynomial({(2, 0): 1, (1, 0): -2, (0, 0): 1})  # (x-1)^2
     fA = LaurentPolynomial({(1, 0): 1, (0, 3): -1, (0, 0): -1})  # x - y^3 - 1
     assert segment_product_multiplicity(fB, fA, (F(1), F(0))) == 6
+
+
+def test_segment_product_with_negative_exponents():
+    # x^-2 (x - 1)^2: shifting by x^2 keeps the double root at x = 1, and
+    # y^-1 - 1 crosses y = 1 simply, so the product is 2
+    f = LaurentPolynomial({(-2, 0): 1, (-1, 0): -2, (0, 0): 1})
+    g = LaurentPolynomial({(0, -1): 1, (0, 0): -1})
+    total, cert = segment_product_multiplicity(f, g, (F(1), F(1)), with_certificate=True)
+    assert total == 2 and (cert.transcript["m1"], cert.transcript["m2"]) == (2, 1)
+    # a negative exponent needs its coordinate off zero
+    x_minus_1 = LaurentPolynomial({(1, 0): 1, (0, 0): -1})
+    y_minus_1 = LaurentPolynomial({(0, 1): 1, (0, 0): -1})
+    for first, second, p in ((f, y_minus_1, (F(0), F(1))), (x_minus_1, g, (F(1), F(0)))):
+        with pytest.raises(InputError, match="negative exponents"):
+            segment_product_multiplicity(first, second, p)
 
 
 # --- rank impossibility -----------------------------------------------------------------
