@@ -18,9 +18,22 @@ from pathlib import Path
 import pytest
 
 from sparsemult.cli import main
-from sparsemult.construct import _draw_through_one, line_contact_construct
+from sparsemult.construct import (
+    _draw_through_one,
+    construct_multipoint,
+    construct_prescribed,
+    line_contact_construct,
+)
+from sparsemult.errors import InputError, RetryBudgetExhausted
 from sparsemult.jsonio import system_to_json
-from sparsemult.lattice import SupportSet, is_convex_support
+from sparsemult.lattice import (
+    SupportSet,
+    convex_hull,
+    erode,
+    is_convex_support,
+    is_segment,
+    primitivity_index,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -107,6 +120,82 @@ def _nonconvex_corpus_digest(reports=None):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# y = 1 - c (x - 1)^3 on the draws below: a flex at (1, 1), so the t and t^2
+# rows of monomials with x-exponents 0 and 1 see only the x-exponents
+FLEX_B = SupportSet([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
+FLEX_SEEDS = (1738, 2588)
+
+
+def _construction_record(label, build):
+    """One line naming the request, then the system with ``retries_used``,
+    or the exception with its message and diagnostic log."""
+    try:
+        s = build()
+    except (InputError, RetryBudgetExhausted) as exc:
+        body = f"{type(exc).__name__}: {exc} {json.dumps(getattr(exc, 'diagnostics', None))}"
+    else:
+        body = json.dumps({"retries_used": s.retries_used, **system_to_json(s)})
+    return f"{label}\n{body}\n"
+
+
+def _pts(S):
+    return [list(p) for p in S.sorted_points()]
+
+
+def _osculation_corpus_records():
+    """Every construction of acceptance criterion 2 (the same (A, B, m, seed)
+    ops), m = 0 on its first pairs, seeded multipoint requests, and
+    non-convex A along flexes, where the rank chain stalls."""
+    out = []
+    rng = random.Random(616)
+    pairs = []
+    while len(pairs) < 100:
+        na, nb = rng.randint(3, 8), rng.randint(3, 8)
+        A = SupportSet({(rng.randrange(6), rng.randrange(6)) for _ in range(na)})
+        B = SupportSet({(rng.randrange(6), rng.randrange(6)) for _ in range(nb)})
+        if is_segment(A) or is_segment(B) or primitivity_index(A, B) != 1:
+            continue
+        d_est = len(A) - len(erode(convex_hull(A), B)) - 1
+        if d_est < 1:
+            continue
+        pairs.append((A, B))
+        for m in range(1, d_est + 1):
+            seed = rng.randint(0, 2**32)
+            out.append(_construction_record(
+                f"prescribed {_pts(A)} {_pts(B)} {m} {seed}",
+                lambda: construct_prescribed(A, B, m, seed=seed, retries=16)))
+    for seed, (A, B) in enumerate(pairs[:20]):
+        out.append(_construction_record(f"prescribed {_pts(A)} {_pts(B)} 0 {seed}",
+                                        lambda: construct_prescribed(A, B, 0, seed=seed)))
+    rng = random.Random(19)
+    requests = [(SupportSet([(0, 1), (1, 0), (1, 1), (2, 0), (2, 2), (3, 1)]),
+                 SupportSet([(0, 1), (1, 0), (1, 1), (2, 1)]), [3, 2], 0)]
+    for _ in range(80):
+        A = SupportSet((rng.randrange(4), rng.randrange(4)) for _ in range(rng.randint(5, 10)))
+        B = SupportSet((rng.randrange(3), rng.randrange(3)) for _ in range(rng.randint(3, 6)))
+        requests.append((A, B, [rng.randint(0, 3) for _ in range(rng.randint(1, 3))], rng.randrange(64)))
+    for A, B, ms, seed in requests:
+        out.append(_construction_record(
+            f"multipoint {_pts(A)} {_pts(B)} {ms} {seed}",
+            lambda: construct_multipoint(A, B, ms, seed=seed, retries=2)))
+    for seed in FLEX_SEEDS + tuple(rng.randrange(64) for _ in range(4)):
+        for _ in range(4):
+            while True:
+                A = SupportSet((rng.randrange(2), rng.randrange(6)) for _ in range(rng.randint(4, 8)))
+                if not is_convex_support(A):
+                    break
+            for m in range(len(A)):
+                out.append(_construction_record(
+                    f"prescribed {_pts(A)} {_pts(FLEX_B)} {m} {seed}",
+                    lambda: construct_prescribed(A, FLEX_B, m, seed=seed, retries=2)))
+    return out
+
+
+def _osculation_corpus_digest(records=None):
+    text = "".join(_osculation_corpus_records() if records is None else records)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _line_contact_text():
     # a generic slope (s = -11) succeeds on this grid
     return json.dumps(system_to_json(line_contact_construct(GRID_2X3, 3)), indent=2) + "\n"
@@ -138,6 +227,26 @@ def test_nonconvex_corpus_pinned():
     pinned = (GOLDEN / "nonconvex_corpus.sha256").read_text(encoding="utf-8").split()[0]
     assert _nonconvex_corpus_digest(reports) == pinned
 
+
+
+def test_osculation_corpus_pinned():
+    # f, g, retries_used and certificate of every construction in the corpus,
+    # or its exception and log, pinned by digest (re-record after a deliberate
+    # change of output with `PYTHONPATH=src:tests python -c 'import
+    # test_golden as t; print(t._osculation_corpus_digest())'`); the corpus
+    # must keep m = 0, multipoint failures and stalled rank chains
+    records = _osculation_corpus_records()
+    heads = [r.split("\n")[0] for r in records]
+    prescribed = [h for h in heads if h.startswith("prescribed")]
+    flex = [h for h in prescribed if f" {_pts(FLEX_B)} " in h]
+    assert len(prescribed) - len(flex) - 20 == 397
+    assert sum(h.split()[-2] == "0" for h in prescribed) >= 20
+    multipoint = [r for r in records if r.startswith("multipoint")]
+    assert sum("RetryBudgetExhausted" in r for r in multipoint) >= 1
+    assert sum('"retries_used"' in r for r in multipoint) >= 20
+    assert sum("rank chain stalled" in r for r in records) >= 10
+    pinned = (GOLDEN / "osculation_corpus.sha256").read_text(encoding="utf-8").split()[0]
+    assert _osculation_corpus_digest(records) == pinned
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
