@@ -13,6 +13,8 @@ from fractions import Fraction as F
 from io import StringIO
 from pathlib import Path
 
+import pytest
+
 from sparsemult.algebra import LaurentPolynomial
 from sparsemult.branches import compute_dim_V
 from sparsemult.cli import main
@@ -159,6 +161,21 @@ def test_criterion_7_triangle_atlas():
            f"anchors exact everywhere; report digest {digest[:12]} "
            f"(pinned {pinned[:12]})")
 
+
+
+@pytest.mark.slow
+def test_triangle_atlas_bound10_pinned():
+    # criterion 7 on the [0, 10]^2 box, about 35 s; selected only by
+    # `pytest -m slow`.  Re-record after a deliberate change of output with
+    # `PYTHONPATH=src python -m sparsemult.cli reproduce triangle-atlas --bound 10 | sha256sum`
+    buf = StringIO()
+    with redirect_stdout(buf):
+        code = main(["reproduce", "triangle-atlas", "--bound", "10"])
+    text = buf.getvalue()
+    rep = json.loads(text)
+    pinned = (GOLDEN / "triangle_atlas_bound10.sha256").read_text(encoding="utf-8").split()[0]
+    assert code == 0 and rep["ok"] and rep["bound"] == 10
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pinned
 
 def test_criterion_8_pair_atlas():
     # one atlas run, through the CLI; its stdout is pinned by digest (re-record
