@@ -40,6 +40,7 @@ from .algebra import (
     UnivariatePolynomial,
     det,
     factor_out_roots,
+    integer_kernel,
     kernel_basis,
     rank,
     rational_roots,

@@ -850,21 +850,32 @@ def _kernel_numerators(ech: List[List], piv: List[int], ncols: int, zero, one) -
     return basis
 
 
+def integer_kernel(rows: List[List[int]], ncols: int) -> List[Tuple[int, List[int]]]:
+    """Right kernel of an integer matrix with ``ncols`` columns, as (free
+    column, integer vector) pairs, free columns ascending.
+
+    Each vector's free-column entry is the last Bareiss pivot (1 when there
+    is none), a non-zero integer, and its other free entries are 0.  The
+    rows are eliminated in place, so pass lists the caller gives up.
+    """
+    ech, piv, _ = _bareiss_echelon(rows)
+    return _kernel_numerators(ech, piv, ncols, 0, 1)
+
+
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> List[List[Fraction]]:
     """Exact basis of the right kernel.
 
     Deterministic: pivot columns ascend, and each basis vector sets one free
     variable to 1 (free columns in ascending order) and the rest to 0.
-    Back-substitution runs on integer numerators over the last Bareiss
-    pivot; each entry becomes one canonical Fraction at the end.
+    ``integer_kernel`` of the integerized rows, each entry made one
+    canonical Fraction at the end.
     """
     if not rows:
         if ncols is None:
             raise InputError("need ncols for an empty row set")
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)] for j in range(ncols)]
-    ncols = len(rows[0])
-    ech, piv, _ = _bareiss_echelon(_integerize_rows(rows))
-    return [[Fraction(c, v[fc]) for c in v] for fc, v in _kernel_numerators(ech, piv, ncols, 0, 1)]
+    else:
+        ncols = len(rows[0])
+    return [[Fraction(c, v[fc]) for c in v] for fc, v in integer_kernel(_integerize_rows(rows), ncols)]
 
 
 def poly_kernel_basis(

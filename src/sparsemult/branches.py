@@ -7,7 +7,9 @@ The t-expansions of the monomials along such a branch assemble into the
 derivative-style coefficient matrix whose kernels control which contact
 orders hyperplane sections can realize.  Newton's Horner steps and
 the power tables run on integer numerator lists over one denominator; a
-series is reduced, by one gcd, only where a caller receives it.
+series is reduced, by one gcd, only where a caller receives it.  The
+osculating matrix is handed out in the same form: integer rows over one
+denominator per column, ready for fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -123,16 +125,19 @@ def _shifted_power(p: Fraction, i: int, order: int) -> Tuple[List[int], int]:
 def branch_rungs(
     f: LaurentPolynomial,
     p: Tuple[Fraction, Fraction],
+    gradient: Tuple[Fraction, Fraction],
     order: int,
 ) -> Iterator[BranchParametrization]:
     """Yield the branch of Z(f) through p at each precision Newton doubling
     reaches: 0, 1, 3, 7, ..., capped at ``order``, which is always the last.
 
-    Exact Newton steps never revise a coefficient they have fixed, so each
-    rung's series are prefixes of the next rung's and of the branch at any
-    higher order.  The rungs are not self-checked here; a caller that uses
-    one checks it with ``assert_annihilates``.  Raises, on the first
-    ``next``, for points off the curve and for singular points.
+    The caller passes p as Fractions, has checked f(p) = 0, and passes
+    ``gradient`` = (df/dx, df/dy) at p, which it has computed anyway.  Exact Newton steps never
+    revise a coefficient they have fixed, so each rung's series are
+    prefixes of the next rung's and of the branch at any higher order.  The
+    rungs are not self-checked here; a caller that uses one checks it with
+    ``assert_annihilates``.  Raises, on the first ``next``, for singular
+    points (a zero gradient).
 
     The dependent coordinate is y unless df/dy(p) = 0, then x.  f is
     written once as sum_j a_j(t) dep^j with the free coordinate
@@ -141,12 +146,9 @@ def branch_rungs(
     series dep = Y/d by an integer Horner loop, acc <- acc*Y + a_j D
     d^(hi-j), whose value is acc/(D d^hi).
     """
-    p = (_frac(p[0]), _frac(p[1]))
     if order < 0:
         raise InputError("truncation order must be non-negative")
-    if f.evaluate(p) != 0:
-        raise InputError("base point is not on the curve")
-    fx, fy = f.gradient(p)
+    fx, fy = gradient
     if fx == 0 and fy == 0:
         raise InputError("curve is singular at the base point")
     dep = "y" if fy != 0 else "x"
@@ -213,26 +215,37 @@ def branch_series(
     order: int,
 ) -> BranchParametrization:
     """Expand the branch of Z(f) through p to the given truncation order:
-    the last rung of ``branch_rungs``, self-checked."""
-    for branch in branch_rungs(f, p, order):
+    the last rung of ``branch_rungs``, self-checked.  Raises for points off
+    the curve and for singular points."""
+    p = (_frac(p[0]), _frac(p[1]))
+    if f.evaluate(p) != 0:
+        raise InputError("base point is not on the curve")
+    for branch in branch_rungs(f, p, f.gradient(p), order):
         pass
     branch.assert_annihilates()
     return branch
 
 
-def osculating_matrix(A: SupportSet, branch: BranchParametrization, m: int) -> List[List[Fraction]]:
-    """Rows 0..m of the monomial expansions of A along the branch.
+def osculating_matrix(
+    A: SupportSet, branch: BranchParametrization, m: int
+) -> Tuple[List[List[int]], List[int]]:
+    """Rows 0..m of the monomial expansions of A along the branch, as
+    (rows, dens): integer rows and one positive denominator per column.
 
-    Row i holds the t^i coefficients of every monomial, one column per
-    point of ``A.sorted_points()``.  A kernel vector of rows 0..m-1 that is
-    non-zero on row m gives a curve meeting the branch with contact order
-    exactly m.  Raises InputError when the branch is too shallow to read
-    off row m.
+    Column j is the point ``A.sorted_points()[j]``, and rows[i][j] /
+    dens[j] is the t^i coefficient of its monomial: the branch's own
+    monomial table, unreduced.  The rows are fresh lists, so a caller may
+    eliminate them in place.  Scaling a column changes no rank, and u is in
+    the integer kernel exactly when (dens[j] * u[j])_j is in the rational
+    one.  So a kernel vector u of rows 0..m-1 with a non-zero dot product
+    with row m gives a curve, with coefficients dens[j] * u[j], meeting the
+    branch with contact order exactly m.  Raises InputError when the branch
+    is too shallow to read off row m.
     """
     if branch.truncation_order < m:
         raise InputError(f"need order {m}, branch has {branch.truncation_order}")
-    series = [branch.monomial_series(e) for e in A.sorted_points()]
-    return [[s.coefficient(i) for s in series] for i in range(m + 1)]
+    cols = [branch._monomial(e) for e in A.sorted_points()]
+    return [[nums[i] for nums, _ in cols] for i in range(m + 1)], [den for _, den in cols]
 
 
 def _product_rows(

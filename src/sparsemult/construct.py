@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (
     LaurentPolynomial,
     UnivariatePolynomial,
+    integer_kernel,
     kernel_basis,
     poly_kernel_basis,
     rational_roots,
@@ -220,9 +221,10 @@ class _Probe:
                                   for f in fresh[len(self.draws):])
             return self.draws[attempt]
 
-    def osculating_rows(self, attempt: int, A: SupportSet, order: int) -> List[List[Fraction]]:
+    def osculating_rows(self, attempt: int, A: SupportSet, order: int) -> Tuple[List[List[int]], List[int]]:
         """``osculating_matrix`` of A along the branch of the smooth draw
-        ``attempt`` through (1, 1), expanded to ``order``."""
+        ``attempt`` through (1, 1), expanded to ``order``: fresh integer
+        rows and the column denominators."""
         with self.lock:
             key = (attempt, order)
             branch = self.branches.get(key)
@@ -277,6 +279,21 @@ def _require_pairing(A: SupportSet, B: SupportSet) -> None:
         raise HypothesisViolation("supports must not fit in a common proper sublattice")
 
 
+def _exact_contact_vector(rows: List[List[int]], m: int) -> Optional[List[int]]:
+    """The integer kernel vector of osculating rows 0..m-1 that gives
+    contact order exactly m, or None when the rank chain stalls.
+
+    Contact order exactly m needs rank m on rows 0..m-1 and row m outside
+    their span: a kernel of full size len(rows[m]) - m with a vector whose
+    dot product with row m is non-zero; the first such vector is returned.
+    Rows 0..m-1 are eliminated in place."""
+    ncols = len(rows[m])
+    basis = integer_kernel(rows[:m], ncols)
+    if len(basis) != ncols - m:
+        return None
+    return next((v for _, v in basis if sum(map(mul, rows[m], v))), None)
+
+
 def construct_prescribed(
     A: SupportSet,
     B: SupportSet,
@@ -293,8 +310,11 @@ def construct_prescribed(
     convex A that is |A| - |erode(conv A, B)| - 1 on every draw, so the
     first draw past it raises HypothesisViolation.  A draw is kept when the
     kernel of osculating rows 0..m-1 has |A| - m vectors and one of them is
-    non-zero on row m; the first such vector is g.  The returned order is
-    re-verified from scratch by the verifier.
+    non-zero on row m; the first such vector is g.  The rows are the
+    integer numerators of ``osculating_matrix``, so Bareiss elimination, the
+    kernel and the row-m dot product run on integers; g's coefficients are
+    made Fractions once, from the column denominators.  The returned order
+    is re-verified from scratch by the verifier.
     """
     _require_pairing(A, B)
     if m < 0:
@@ -325,20 +345,20 @@ def construct_prescribed(
             continue
         try:
             # rows 0..m of the osculating matrix are exact from order m on
-            rows = probe.osculating_rows(attempt, A, m)
+            rows, dens = probe.osculating_rows(attempt, A, m)
         except InputError as exc:
             diagnostics.append(f"attempt {attempt}: {exc}")
             continue
-        # contact order exactly m needs rank m on rows 0..m-1 and row m
-        # outside their span: a full-size kernel with a vector off row m
-        basis = kernel_basis(rows[:m], ncols=len(A))
-        chosen = next((v for v in basis if sum(map(mul, rows[m], v))), None)
-        if len(basis) != len(A) - m or chosen is None:
+        u = _exact_contact_vector(rows, m)
+        if u is None:
             diagnostics.append(f"attempt {attempt}: rank chain stalled")
             continue
-        first = next(i for i, c in enumerate(chosen) if c != 0)
-        chosen = [c / chosen[first] for c in chosen]
-        g = LaurentPolynomial({e: c for e, c in zip(A.sorted_points(), chosen) if c != 0})
+        # g's coefficients are dens[j] * u[j], scaled to 1 at the first
+        # non-zero one
+        first = next(j for j, c in enumerate(u) if c)
+        lead = dens[first] * u[first]
+        g = LaurentPolynomial({e: Fraction(d * c, lead)
+                               for e, d, c in zip(A.sorted_points(), dens, u) if c})
         observed, cert = intersection_multiplicity_smooth(f, g, p, with_certificate=True)
         if observed != m:
             diagnostics.append(f"attempt {attempt}: verifier saw {observed}, wanted {m}")
@@ -431,8 +451,12 @@ def construct_multipoint(
             diagnostics.append(f"attempt {attempt}: sum(m)={sum(ms)} exceeds D={D}")
             continue
         try:
-            stacked = [row for pt, mi in zip(points, ms)
-                       for row in osculating_matrix(A, branch_series(f, pt, mi), mi)[:mi]]
+            # each point's block has its own column denominators, so the
+            # blocks are stacked as rationals
+            stacked = []
+            for pt, mi in zip(points, ms):
+                rows, dens = osculating_matrix(A, branch_series(f, pt, mi), mi)
+                stacked += [[Fraction(c, d) for c, d in zip(row, dens)] for row in rows[:mi]]
         except InputError as exc:
             diagnostics.append(f"attempt {attempt}: {exc}")
             continue

@@ -115,20 +115,23 @@ def intersection_multiplicity_smooth(
         raise InputError("point is not on the first curve")
     n0 = len(f.terms) + len(g.terms) + 8
     curve, other, transcript = f, g, None
-    if f.gradient(p) == (0, 0):
+    gradient = f.gradient(p)
+    if gradient == (0, 0):
         gp = g.evaluate(p)
         if gp != 0:
             # p is not on the second curve: order 0 without any branch
             transcript = {"order": 0, "leading_coefficient": gp, "truncation": n0,
                           "free_variable": None}
-        elif g.gradient(p) != (0, 0):
-            curve, other = g, f
+        else:
+            g_gradient = g.gradient(p)
+            if g_gradient != (0, 0):
+                curve, other, gradient = g, f, g_gradient
 
     def certified(n):
         # Rungs are prefixes of the branch at n, so the first rung on which
         # the other curve shows a non-zero coefficient gives the order and
         # leading coefficient that the expansion at n would.
-        for branch in branch_rungs(curve, p, n):
+        for branch in branch_rungs(curve, p, gradient, n):
             series = branch.evaluate_poly(other)
             order = series.order()
             if order is not None:

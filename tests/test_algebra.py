@@ -14,6 +14,7 @@ from sparsemult.algebra import (
     UnivariatePolynomial,
     det,
     factor_out_roots,
+    integer_kernel,
     kernel_basis,
     mpoly_resultant,
     poly_gcd,
@@ -252,6 +253,31 @@ def test_kernel_exactness_random():
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) == 0
         assert rank(rows) + len(basis) == nc
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 6), st.lists(st.lists(st.integers(-5, 5), min_size=6, max_size=6), max_size=5),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=3), st.booleans())
+def test_integer_kernel_agrees_with_kernel_basis(ncols, base, combos, zero_row):
+    # on the empty row set, zero rows and rank-deficient matrices: the free
+    # columns are the non-pivot ones, and each integer vector scaled to 1 at
+    # its free column is the kernel_basis vector
+    rows = [r[:ncols] for r in base]
+    for a, b in combos:
+        if rows:
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    if zero_row and rows:
+        rows.insert(len(rows) // 2, [0] * ncols)
+    pairs = integer_kernel([list(r) for r in rows], ncols)
+    cols = [[r[c] for r in rows] for c in range(ncols)]
+    ranks = [rank(list(zip(*cols[:c]))) if rows and c else 0 for c in range(ncols + 1)]
+    assert [fc for fc, _ in pairs] == [c for c in range(ncols) if ranks[c + 1] == ranks[c]]
+    for fc, v in pairs:
+        assert all(isinstance(c, int) for c in v) and v[fc] != 0
+        assert all(v[c] == 0 for c, _ in pairs if c != fc)
+        assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+    fractions = [[F(c) for c in r] for r in rows]
+    assert [[F(c, v[fc]) for c in v] for fc, v in pairs] == kernel_basis(fractions, ncols=ncols)
 
 
 def _oracle_kernel(rows):

@@ -7,7 +7,6 @@ import sys
 import threading
 from fractions import Fraction as F
 from math import factorial, prod
-from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +15,6 @@ from sparsemult.algebra import (
     LaurentPolynomial,
     TruncatedSeries,
     UnivariatePolynomial,
-    kernel_basis,
     poly_gcd,
     poly_kernel_basis,
     rank,
@@ -296,27 +294,60 @@ def test_osculating_simplex_rows():
     br = branch_series(f, (F(1), F(1)), 6)
     # expansions: 1 -> [1, 0]; y = 1 - t -> [1, -1]; x = 1 + t -> [1, 1]
     assert SIMPLEX.sorted_points() == ((0, 0), (0, 1), (1, 0))
-    assert osculating_matrix(SIMPLEX, br, 1) == [[1, 1, 1], [0, -1, 1]]
+    assert _rational(osculating_matrix(SIMPLEX, br, 1)) == [[1, 1, 1], [0, -1, 1]]
 
 
 def test_osculating_constant_column():
     f = LaurentPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -2})
     br = branch_series(f, (F(1), F(1)), 4)
-    assert osculating_matrix(SupportSet([(0, 0)]), br, 0) == [[1]]
+    assert _rational(osculating_matrix(SupportSet([(0, 0)]), br, 0)) == [[1]]
 
 
 def test_osculating_square_row2():
     f = LaurentPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -2})
     br = branch_series(f, (F(1), F(1)), 6)
     # xy = (1+t)(1-t) = 1 - t^2 contributes the only t^2 term
-    assert osculating_matrix(SQUARE, br, 2)[2] == [0, 0, 0, -1]
+    assert _rational(osculating_matrix(SQUARE, br, 2))[2] == [0, 0, 0, -1]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32), st.sampled_from(_KERNEL_CASES), st.sampled_from("xy"),
+       st.integers(0, 6), st.integers(0, 3),
+       st.sets(st.tuples(st.integers(-3, 4), st.integers(-3, 4)), min_size=1, max_size=8))
+def test_osculating_matrix_is_the_monomial_tables(seed, case, dep, m, extra, A):
+    # rows[i][j] / dens[j] is the t^i coefficient of the j-th monomial, on
+    # Laurent exponents, dependent x or y, and m = 0; the rows are fresh
+    p, xs, ys = case
+    rng = random.Random(seed)
+    br = branch_series(_curve_through(rng, p, xs, ys, rng.randint(3, 7), dep), p, m + extra)
+    if p[0] == 0 or p[1] == 0:
+        A = {e for e in A if min(e) >= 0} or {(0, 0)}
+    A = SupportSet(A)
+    rows, dens = osculating_matrix(A, br, m)
+    assert len(rows) == m + 1 and all(d > 0 for d in dens)
+    assert br.free_variable == ("y" if dep == "x" else "x")
+    for j, e in enumerate(A.sorted_points()):
+        series = br.monomial_series(e)
+        assert [F(rows[i][j], dens[j]) for i in range(m + 1)] == [series.coefficient(i) for i in range(m + 1)]
+    # eliminating the rows in place leaves the branch's tables as they were
+    expected = [list(row) for row in rows]
+    for row in rows:
+        row[:] = [0] * len(row)
+    assert osculating_matrix(A, br, m) == (expected, dens)
+
+
+def _rational(matrix):
+    # the t^i coefficients rows[i][j] / dens[j]
+    rows, dens = matrix
+    return [[F(c, d) for c, d in zip(row, dens)] for row in rows]
 
 
 def _kernel_accepts(A, rows, m):
     # construct_prescribed's check for contact order exactly m: rows
-    # 0..m-1 leave a kernel of |A| - m vectors, one of them off row m
-    basis = kernel_basis(rows[:m], ncols=len(A))
-    return len(basis) == len(A) - m and any(sum(map(mul, rows[m], v)) for v in basis)
+    # 0..m-1 leave a kernel of |A| - m vectors, one of them off row m; the
+    # check eliminates its rows in place, so it gets copies
+    assert len(rows[m]) == len(A)
+    return construct._exact_contact_vector([list(r) for r in rows[: m + 1]], m) is not None
 
 
 def test_kernel_check_matches_prefix_rank():
@@ -325,8 +356,8 @@ def test_kernel_check_matches_prefix_rank():
     x, y = LaurentPolynomial({(1, 0): 1}), LaurentPolynomial({(0, 1): 1})
     one = LaurentPolynomial({(0, 0): 1})
     flex = y - one - (x - one) ** 3  # y = 1 + t^3: the t^2 row of 1, x, y is 0
-    rows = osculating_matrix(SIMPLEX, branch_series(flex, (F(1), F(1)), 3), 3)
-    assert [rank(rows[:i]) for i in range(1, 5)] == [1, 2, 2, 3]
+    rows, dens = osculating_matrix(SIMPLEX, branch_series(flex, (F(1), F(1)), 3), 3)
+    assert [rank(_rational((rows[:i], dens))) for i in range(1, 5)] == [1, 2, 2, 3]
     assert [_kernel_accepts(SIMPLEX, rows, m) for m in range(4)] == [True, True, False, False]
     rng = random.Random(23)
     stalled = in_span = checked = 0
@@ -341,8 +372,8 @@ def test_kernel_check_matches_prefix_rank():
             A = SupportSet((rng.randrange(2), rng.randrange(5)) for _ in range(rng.randint(2, 7)))
             f = y - one - (x - one) ** rng.randint(2, 5) * rng.choice([-3, -1, 2, 5])
         m = rng.randint(0, 8)
-        rows = osculating_matrix(A, branch_series(f, (F(1), F(1)), m), m)
-        r = [rank(rows[:i]) for i in range(1, m + 2)]
+        rows, dens = osculating_matrix(A, branch_series(f, (F(1), F(1)), m), m)
+        r = [rank(_rational((rows[:i], dens))) for i in range(1, m + 2)]
         accepts = [_kernel_accepts(A, rows, k) for k in range(m + 1)]
         assert accepts == [r[k] == k + 1 for k in range(m + 1)]
         stalled += any(a == b < r[-1] for a, b in zip(r, r[1:]))
@@ -445,7 +476,7 @@ def test_prescribed_rank_chain():
     # on every successful run the solution-space dimension drops by one per row
     system = construct_prescribed(SQUARE, SIMPLEX, 2, seed=7)
     br = branch_series(system.f, system.point, 2 + len(SQUARE) + 4)
-    rows = osculating_matrix(SQUARE, br, 2)
+    rows = _rational(osculating_matrix(SQUARE, br, 2))
     assert [rank(rows[:i]) for i in range(1, 4)] == [1, 2, 3]
 
 

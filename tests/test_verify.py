@@ -293,7 +293,7 @@ def test_rungs_are_prefixes_of_the_full_branch():
         f = _smooth_through(rng, p, grids[case % 2], rng.randint(3, 7))
         n0 = rng.randint(0, 24)
         full = branch_series(f, p, n0)
-        rungs = list(branch_rungs(f, p, n0))
+        rungs = list(branch_rungs(f, p, f.gradient(p), n0))
         assert [r.truncation_order for r in rungs] == _rung_precisions(n0)
         for r in rungs:
             k = r.truncation_order
@@ -353,7 +353,7 @@ def test_rung_verifier_matches_expand_once_oracle():
         if _singular(f, p):
             seen.add("singular f")
             continue
-        shown = next((r.truncation_order for r in branch_rungs(f, p, n0)
+        shown = next((r.truncation_order for r in branch_rungs(f, p, f.gradient(p), n0)
                       if r.evaluate_poly(g).order() is not None), None)
         seen.add({0: "rung 0", 1: "rung 1", n0: "rung n0", None: "past n0"}.get(shown, "middle rung"))
         if cert.transcript["free_variable"] == "y":
@@ -393,8 +393,8 @@ def test_every_order_is_within_the_bernstein_bound(p, fterms, uterms, k, along, 
 def test_rung_used_for_the_order_is_self_checked(monkeypatch):
     real = verify.branch_rungs
 
-    def corrupted(f, p, order):
-        for br in real(f, p, order):
+    def corrupted(f, p, gradient, order):
+        for br in real(f, p, gradient, order):
             ys = br.y_series.coeffs
             yield BranchParametrization(f, br.base_point, br.free_variable, br.x_series,
                                         TruncatedSeries(ys[:-1] + (ys[-1] + 1,)),
