@@ -1,8 +1,11 @@
 """The verifier: orders, derivative tables, line sums, impossibility
 certificates and replays."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -405,6 +408,200 @@ def test_rung_used_for_the_order_is_self_checked(monkeypatch):
     g = LaurentPolynomial({(1, 1): 1, (0, 0): -1})
     with pytest.raises(AssertionError, match="annihilate"):
         intersection_multiplicity_smooth(f, g, (F(1), F(1)))
+
+
+# --- the seeded verifier corpus ----------------------------------------------------------
+
+VERIFIER_CORPUS = Path(__file__).parent / "golden" / "verifier_corpus.sha256"
+
+
+def _through(rng, p, exps, nterms):
+    """Random f on monomials drawn from exps, with f(p) = 0 and at least two
+    terms: a constant is subtracted, so p may have a zero coordinate."""
+    while True:
+        h = LaurentPolynomial({rng.choice(exps): F(rng.randint(-9, 9), rng.randint(1, 4))
+                               for _ in range(nterms)})
+        f = h - h.evaluate(p)
+        if len(f.terms) >= 2:
+            return f
+
+
+def _verifier_corpus():
+    """(label, f, g, p) for a seeded corpus of verifier calls.
+
+    Families: smooth f with g = f u + c t^k along the free coordinate t, so
+    the order is k (k = 0 off the point); random g through p; f with a
+    dependent x; Laurent f at torus points and, with its negative exponents
+    in p's non-zero coordinate, at points with a zero coordinate; a Laurent
+    g with a negative exponent at p's zero coordinate; f singular at p, read
+    along g or off g; both singular; non-isolated roots (a multiple, a
+    shared line); orders past n0; and rejected inputs."""
+    rng = random.Random(2020)
+    x, y = LaurentPolynomial({(1, 0): 1}), LaurentPolynomial({(0, 1): 1})
+    box = [(a, b) for a in range(4) for b in range(4)]
+    laurent = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    torus = [(F(1), F(1)), (F(2), F(-1, 3)), (F(-3, 2), F(1, 2)), (F(-1, 2), F(3))]
+    zero = [(F(0), F(1)), (F(-3, 2), F(0)), (F(0), F(0)), (F(2), F(0)), (F(0), F(-1, 2))]
+
+    def q():
+        return F(rng.choice([-7, -3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+
+    def along_free(f, p):
+        # the free coordinate minus its value at p: t on f's branch
+        return (x - p[0]) if f.gradient(p)[1] != 0 else (y - p[1])
+
+    def off_zero(p):
+        # monomials with negative exponents only in p's non-zero coordinates
+        return [(a, b) for a in range(-2 if p[0] else 0, 3) for b in range(-2 if p[1] else 0, 3)]
+
+    cases = []
+    for i in range(96):
+        p = (torus + zero)[i % 9]
+        exps = laurent if i % 2 and p[0] and p[1] else box
+        while True:
+            f = _through(rng, p, exps, rng.randint(2, 6))
+            if f.gradient(p) != (0, 0):
+                break
+        k = [0, 1, 2, 3, 5, 1][i % 6]
+        u = _through(rng, p, box, 2) + q()
+        cases.append((f"order-k {i}", f, f * u + q() * along_free(f, p) ** k, p))
+    for i in range(24):
+        p = (torus + zero)[i % 9]
+        f = _through(rng, p, box, rng.randint(2, 5))
+        if f.gradient(p) == (0, 0):
+            continue
+        cases.append((f"random-g {i}", f, _through(rng, p, box, rng.randint(2, 5)), p))
+    for i in range(24):
+        # f_y(p) = 0, f_x(p) != 0: the dependent coordinate is x
+        p = (torus + zero)[i % 9]
+        u, v = x - p[0], y - p[1]
+        f = q() * u + q() * u * v + q() * v ** 2 + (q() * v ** 3 if i % 2 else 0)
+        k = [0, 1, 2, 3][i % 4]
+        if i % 3:
+            g = f * (_through(rng, p, box, 2) + q()) + q() * v ** k
+        else:
+            g = _through(rng, p, box, rng.randint(2, 4))
+        cases.append((f"dependent-x {i}", f, g, p))
+    for i in range(20):
+        # Laurent f at a point with a zero coordinate: its negative exponents
+        # lie in the non-zero coordinate, where the monomials are units
+        p = [zero[0], zero[1], zero[3], zero[4]][i % 4]
+        while True:
+            f = _through(rng, p, off_zero(p), rng.randint(2, 5))
+            if any(e[0] < 0 or e[1] < 0 for e in f.terms) and f.gradient(p) != (0, 0):
+                break
+        k = [0, 1, 2, 3, 4][i % 5]
+        g = f * (_through(rng, p, box, 2) + q()) + q() * along_free(f, p) ** k
+        cases.append((f"laurent-f-zero {i}", f, g, p))
+    for i in range(12):
+        # a Laurent g with a negative exponent at p's zero coordinate
+        p = zero[i % 5] if i % 5 != 2 else zero[0]
+        f = _through(rng, p, box, rng.randint(2, 4))
+        zc = 0 if p[0] == 0 else 1
+        e = (-1 - i % 2, rng.randint(0, 2)) if zc == 0 else (rng.randint(0, 2), -1 - i % 2)
+        cases.append((f"laurent-g-zero {i}", f, _through(rng, p, box, 2) + LaurentPolynomial({e: q()}), p))
+    for i in range(24):
+        # f singular at p: read along a smooth g through p, or order 0 off g
+        p = (torus + zero)[i % 9]
+        u, v = x - p[0], y - p[1]
+        f = q() * u ** 2 + q() * u * v + q() * v ** 2 + q() * u ** 3 + (q() * v ** 3 if i % 2 else 0)
+        if f.gradient(p) != (0, 0) or len(f.terms) < 2:
+            continue
+        while True:
+            g = _through(rng, p, box, rng.randint(2, 4))
+            if g.gradient(p) != (0, 0):
+                break
+        if i % 6 == 5:
+            g = g + q()
+        # in either argument order: the multiplicity is symmetric
+        cases.append((f"singular-f {i}", *((f, g) if i % 4 else (g, f)), p))
+    for i in range(4):
+        p = torus[i]
+        u, v = x - p[0], y - p[1]
+        cases.append((f"both-singular {i}", u ** 2 - v ** 2 * q(), u ** 2 * q() + v ** 3, p))
+    for i in range(14):
+        # non-isolated: a Laurent multiple of f, or a line shared through p
+        p = (torus + zero)[i % 9]
+        if i % 2:
+            f = _through(rng, p, box, rng.randint(2, 4))
+            if f.gradient(p) == (0, 0):
+                continue
+            cofactor = _through(rng, p, box, 2) + q()
+            if p[0] and p[1] and i % 4 == 1:
+                cofactor = cofactor * LaurentPolynomial({(-1, -2): q()})
+            cases.append((f"non-isolated {i}", f, f * cofactor, p))
+        else:
+            line = (y - p[1]) - q() * (x - p[0])
+            cases.append((f"non-isolated {i}", line * (_through(rng, p, box, 2) + q()),
+                          line * (_through(rng, p, box, 3) + q()), p))
+    for i in range(14):
+        # x - p0 = c y^k along f at (p0, 0): (x - p0)^j has order jk > n0
+        p0 = [F(1), F(0), F(-3, 2), F(2)][i % 4]
+        k = 8 + i % 7
+        f = q() * (x - p0) - q() * y ** k
+        j = 2 + i % 2
+        g = q() * (x - p0) ** j + (q() * y ** (j * k + 1) if i % 3 == 0 else 0)
+        cases.append((f"past-n0 {i}", f, g, (p0, F(0))))
+    off = LaurentPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -2})
+    cases.append(("rejected 0", off, off, (F(0), F(0))))
+    cases.append(("rejected 1", off, LaurentPolynomial({}), (F(1), F(1))))
+    cases.append(("rejected 2", LaurentPolynomial({(-1, 0): 1, (0, 0): -1}), off, (F(0), F(1))))
+    return cases
+
+
+def _verifier_outcome(f, g, p):
+    """The verifier's order and transcript in key order, rationals as
+    strings, or the exception's type and message."""
+    try:
+        order, cert = intersection_multiplicity_smooth(f, g, p, with_certificate=True)
+    except (InputError, AssertionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    transcript = {k: str(v) if isinstance(v, F) else v for k, v in cert.transcript.items()}
+    return json.dumps({"order": order, "transcript": transcript})
+
+
+def _verifier_corpus_lines():
+    """One `sha256  label` line per corpus case: the digest of its label,
+    inputs and outcome."""
+    lines = []
+    for label, f, g, p in _verifier_corpus():
+        record = f"{label}\n{f!r}\n{g!r}\n{p[0]} {p[1]}\n{_verifier_outcome(f, g, p)}\n"
+        lines.append(f"{hashlib.sha256(record.encode('utf-8')).hexdigest()}  {label}\n")
+    return lines
+
+
+def test_verifier_corpus_pinned():
+    # every transcript or rejection of the corpus, pinned case by case
+    # (re-record after a deliberate change of output with `PYTHONPATH=src:tests
+    # python -c 'import test_verify as t; print(end="".join(t._verifier_corpus_lines()))'
+    # > tests/golden/verifier_corpus.sha256`); the corpus must keep ten cases
+    # of each kind below
+    cases = _verifier_corpus()
+    seen = {}
+    for label, f, g, p in cases:
+        try:
+            order, cert = intersection_multiplicity_smooth(f, g, p, with_certificate=True)
+        except InputError:
+            continue
+        t = cert.transcript
+        kinds = {
+            "order 0": order == 0,
+            "order 1": order == 1,
+            "dependent x": t.get("free_variable") == "y",
+            "Laurent f at a torus point": p[0] != 0 and p[1] != 0
+                                          and any(e[0] < 0 or e[1] < 0 for e in f.terms),
+            "zero coordinate": p[0] == 0 or p[1] == 0,
+            "singular f read along g": f.gradient(p) == (0, 0) and t.get("free_variable") is not None,
+            "non-isolated": order == NON_ISOLATED,
+            "past n0": order != NON_ISOLATED and order > len(f.terms) + len(g.terms) + 8,
+        }
+        for kind, hit in kinds.items():
+            seen[kind] = seen.get(kind, 0) + hit
+    assert len(seen) == 8 and min(seen.values()) >= 10, seen
+    pinned = VERIFIER_CORPUS.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines = _verifier_corpus_lines()
+    changed = [b.split()[1:] for a, b in zip(lines, pinned) if a != b]
+    assert len(lines) == len(pinned) and not changed, changed
 
 
 # --- line sums -----------------------------------------------------------------------
