@@ -152,10 +152,6 @@ def branch_rungs(
     if fx == 0 and fy == 0:
         raise InputError("curve is singular at the base point")
     dep = "y" if fy != 0 else "x"
-
-    if any(e[0] < 0 or e[1] < 0 for e in f.terms) and (p[0] == 0 or p[1] == 0):
-        raise InputError("Laurent support needs a torus base point")
-
     free_val, dep_val = (p[0], p[1]) if dep == "y" else (p[1], p[0])
     dep_idx = 1 if dep == "y" else 0
 

@@ -115,9 +115,9 @@ def intersection_multiplicity_smooth(
         raise InputError("point is not on the first curve")
     n0 = len(f.terms) + len(g.terms) + 8
     curve, other, transcript = f, g, None
+    gp = g.evaluate(p)  # raises for a negative exponent at a zero coordinate
     gradient = f.gradient(p)
     if gradient == (0, 0):
-        gp = g.evaluate(p)
         if gp != 0:
             # p is not on the second curve: order 0 without any branch
             transcript = {"order": 0, "leading_coefficient": gp, "truncation": n0,

@@ -286,6 +286,26 @@ def test_verify_order_zero_at_a_singular_point_of_f(capsys):
     assert code == 2 and rep is None
 
 
+def test_verify_laurent_f_at_a_zero_coordinate(capsys):
+    # f = y + 1/x - 1 meets g = y simply at (1, 0): x^-1 is a unit there
+    f = _terms(([0, 1], "1/1"), ([-1, 0], "1/1"), ([0, 0], "-1/1"))
+    g = _terms(([0, 1], "1/1"))
+    code, rep = run_cli(capsys, "verify", "--json", json.dumps(_system(f=f, g=g, point=["1/1", "0/1"])))
+    assert code == 0
+    assert rep["verified"] is True and rep["results"][0]["observed"] == 1
+
+
+def test_verify_negative_exponent_of_g_at_a_zero_coordinate(capsys):
+    # g = y + 1/x has no value at (0, 1), where f = x vanishes smoothly
+    g = _terms(([0, 1], "1/1"), ([-1, 0], "1/1"))
+    f = _terms(([1, 0], "1/1"))
+    code = main(["verify", "--json", json.dumps(_system(f=f, g=g, point=["0/1", "1/1"]))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "invalid input: negative exponent at a zero coordinate\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

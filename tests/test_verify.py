@@ -393,6 +393,41 @@ def test_every_order_is_within_the_bernstein_bound(p, fterms, uterms, k, along, 
     assert order == NON_ISOLATED or order <= _bound(f, g, p)
 
 
+_ZERO_POINTS = [(F(0), F(1)), (F(-3, 2), F(0)), (F(2), F(0)), (F(0), F(-1, 2))]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(_ZERO_POINTS),
+       st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                       st.integers(-5, 5).filter(bool), min_size=1, max_size=5),
+       _TERMS, st.integers(0, 4), st.booleans())
+def test_laurent_f_at_a_zero_coordinate_reads_like_its_cleared_form(p, fterms, uterms, k, multiple):
+    """A negative exponent in p's non-zero coordinate is a unit at p, so f
+    and the polynomial x^a y^b f that clears it have the same order, and
+    the same transcript where f is smooth: both have the same branch."""
+    x, y = LaurentPolynomial({(1, 0): 1}), LaurentPolynomial({(0, 1): 1})
+    # only p's non-zero coordinate may carry a negative exponent
+    h = LaurentPolynomial({(a if p[0] else abs(a), b if p[1] else abs(b)): c
+                           for (a, b), c in fterms.items()})
+    f = h - h.evaluate(p)
+    if f.is_zero() or all(e[0] >= 0 and e[1] >= 0 for e in f.terms):
+        reject()
+    clear = tuple(-min(min(e[i] for e in f.terms), 0) for i in (0, 1))
+    cleared = f * LaurentPolynomial({clear: 1})
+    g = f * LaurentPolynomial(uterms) if multiple else f * LaurentPolynomial(uterms) + (
+        (x - p[0]) if f.gradient(p)[1] else (y - p[1])) ** k
+    if g.is_zero() or (_singular(f, p) and (g.evaluate(p) != 0 or _singular(g, p))):
+        reject()
+    order, cert = intersection_multiplicity_smooth(f, g, p, with_certificate=True)
+    cleared_order, cleared_cert = intersection_multiplicity_smooth(cleared, g, p, with_certificate=True)
+    assert order == cleared_order
+    if _singular(f, p):
+        # read along g: the series of f and of its cleared form differ by a unit
+        return
+    assert cert.transcript == cleared_cert.transcript
+    assert order == (NON_ISOLATED if multiple else k)
+
+
 def test_rung_used_for_the_order_is_self_checked(monkeypatch):
     real = verify.branch_rungs
 
