@@ -132,12 +132,17 @@ def branch_rungs(
     reaches: 0, 1, 3, 7, ..., capped at ``order``, which is always the last.
 
     The caller passes p as Fractions, has checked f(p) = 0, and passes
-    ``gradient`` = (df/dx, df/dy) at p, which it has computed anyway.  Exact Newton steps never
-    revise a coefficient they have fixed, so each rung's series are
-    prefixes of the next rung's and of the branch at any higher order.  The
-    rungs are not self-checked here; a caller that uses one checks it with
-    ``assert_annihilates``.  Raises, on the first ``next``, for singular
-    points (a zero gradient).
+    ``gradient`` = (df/dx, df/dy) at p, which it has computed anyway.
+    Rung 1 is the tangent, read off that gradient without a Newton step;
+    Newton doubling starts from it.  Exact Newton steps never revise a
+    coefficient they have fixed, so each rung's series are prefixes of the
+    next rung's and of the branch at any higher order.  The rungs are not
+    self-checked here; a caller that uses one checks it with
+    ``assert_annihilates``, which also catches a wrong gradient: its
+    tangent survives into every later rung.  Raises, on the first ``next``,
+    for singular points (a zero gradient).  Laurent f is accepted at any p
+    where it can be evaluated, so every negative exponent lies in a
+    non-zero coordinate of p.
 
     The dependent coordinate is y unless df/dy(p) = 0, then x.  f is
     written once as sum_j a_j(t) dep^j with the free coordinate
@@ -193,8 +198,13 @@ def branch_rungs(
     # t^(good+1) * (its upper part / f_dep), and f_dep is needed only
     # through t^good.  Padding, slicing and splicing act on the numerators.
     y_cur = TruncatedSeries.constant(dep_val, 0)
-    good = 0
     yield rung(y_cur, 0)
+    good = min(order, 1)
+    if good:
+        # rung 1 is the tangent: dep = dep_val - (f_free / f_dep) t, and
+        # f_free = df/dy = 0 when the dependent coordinate is x
+        y_cur = TruncatedSeries((dep_val, -fx / fy if dep == "y" else 0))
+        yield rung(y_cur, 1)
     while good < order:
         target = min(order, 2 * good + 1)
         y_ext = TruncatedSeries._make(y_cur.nums + (0,) * (target - good), y_cur.den)

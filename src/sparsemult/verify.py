@@ -5,12 +5,16 @@ scratch (with the constructors' Newton code, ``branch_rungs``) and reports
 orders read off exact series coefficients.  A branch order is certified
 within a budget n0 = |f| + |g| + 8, raised to the Bernstein bound when
 nothing shows: no isolated root exceeds it, so nothing showing by then
-means the root is not isolated.  The order is read from the shortest
-Newton rung that shows it, which gives the coefficient of the expansion to
-the budget, and that rung is checked to annihilate its curve.  At a
-singular point of f the order is 0 when g(p) != 0, read with no branch.
-Every check returns a replayable certificate whose transcript is
-reproduced bit for bit when re-run on the same inputs.
+means the root is not isolated.  Orders 0 and 1 are read off g's value
+and gradient at p: g(p), else its derivative along the tangent of f.  A
+higher order is read from the shortest Newton rung, of precision 3 or
+more, that shows it, which gives the coefficient of the expansion to the
+budget.  Either way the rung the order stands for (p, the tangent or the
+Newton rung) is checked to annihilate its curve.  At a singular point of f
+the order is 0 when g(p) != 0, read with no branch.  Laurent input is
+accepted wherever it can be evaluated: a negative exponent needs a
+non-zero coordinate.  Every check returns a replayable certificate whose
+transcript is reproduced bit for bit when re-run on the same inputs.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ class MultiplicityCertificate:
     claim reproducible, not confirmed by an independent method.
     A BranchOrder ``truncation`` is the budget within which the order is
     certified (n0, or the Bernstein bound past it), not the length of the
-    expansion it was read from: the order comes from the shortest Newton
-    rung that shows it.
+    expansion it was read from: orders 0 and 1 come from g's value and
+    gradient at p (rungs 0 and 1, p and the tangent), higher ones from the
+    shortest Newton rung that shows them.
     """
 
     kind: str
@@ -102,11 +107,15 @@ def intersection_multiplicity_smooth(
     the vanishing order of g along the branch of f.
 
     Requires f(p) = 0.  Where f is smooth its single branch carries the
-    whole local intersection number.  Where f is singular the multiplicity
-    is 0 if g(p) != 0 (free variable None); else f is read along g's branch,
-    as the multiplicity is symmetric, and a singular g too raises
-    InputError.  Returns NON_ISOLATED when no order shows by the Bernstein
-    bound, which an isolated root cannot exceed.
+    whole local intersection number: the order is 0 when g(p) != 0, else 1
+    when g's derivative along f's tangent at p is non-zero, both read off
+    g's value and gradient with no series; only a higher order expands the
+    branch by Newton rungs.  Where f is singular the multiplicity is 0 if
+    g(p) != 0 (free variable None); else f is read along g's branch, as the
+    multiplicity is symmetric, and a singular g too raises InputError.  So
+    does a negative exponent at a zero coordinate of p.  Returns
+    NON_ISOLATED when no order shows by the Bernstein bound, which an
+    isolated root cannot exceed.
     """
     p = (_frac(p[0]), _frac(p[1]))
     if f.is_zero() or g.is_zero():
@@ -115,23 +124,39 @@ def intersection_multiplicity_smooth(
         raise InputError("point is not on the first curve")
     n0 = len(f.terms) + len(g.terms) + 8
     curve, other, transcript = f, g, None
-    gp = g.evaluate(p)  # raises for a negative exponent at a zero coordinate
+    value = g.evaluate(p)  # raises for a negative exponent at a zero coordinate
     gradient = f.gradient(p)
     if gradient == (0, 0):
-        if gp != 0:
+        if value != 0:
             # p is not on the second curve: order 0 without any branch
-            transcript = {"order": 0, "leading_coefficient": gp, "truncation": n0,
+            transcript = {"order": 0, "leading_coefficient": value, "truncation": n0,
                           "free_variable": None}
         else:
             g_gradient = g.gradient(p)
             if g_gradient != (0, 0):
+                # f is read along g; its value at p is 0 as g's is
                 curve, other, gradient = g, f, g_gradient
 
     def certified(n):
         # Rungs are prefixes of the branch at n, so the first rung on which
         # the other curve shows a non-zero coefficient gives the order and
-        # leading coefficient that the expansion at n would.
-        for branch in branch_rungs(curve, p, gradient, n):
+        # leading coefficient that the expansion at n would.  On rung 0 (p)
+        # that coefficient is the other curve's value, on rung 1 (the
+        # tangent) its derivative along the tangent: both are read off its
+        # value and gradient at p, and the rung is still self-checked.
+        rungs = branch_rungs(curve, p, gradient, n)
+        branch = next(rungs)  # raises at a singular point
+        lead = value
+        if lead == 0:
+            branch = next(rungs)
+            # the tangent is (1, -c_x/c_y) when c_y != 0, else (0, 1)
+            (cx, cy), (ox, oy) = gradient, other.gradient(p)
+            lead = ox - oy * cx / cy if cy else oy
+        if lead != 0:
+            branch.assert_annihilates()
+            return {"order": branch.truncation_order, "leading_coefficient": lead,
+                    "truncation": n, "free_variable": branch.free_variable}
+        for branch in rungs:
             series = branch.evaluate_poly(other)
             order = series.order()
             if order is not None:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from sparsemult import verify
+from sparsemult import branches, verify
 from sparsemult.algebra import (
     LaurentPolynomial,
     TruncatedSeries,
@@ -443,6 +443,74 @@ def test_rung_used_for_the_order_is_self_checked(monkeypatch):
     g = LaurentPolynomial({(1, 1): 1, (0, 0): -1})
     with pytest.raises(AssertionError, match="annihilate"):
         intersection_multiplicity_smooth(f, g, (F(1), F(1)))
+
+
+def test_tangent_rung_is_self_checked(monkeypatch):
+    # rung 1 is built from the gradient it is handed; given one whose tangent
+    # slope -f_x/f_y is one too large, the Newton steps above it keep the
+    # wrong t coefficient, and the rung the order is read from fails its check
+    real = branches.branch_rungs
+
+    def off_by_one(f, p, gradient, order):
+        fx, fy = gradient
+        return real(f, p, (fx - fy, fy), order)
+
+    f = LaurentPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -2})
+    p = (F(1), F(1))
+    order_2 = LaurentPolynomial({(1, 1): 1, (0, 0): -1})
+    order_1 = LaurentPolynomial({(1, 0): 1, (0, 1): -1})
+    assert [intersection_multiplicity_smooth(f, g, p) for g in (order_2, order_1)] == [2, 1]
+    assert branch_series(f, p, 6).assert_annihilates() is None
+    monkeypatch.setattr(branches, "branch_rungs", off_by_one)
+    monkeypatch.setattr(verify, "branch_rungs", off_by_one)
+    with pytest.raises(AssertionError, match="annihilate"):
+        branch_series(f, p, 6)
+    # order 2: the jet shows no order 1, and rung 3 inherits the wrong tangent;
+    # order 1: the tangent rung itself is the one checked
+    for g in (order_2, order_1):
+        with pytest.raises(AssertionError, match="annihilate"):
+            intersection_multiplicity_smooth(f, g, p)
+
+
+_JET_POINTS = [(F(1), F(1)), (F(2), F(-1, 3)), (F(-3, 2), F(1, 2)),
+               (F(0), F(1)), (F(-3, 2), F(0)), (F(0), F(-1, 2)), (F(0), F(0))]
+
+
+def _laurent_terms(max_size):
+    return st.dictionaries(st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
+                           st.fractions(-5, 5, max_denominator=4).filter(bool),
+                           min_size=1, max_size=max_size)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(_JET_POINTS), _laurent_terms(5), _laurent_terms(3), st.integers(0, 1),
+       st.fractions(-5, 5, max_denominator=4).filter(bool), st.booleans())
+def test_orders_0_and_1_from_the_jet_match_the_expansion(p, fterms, uterms, k, c, dependent_x):
+    """Orders 0 and 1 are read off g's value and gradient at p; the
+    transcript, key order included, is the one the expansion to n0 gives.
+    Laurent exponents lie in p's non-zero coordinates."""
+    x, y = LaurentPolynomial({(1, 0): 1}), LaurentPolynomial({(0, 1): 1})
+
+    def on_p(terms):
+        # negative exponents only where p's coordinate is non-zero
+        return LaurentPolynomial({(a if p[0] else abs(a), b if p[1] else abs(b)): v
+                                  for (a, b), v in terms.items()})
+
+    h = on_p(fterms)
+    f = h - h.evaluate(p)
+    if dependent_x:
+        # f_y(p) = 0 and f_x(p) = c: the free coordinate is y
+        f = c * (x - p[0]) + (y - p[1]) ** 2 * h
+    if f.is_zero() or _singular(f, p):
+        reject()
+    free = (x - p[0]) if f.gradient(p)[1] else (y - p[1])
+    g = f * on_p(uterms) + c * free ** k
+    order, cert = intersection_multiplicity_smooth(f, g, p, with_certificate=True)
+    want_order, want, _ = _expand_to_n0_then_cap(f, g, p)
+    assert order == want_order == k
+    assert cert.transcript == want and list(cert.transcript) == list(want)
+    if dependent_x:
+        assert want["free_variable"] == "y"
 
 
 # --- the seeded verifier corpus ----------------------------------------------------------
