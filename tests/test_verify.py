@@ -460,7 +460,7 @@ def test_tangent_rung_is_self_checked(monkeypatch):
     order_2 = LaurentPolynomial({(1, 1): 1, (0, 0): -1})
     order_1 = LaurentPolynomial({(1, 0): 1, (0, 1): -1})
     assert [intersection_multiplicity_smooth(f, g, p) for g in (order_2, order_1)] == [2, 1]
-    assert branch_series(f, p, 6).assert_annihilates() is None
+    branch_series(f, p, 6)  # self-checked: the true tangent passes
     monkeypatch.setattr(branches, "branch_rungs", off_by_one)
     monkeypatch.setattr(verify, "branch_rungs", off_by_one)
     with pytest.raises(AssertionError, match="annihilate"):
