@@ -11,9 +11,9 @@ construction and all arithmetic is exact.
 Truncated series, the hot loop of branch expansion, are fraction-free: one
 positive common denominator and integer numerators, kept in lowest terms,
 so that normal form is unique.  Fractions are built only where a caller
-reads a coefficient.  Evaluation of a Laurent polynomial and of its
-gradient, for rational coefficients only, likewise sums integer
-numerator/denominator pairs.
+reads a coefficient.  The jet of a Laurent polynomial at a point, its
+value and gradient for rational coefficients only, is likewise summed
+over one integer denominator.
 
 Univariate decision polynomials are computed on integers as well: the
 triangle Hessian and Theta are integer coefficient lists, and root
@@ -206,9 +206,7 @@ def _square_and_multiply(base, n: int, one):
 
 
 def _is_zero(c) -> bool:
-    if isinstance(c, MPoly):
-        return not c
-    return c == 0
+    return not c if isinstance(c, MPoly) else c == 0
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +249,7 @@ class UnivariatePolynomial:
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
-        if acc is None:
-            return Fraction(0)
-        return acc
+        return Fraction(0) if acc is None else acc
 
     def _wrap(self, coeffs):
         return UnivariatePolynomial(coeffs, self.var)
@@ -598,9 +594,7 @@ class TruncatedSeries:
         return TruncatedSeries._make([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(other, self.truncation_order)
-        return self + (-other)
+        return self + (-other if isinstance(other, TruncatedSeries) else -_frac(other))
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -649,9 +643,9 @@ class LaurentPolynomial:
 
     Coefficients are Fractions, or MPolys when symbolic parameters are in
     play.  Parameters are carried through arithmetic and the resultant, not
-    evaluated: ``evaluate`` and ``gradient`` take rational coefficients only.
-    Negative exponents are allowed (evaluation then requires non-zero
-    coordinates).
+    evaluated: ``jet``, and ``evaluate`` and ``gradient`` that read it, take
+    rational coefficients only.  Negative exponents are allowed (evaluation
+    then requires non-zero coordinates).
     """
 
     __slots__ = ("terms",)
@@ -731,14 +725,42 @@ class LaurentPolynomial:
         return LaurentPolynomial(t)
 
     def evaluate(self, point: Tuple[Fraction, Fraction]):
-        return _sum_at(point, [(e, c, 1) for e, c in self.terms.items()])
+        v, _, _, den = self.jet(point)
+        return Fraction(v, den)
 
     def gradient(self, point: Tuple[Fraction, Fraction]) -> Tuple:
-        """(df/dx, df/dy) at point, read off the terms without building the
-        partial derivatives; raises where ``evaluate`` does."""
-        terms = self.terms.items()
-        return (_sum_at(point, [((e1 - 1, e2), c, e1) for (e1, e2), c in terms if e1]),
-                _sum_at(point, [((e1, e2 - 1), c, e2) for (e1, e2), c in terms if e2]))
+        _, dx, dy, den = self.jet(point)
+        return Fraction(dx, den), Fraction(dy, den)
+
+    def jet(self, point: Tuple[Fraction, Fraction]) -> Tuple[int, int, int, int]:
+        """(v, dx, dy, den): the value and gradient at point, integers over
+        one positive common denominator, in one pass over the terms.  Each
+        coordinate tables x^a for lo <= a <= hi over xd^hi xn^-lo, with
+        lo = 0 at x = 0, where no exponent may be negative."""
+        px, py = _frac(point[0]), _frac(point[1])
+        xn, xd, yn, yd = px.numerator, px.denominator, py.numerator, py.denominator
+        terms = self.terms
+        if (not xn or not yn) and any((e1 < 0 and not xn) or (e2 < 0 and not yn) for e1, e2 in terms):
+            raise InputError("negative exponent at a zero coordinate")
+        if not all(isinstance(c, Fraction) for c in terms.values()):
+            raise InputError("only a polynomial with rational coefficients can be evaluated")
+        e1s, e2s = zip(*terms) if terms else ((0,), (0,))
+        xlo, xhi = min(min(e1s) - 1, 0) if xn else 0, max(max(e1s), 0)
+        ylo, yhi = min(min(e2s) - 1, 0) if yn else 0, max(max(e2s), 0)
+        xs = [xn ** (a - xlo) * xd ** (xhi - a) for a in range(xlo, xhi + 1)]
+        ys = [yn ** (b - ylo) * yd ** (yhi - b) for b in range(ylo, yhi + 1)]
+        den = lcm(*[c.denominator for c in terms.values()])
+        v = dx = dy = 0
+        for (e1, e2), c in terms.items():
+            w = c.numerator * (den // c.denominator)
+            xa, yb = xs[e1 - xlo], ys[e2 - ylo]
+            v += w * xa * yb
+            if e1:
+                dx += w * e1 * xs[e1 - 1 - xlo] * yb
+            if e2:
+                dy += w * e2 * xa * ys[e2 - 1 - ylo]
+        den *= xn**-xlo * xd**xhi * yn**-ylo * yd**yhi
+        return (v, dx, dy, den) if den > 0 else (-v, -dx, -dy, -den)
 
     def shift_exponents(self, v: Tuple[int, int]) -> "LaurentPolynomial":
         return LaurentPolynomial({(e[0] + v[0], e[1] + v[1]): c for e, c in self.terms.items()})
@@ -748,29 +770,6 @@ class LaurentPolynomial:
         for e, c in sorted(self.terms.items()):
             parts.append(f"({c})*x^{e[0]}*y^{e[1]}")
         return " + ".join(parts) if parts else "0"
-
-
-def _sum_at(point: Tuple[Fraction, Fraction], terms: Sequence[Tuple[Tuple[int, int], object, int]]):
-    """sum(w * c * x^e1 * y^e2 for (e1, e2), c, w in terms) at the point,
-    for rational c: one numerator/denominator pair per term, summed over the
-    least common denominator, one Fraction at the end."""
-    px, py = _frac(point[0]), _frac(point[1])
-    if (px == 0 or py == 0) and any(
-            (e1 < 0 and px == 0) or (e2 < 0 and py == 0) for (e1, e2), _, _ in terms):
-        raise InputError("negative exponent at a zero coordinate")
-    if not all(isinstance(c, Fraction) for _, c, _ in terms):
-        raise InputError("only a polynomial with rational coefficients can be evaluated")
-    xn, xd, yn, yd = px.numerator, px.denominator, py.numerator, py.denominator
-    num, den = 0, 1
-    for (e1, e2), c, w in terms:
-        n = w * c.numerator * (xn**e1 if e1 >= 0 else xd**-e1) * (yn**e2 if e2 >= 0 else yd**-e2)
-        d = c.denominator * (xd**e1 if e1 >= 0 else xn**-e1) * (yd**e2 if e2 >= 0 else yn**-e2)
-        if d == den:
-            num += n
-        else:
-            g = gcd(den, d)
-            num, den = num * (d // g) + n * (den // g), den // g * d
-    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (
     LaurentPolynomial,
@@ -105,19 +105,19 @@ class BranchParametrization:
 
 
 def _shifted_power(p: Fraction, i: int, order: int) -> Tuple[List[int], int]:
-    """(p + t)^i through t^order, as numerators over a denominator of either sign.
+    """(p + t)^i through t^order, as numerators over a denominator of either
+    sign; for i >= 0 the list stops after t^min(i, order), leaving out the
+    zero tail.
 
     Generalized binomials C(i, k) p^(i-k), so i may be negative (then p
-    must be non-zero); for i >= 0 the expansion stops after t^i.  With
-    p = u/v the numerators are C(i, k) u^(i-k) v^k over v^i for i >= 0,
-    and C(i, k) v^(k-i) u^(order-k) over u^(order-i) for i < 0."""
+    must be non-zero).  With p = u/v the numerators are C(i, k) u^(i-k) v^k
+    over v^i for i >= 0, and C(i, k) v^(k-i) u^(order-k) over u^(order-i)
+    for i < 0."""
     u, v = p.numerator, p.denominator
-    nums = [0] * (order + 1)
+    nums = []
     binom = 1
-    for k in range(order + 1):
-        if binom == 0:
-            break
-        nums[k] = binom * (u ** (i - k) * v**k if i >= 0 else v ** (k - i) * u ** (order - k))
+    for k in range(min(i, order) + 1 if i >= 0 else order + 1):
+        nums.append(binom * (u ** (i - k) * v**k if i >= 0 else v ** (k - i) * u ** (order - k)))
         binom = binom * (i - k) // (k + 1)
     return nums, v**i if i >= 0 else u ** (order - i)
 
@@ -125,19 +125,22 @@ def _shifted_power(p: Fraction, i: int, order: int) -> Tuple[List[int], int]:
 def branch_rungs(
     f: LaurentPolynomial,
     p: Tuple[Fraction, Fraction],
-    gradient: Tuple[Fraction, Fraction],
+    gradient: Tuple,
     order: int,
 ) -> Iterator[BranchParametrization]:
     """Yield the branch of Z(f) through p at each precision Newton doubling
     reaches: 0, 1, 3, 7, ..., capped at ``order``, which is always the last.
+    Sending a larger order in place of ``next`` raises the cap, so a walk
+    that reached ``order`` goes on from the last rung.
 
     The caller passes p as Fractions, has checked f(p) = 0, and passes
-    ``gradient`` = (df/dx, df/dy) at p, which it has computed anyway.
-    Rung 1 is the tangent, read off that gradient without a Newton step;
-    Newton doubling starts from it.  Exact Newton steps never revise a
-    coefficient they have fixed, so each rung's series are prefixes of the
-    next rung's and of the branch at any higher order.  The rungs are not
-    self-checked here; a caller that uses one checks it with
+    ``gradient``, (df/dx, df/dy) at p up to any non-zero scale (the
+    numerators of ``f.jet(p)`` will do), which it has computed anyway.
+    Rung 1 is the tangent, read off the gradient's ratio without a Newton
+    step; Newton doubling starts from it.  Exact Newton steps never revise
+    a coefficient they have fixed, so each rung's series are prefixes of
+    the next rung's and of the branch at any higher order.  The rungs are
+    not self-checked here; a caller that uses one checks it with
     ``assert_annihilates``, which also catches a wrong gradient: its
     tangent survives into every later rung.  Raises, on the first ``next``,
     for singular points (a zero gradient).  Laurent f is accepted at any p
@@ -149,7 +152,9 @@ def branch_rungs(
     Taylor-shifted to p + t and every a_j over one common denominator D.
     Each Newton step evaluates f and its dep-derivative along the current
     series dep = Y/d by an integer Horner loop, acc <- acc*Y + a_j D
-    d^(hi-j), whose value is acc/(D d^hi).
+    d^(hi-j), whose value is acc/(D d^hi).  A step inverts the derivative
+    once, takes one convolution and reduces the new rung once, by one gcd
+    over its common denominator; nothing in between is reduced.
     """
     if order < 0:
         raise InputError("truncation order must be non-negative")
@@ -160,20 +165,26 @@ def branch_rungs(
     free_val, dep_val = (p[0], p[1]) if dep == "y" else (p[1], p[0])
     dep_idx = 1 if dep == "y" else 0
 
-    # a[j] = numerators of a_j(t) over the common denominator D
-    terms = [(e[dep_idx], _frac(c), *_shifted_power(free_val, e[1 - dep_idx], order))
-             for e, c in f.terms.items()]
-    D = lcm(*[c.denominator * d for _, c, _, d in terms])
-    a: Dict[int, List[int]] = {}
-    for j, c, nums, d in terms:
-        w = c.numerator * (D // (c.denominator * d))
-        a[j] = [x + w * y for x, y in zip(a.get(j, [0] * (order + 1)), nums)]
+    def shifted(n: int) -> Tuple[Dict[int, List[int]], int]:
+        # a[j] = numerators of a_j(t) through t^n over the common denominator
+        # D, one Taylor shift per distinct exponent of the free coordinate
+        shifts = {i: _shifted_power(free_val, i, n) for i in {e[1 - dep_idx] for e in f.terms}}
+        terms = [(e[dep_idx], _frac(c), *shifts[e[1 - dep_idx]]) for e, c in f.terms.items()]
+        D = lcm(*[c.denominator * d for _, c, _, d in terms])
+        a: Dict[int, List[int]] = {}
+        for j, c, nums, d in terms:
+            w = c.numerator * (D // (c.denominator * d))
+            row = a.setdefault(j, [0] * (n + 1))
+            for i, x in enumerate(nums):
+                row[i] += w * x
+        return a, D
 
-    def along(Y: TruncatedSeries, k: int) -> TruncatedSeries:
+    a = D = None  # shifted on the first Newton step, and again when the cap rises
+
+    def along(ys: Sequence[int], d: int, k: int) -> Tuple[List[int], int]:
         # f (k = 0) or its dep-derivative (k = 1: a_j weighted by j) along
-        # dep = Y; exponents run from min(j, 0) up, a negative lowest one
-        # multiplied back
-        ys, d = Y.nums, Y.den
+        # dep = ys/d, as raw numerators over their denominator; exponents run
+        # from min(j, 0) up, a negative lowest one multiplied back
         js = [j - k for j in a if j or not k]
         lo, hi = min(min(js), 0), max(js)
         acc = [(hi + k) ** k * c for c in a[hi + k][: len(ys)]]
@@ -182,14 +193,16 @@ def branch_rungs(
             if j in js:
                 w = (j + k) ** k * d ** (hi - j)
                 acc = [x + w * c for x, c in zip(acc, a[j + k])]
-        value = TruncatedSeries._make(acc, D * d ** (hi - lo))
-        return value * Y.int_pow(lo) if lo < 0 else value
+        if lo < 0:
+            back = TruncatedSeries._make(ys, d).int_pow(lo)
+            return _convolve(acc, back.nums), D * d ** (hi - lo) * back.den
+        return acc, D * d ** (hi - lo)
 
     # the free coordinate p + t, as numerators over p's denominator
-    free_nums = (free_val.numerator, free_val.denominator) + (0,) * (order - 1)
+    free_num, free_den = free_val.numerator, free_val.denominator
 
     def rung(dep_series: TruncatedSeries, k: int) -> BranchParametrization:
-        free_series = TruncatedSeries._make(free_nums[: k + 1], free_val.denominator)
+        free_series = TruncatedSeries._make(((free_num, free_den) + (0,) * k)[: k + 1], free_den)
         xs, ys = (free_series, dep_series) if dep == "y" else (dep_series, free_series)
         return BranchParametrization(f, p, "x" if dep == "y" else "y", xs, ys, k)
 
@@ -198,21 +211,31 @@ def branch_rungs(
     # t^(good+1) * (its upper part / f_dep), and f_dep is needed only
     # through t^good.  Padding, slicing and splicing act on the numerators.
     y_cur = TruncatedSeries.constant(dep_val, 0)
-    yield rung(y_cur, 0)
-    good = min(order, 1)
-    if good:
-        # rung 1 is the tangent: dep = dep_val - (f_free / f_dep) t, and
-        # f_free = df/dy = 0 when the dependent coordinate is x
-        y_cur = TruncatedSeries((dep_val, -fx / fy if dep == "y" else 0))
-        yield rung(y_cur, 1)
-    while good < order:
-        target = min(order, 2 * good + 1)
-        y_ext = TruncatedSeries._make(y_cur.nums + (0,) * (target - good), y_cur.den)
-        h = along(y_ext, 0)
-        step = TruncatedSeries._make(h.nums[good + 1:], h.den) * along(y_cur, 1).inverse()
-        y_cur = y_ext - TruncatedSeries._make((0,) * (good + 1) + step.nums, step.den)
-        good = target
-        yield rung(y_cur, good)
+    good = 0
+    raised = yield rung(y_cur, 0)
+    while True:
+        if raised is not None and raised > order:
+            order, a = raised, None
+        if good == order:
+            return
+        if good == 0:
+            # rung 1 is the tangent: dep = dep_val - (f_free / f_dep) t, and
+            # f_free = df/dy = 0 when the dependent coordinate is x
+            y_cur, good = TruncatedSeries((dep_val, Fraction(-fx, fy) if dep == "y" else 0)), 1
+        else:
+            if a is None:
+                a, D = shifted(order)
+            target = min(order, 2 * good + 1)
+            ys, d = y_cur.nums, y_cur.den
+            h, hd = along(ys + (0,) * (target - good), d, 0)
+            inv = TruncatedSeries._make(*along(ys, d, 1)).inverse()
+            step, sd = _convolve(h[good + 1:], inv.nums), hd * inv.den
+            den = lcm(d, sd)
+            ys_scale, step_scale = den // d, den // sd
+            y_cur = TruncatedSeries._make(
+                [c * ys_scale for c in ys] + [-c * step_scale for c in step], den)
+            good = target
+        raised = yield rung(y_cur, good)
 
 
 def branch_series(
@@ -224,9 +247,10 @@ def branch_series(
     the last rung of ``branch_rungs``, self-checked.  Raises for points off
     the curve and for singular points."""
     p = (_frac(p[0]), _frac(p[1]))
-    if f.evaluate(p) != 0:
+    value, fx, fy, _ = f.jet(p)
+    if value:
         raise InputError("base point is not on the curve")
-    for branch in branch_rungs(f, p, f.gradient(p), order):
+    for branch in branch_rungs(f, p, (fx, fy), order):
         pass
     branch.assert_annihilates()
     return branch

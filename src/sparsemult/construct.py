@@ -217,7 +217,7 @@ class _Probe:
                 rng = random.Random(self.seed)
                 fresh = [_draw_through_one(self.support, rng)
                          for _ in range(max(attempt + 1, 2 * len(self.draws)))]
-                self.draws.extend((f, f is not None and f.gradient(_ONE) != (0, 0))
+                self.draws.extend((f, f is not None and any(f.jet(_ONE)[1:3]))
                                   for f in fresh[len(self.draws):])
             return self.draws[attempt]
 

@@ -5,15 +5,17 @@ scratch (with the constructors' Newton code, ``branch_rungs``) and reports
 orders read off exact series coefficients.  A branch order is certified
 within a budget n0 = |f| + |g| + 8, raised to the Bernstein bound when
 nothing shows: no isolated root exceeds it, so nothing showing by then
-means the root is not isolated.  Orders 0 and 1 are read off g's value
-and gradient at p: g(p), else its derivative along the tangent of f.  A
-higher order is read from the shortest Newton rung, of precision 3 or
-more, that shows it, which gives the coefficient of the expansion to the
-budget.  Either way the rung the order stands for (p, the tangent or the
-Newton rung) is checked to annihilate its curve.  At a singular point of f
-the order is 0 when g(p) != 0, read with no branch.  Laurent input is
-accepted wherever it can be evaluated: a negative exponent needs a
-non-zero coordinate.  Every check returns a replayable certificate whose
+means the root is not isolated.  The bound is computed only then, and the
+walk goes on from rung n0 instead of starting again.  Orders 0 and 1 are
+read off the jets of f and g at p, one pass per polynomial giving integers
+over one denominator: g(p), else g's derivative along the tangent of f,
+one Fraction each.  A higher order is read from the shortest Newton rung,
+of precision 3 or more, that shows it, which gives the coefficient of the
+expansion to the budget.  Either way the rung the order stands for (p, the
+tangent or the Newton rung) is checked to annihilate its curve.  At a
+singular point of f the order is 0 when g(p) != 0, read with no branch.
+Laurent input is accepted wherever it can be evaluated: a negative
+exponent needs a non-zero coordinate.  Every check returns a replayable certificate whose
 transcript is reproduced bit for bit when re-run on the same inputs.
 """
 
@@ -109,8 +111,8 @@ def intersection_multiplicity_smooth(
     Requires f(p) = 0.  Where f is smooth its single branch carries the
     whole local intersection number: the order is 0 when g(p) != 0, else 1
     when g's derivative along f's tangent at p is non-zero, both read off
-    g's value and gradient with no series; only a higher order expands the
-    branch by Newton rungs.  Where f is singular the multiplicity is 0 if
+    the jets of f and g with no series; only a higher order expands the
+    branch by Newton rungs, in one walk from rung 0.  Where f is singular the multiplicity is 0 if
     g(p) != 0 (free variable None); else f is read along g's branch, as the
     multiplicity is symmetric, and a singular g too raises InputError.  So
     does a negative exponent at a zero coordinate of p.  Returns
@@ -120,63 +122,61 @@ def intersection_multiplicity_smooth(
     p = (_frac(p[0]), _frac(p[1]))
     if f.is_zero() or g.is_zero():
         raise InputError("zero polynomial")
-    if f.evaluate(p) != 0:
+    f_jet = f.jet(p)
+    if f_jet[0]:
         raise InputError("point is not on the first curve")
+    g_jet = g.jet(p)  # raises for a negative exponent at a zero coordinate
     n0 = len(f.terms) + len(g.terms) + 8
-    curve, other, transcript = f, g, None
-    value = g.evaluate(p)  # raises for a negative exponent at a zero coordinate
-    gradient = f.gradient(p)
-    if gradient == (0, 0):
-        if value != 0:
-            # p is not on the second curve: order 0 without any branch
-            transcript = {"order": 0, "leading_coefficient": value, "truncation": n0,
-                          "free_variable": None}
-        else:
-            g_gradient = g.gradient(p)
-            if g_gradient != (0, 0):
-                # f is read along g; its value at p is 0 as g's is
-                curve, other, gradient = g, f, g_gradient
+    value = Fraction(g_jet[0], g_jet[3])
+    curve, other, (_, cx, cy, _), (_, ox, oy, od) = f, g, f_jet, g_jet
+    if not (cx or cy or value) and (g_jet[1] or g_jet[2]):
+        # f is singular: it is read along g; its value at p is 0 as g's is
+        curve, other, (_, cx, cy, _), (_, ox, oy, od) = g, f, g_jet, f_jet
+    if not (cx or cy) and value:
+        # p is not on the second curve: order 0 without any branch
+        return _result({"order": 0, "leading_coefficient": value, "truncation": n0,
+                        "free_variable": None}, f, g, p, with_certificate)
 
-    def certified(n):
-        # Rungs are prefixes of the branch at n, so the first rung on which
-        # the other curve shows a non-zero coefficient gives the order and
-        # leading coefficient that the expansion at n would.  On rung 0 (p)
-        # that coefficient is the other curve's value, on rung 1 (the
-        # tangent) its derivative along the tangent: both are read off its
-        # value and gradient at p, and the rung is still self-checked.
-        rungs = branch_rungs(curve, p, gradient, n)
-        branch = next(rungs)  # raises at a singular point
-        lead = value
-        if lead == 0:
-            branch = next(rungs)
-            # the tangent is (1, -c_x/c_y) when c_y != 0, else (0, 1)
-            (cx, cy), (ox, oy) = gradient, other.gradient(p)
-            lead = ox - oy * cx / cy if cy else oy
-        if lead != 0:
-            branch.assert_annihilates()
-            return {"order": branch.truncation_order, "leading_coefficient": lead,
-                    "truncation": n, "free_variable": branch.free_variable}
-        for branch in rungs:
+    # Rungs are prefixes of the branch, so the first rung on which the other
+    # curve shows a non-zero coefficient gives the order and leading
+    # coefficient that the expansion to the budget would.  On rung 0 (p) that
+    # coefficient is the other curve's value, on rung 1 (the tangent) its
+    # derivative along the tangent: both are read off its jet at p, and the
+    # rung is still self-checked.  A walk that reaches n0 with nothing shown
+    # goes on, from the same rungs, to the Bernstein bound when that is larger.
+    rungs = branch_rungs(curve, p, (cx, cy), n0)
+    branch, n, cap = next(rungs), n0, None  # raises at a singular point
+    order, lead = 0, value
+    while not lead:
+        if branch.truncation_order == n:
+            if cap is not None:
+                break
+            cap = _bernstein_bound(f, g, p)
+            if cap <= n0:
+                break
+            n = cap
+        branch = rungs.send(n)
+        if branch.truncation_order == 1:
+            # the tangent is (c_y, -c_x) up to scale when c_y != 0, else (0, 1)
+            order, lead = 1, Fraction(ox * cy - oy * cx, od * cy) if cy else Fraction(oy, od)
+        else:
             series = branch.evaluate_poly(other)
             order = series.order()
-            if order is not None:
-                branch.assert_annihilates()
-                return {"order": order, "leading_coefficient": series.coefficient(order),
-                        "truncation": n, "free_variable": branch.free_variable}
-        branch.assert_annihilates()
-        return None
+            lead = 0 if order is None else series.coefficient(order)
+    branch.assert_annihilates()
+    if lead:
+        transcript = {"order": order, "leading_coefficient": lead, "truncation": n,
+                      "free_variable": branch.free_variable}
+    else:
+        origin = "" if p[0] != 0 and p[1] != 0 else " (origin adjoined)"
+        transcript = {"order": NON_ISOLATED,
+                      "reason": f"no order within the Bernstein bound mv = {cap}{origin}, "
+                                "so the root is not isolated",
+                      "truncation": max(n0, cap)}
+    return _result(transcript, f, g, p, with_certificate)
 
-    if transcript is None:
-        transcript = certified(n0)
-    if transcript is None:
-        cap = _bernstein_bound(f, g, p)
-        transcript = certified(cap) if cap > n0 else None
-        if transcript is None:
-            origin = "" if p[0] != 0 and p[1] != 0 else " (origin adjoined)"
-            transcript = {"order": NON_ISOLATED,
-                          "reason": f"no order within the Bernstein bound mv = {cap}{origin}, "
-                                    "so the root is not isolated",
-                          "truncation": max(n0, cap)}
+
+def _result(transcript, f, g, p, with_certificate):
     order = transcript["order"]
     if not with_certificate:
         return order

@@ -191,6 +191,40 @@ def test_gradient_matches_the_evaluated_partials(terms, px, py):
         assert gradient == expected and all(type(v) is F for v in gradient)
 
 
+_EXPONENTS = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.dictionaries(_EXPONENTS, _rationals, max_size=8),
+       _rationals.filter(lambda v: v != 0), _rationals.filter(lambda v: v != 0),
+       st.one_of(st.none(), _EXPONENTS))
+def test_jet_is_the_value_and_the_evaluated_partials(terms, px, py, parameter_at):
+    # one pass gives the value and both partials, integers over one positive
+    # denominator, at torus points (Laurent terms included) and at points
+    # with one or two zero coordinates; a negative exponent there, else an
+    # MPoly coefficient, raises in jet, evaluate and gradient alike
+    if parameter_at is not None:
+        terms = {**terms, parameter_at: MPoly.var(("s",), "s")}
+    p = LaurentPolynomial(terms)
+    for point in ((px, py), (F(0), py), (px, F(0)), (F(0), F(0))):
+        if any((e1 < 0 and point[0] == 0) or (e2 < 0 and point[1] == 0) for e1, e2 in p.terms):
+            message = "negative exponent at a zero coordinate"
+        elif parameter_at is not None:
+            message = "only a polynomial with rational coefficients can be evaluated"
+        else:
+            v, dx, dy, den = p.jet(point)
+            assert all(type(n) is int for n in (v, dx, dy, den)) and den > 0
+            want = [_ref_evaluate(h, point) for h in (p, p.partial("x"), p.partial("y"))]
+            assert [F(v, den), F(dx, den), F(dy, den)] == want
+            read = [p.evaluate(point), *p.gradient(point)]
+            assert read == want and all(type(c) is F for c in read)
+            continue
+        for method in (p.jet, p.evaluate, p.gradient):
+            with pytest.raises(InputError) as raised:
+                method(point)
+            assert str(raised.value) == message
+
+
 def test_evaluate_at_a_zero_coordinate_and_with_parameters():
     p = LaurentPolynomial({(2, 0): F(3, 2), (0, 1): F(-1), (1, 1): F(5, 7)})
     assert p.evaluate((F(0), F(-2, 3))) == F(2, 3)

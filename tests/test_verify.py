@@ -145,6 +145,34 @@ def test_order_past_the_first_budget_is_certified_at_the_bernstein_bound():
         assert replay(cert).transcript == cert.transcript
 
 
+def test_a_walk_past_n0_goes_on_from_its_last_rung(monkeypatch):
+    # f = x - y^8 - 1, g = (x - 1)^2 at (1, 0): order 16 past n0 = 14.  The
+    # rungs to n0 show nothing; the one walk then goes on from rung 14 to the
+    # bound 16, and never starts again from rung 0
+    entered, evaluated = [], []
+    real_rungs, real_evaluate = verify.branch_rungs, BranchParametrization.evaluate_poly
+
+    def counted(*args):
+        entered.append(args[3])
+        return real_rungs(*args)
+
+    def recorded(branch, h):
+        evaluated.append(branch.truncation_order)
+        return real_evaluate(branch, h)
+
+    monkeypatch.setattr(verify, "branch_rungs", counted)
+    monkeypatch.setattr(BranchParametrization, "evaluate_poly", recorded)
+    f = LaurentPolynomial({(1, 0): 1, (0, 8): -1, (0, 0): -1})
+    g = LaurentPolynomial({(2, 0): 1, (1, 0): -2, (0, 0): 1})
+    order, cert = intersection_multiplicity_smooth(f, g, (F(1), F(0)), with_certificate=True)
+    assert order == 16 and entered == [14]
+    # g on rungs 3, 7, 14 and 16, then f on rung 16 by its self-check
+    assert evaluated == [3, 7, 14, 16, 16]
+    assert cert.transcript == {"order": 16, "leading_coefficient": F(1),
+                               "truncation": 16, "free_variable": "y"}
+    assert replay(cert).transcript == cert.transcript and entered == [14, 14]
+
+
 def test_bound_adjoins_the_origin_at_a_zero_coordinate():
     # y and y - x^12 meet at the origin with multiplicity 12, past n0 = 11;
     # the torus mixed volume of their supports is 0, with the origin it is 12
@@ -304,6 +332,36 @@ def test_rungs_are_prefixes_of_the_full_branch():
             assert r.x_series.coeffs == full.x_series.coeffs[:k + 1]
             assert r.y_series.coeffs == full.y_series.coeffs[:k + 1]
         assert rungs[-1].x_series == full.x_series and rungs[-1].y_series == full.y_series
+
+
+def test_a_raised_cap_goes_on_from_the_last_rung():
+    # an order sent in place of next after the last rung continues Newton
+    # doubling from it; every rung is still a prefix of the branch at the
+    # raised order, Laurent f included (its Taylor shift depends on the order)
+    rng = random.Random(808)
+    points = [(F(1), F(1)), (F(2), F(-1, 3)), (F(-3, 2), F(1, 2))]
+    grids = [[(a, b) for a in range(4) for b in range(4)],
+             [(a, b) for a in range(-2, 3) for b in range(-2, 3)]]
+    for case in range(20):
+        p = points[case % 3]
+        f = _smooth_through(rng, p, grids[case % 2], rng.randint(3, 7))
+        n0 = rng.randint(0, 12)
+        cap = n0 + rng.randint(1, 12)
+        rungs = branch_rungs(f, p, f.gradient(p), n0)
+        walked = [next(rungs)]
+        while walked[-1].truncation_order < n0:
+            walked.append(next(rungs))
+        walked.append(rungs.send(cap))
+        walked.extend(rungs)
+        want = _rung_precisions(n0)
+        while want[-1] < cap:
+            want.append(min(cap, 2 * want[-1] + 1))
+        assert [r.truncation_order for r in walked] == want
+        full = branch_series(f, p, cap)
+        for r in walked:
+            k = r.truncation_order
+            assert r.x_series.coeffs == full.x_series.coeffs[:k + 1]
+            assert r.y_series.coeffs == full.y_series.coeffs[:k + 1]
 
 
 def test_rung_verifier_matches_expand_once_oracle():
@@ -470,6 +528,34 @@ def test_tangent_rung_is_self_checked(monkeypatch):
     for g in (order_2, order_1):
         with pytest.raises(AssertionError, match="annihilate"):
             intersection_multiplicity_smooth(f, g, p)
+
+
+def test_the_gradient_is_read_up_to_scale():
+    # branch_rungs reads only the ratio f_free / f_dep: the jet's integer
+    # numerators and their multiples by -3, 7 and 1/5 give the same rungs as
+    # the gradient itself, and the tangent comes out a Fraction, not a float
+    rng = random.Random(909)
+    x, y = LaurentPolynomial({(1, 0): 1}), LaurentPolynomial({(0, 1): 1})
+    points = [(F(1), F(1)), (F(2), F(-1, 3)), (F(-3, 2), F(1, 2)), (F(0), F(1)), (F(-3, 2), F(0))]
+    box = [(a, b) for a in range(4) for b in range(4)]
+    for case in range(15):
+        p = points[case % 5]
+        if case % 3 == 2:
+            # f_y(p) = 0: the dependent coordinate is x
+            f = (x - p[0]) * rng.randint(1, 5) - (y - p[1]) ** 2 + (x - p[0]) * (y - p[1])
+        else:
+            f = _through(rng, p, box, rng.randint(3, 6))
+            if f.gradient(p) == (0, 0):
+                continue
+        value, fx, fy, _ = f.jet(p)
+        assert value == 0 and all(type(n) is int for n in (fx, fy))
+        want = [(r.free_variable, r.x_series, r.y_series) for r in branch_rungs(f, p, f.gradient(p), 9)]
+        for k in (1, -3, 7, F(1, 5)):
+            rungs = list(branch_rungs(f, p, (k * fx, k * fy), 9))
+            assert [(r.free_variable, r.x_series, r.y_series) for r in rungs] == want
+            assert all(type(c) is F for s in (rungs[1].x_series, rungs[1].y_series) for c in s.coeffs)
+            assert all(type(n) is int for r in rungs for s in (r.x_series, r.y_series)
+                       for n in s.nums + (s.den,))
 
 
 _JET_POINTS = [(F(1), F(1)), (F(2), F(-1, 3)), (F(-3, 2), F(1, 2)),
@@ -705,6 +791,33 @@ def test_verifier_corpus_pinned():
     lines = _verifier_corpus_lines()
     changed = [b.split()[1:] for a, b in zip(lines, pinned) if a != b]
     assert len(lines) == len(pinned) and not changed, changed
+
+
+def test_no_transcript_of_the_corpus_holds_a_float():
+    # the verifier computes on integers and Fractions only: walk every
+    # transcript and certificate input of the corpus for a float
+    def values(obj):
+        if isinstance(obj, dict):
+            for k, v in obj.items():
+                yield k
+                yield from values(v)
+        elif isinstance(obj, (list, tuple)):
+            for v in obj:
+                yield from values(v)
+        else:
+            yield obj
+
+    walked = 0
+    for label, f, g, p in _verifier_corpus():
+        try:
+            _, cert = intersection_multiplicity_smooth(f, g, p, with_certificate=True)
+        except InputError:
+            continue
+        found = list(values(cert.transcript)) + list(values(cert.inputs["point"]))
+        assert not any(isinstance(v, float) for v in found), label
+        assert all(type(v) is F for k, v in cert.transcript.items() if k == "leading_coefficient")
+        walked += 1
+    assert walked >= 200
 
 
 # --- line sums -----------------------------------------------------------------------
