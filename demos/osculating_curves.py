@@ -4,7 +4,8 @@ Given supports A and B (neither on a line, jointly primitive), every
 contact order up to |A| - |erode(conv A, B)| - 1 is realizable: draw a
 random curve on B through (1,1), expand its branch as an exact series, and
 pick hyperplane sections of the monomial image with prescribed vanishing.
-The verifier then recomputes each order from scratch.
+The verifier then reads each order again, along its own expansion of
+the branch.
 """
 
 from sparsemult import (

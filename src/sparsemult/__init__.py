@@ -28,7 +28,6 @@ from .lattice import (
     erode,
     is_segment,
     lattice_points,
-    minkowski_sum,
     mixed_volume,
     normal_form,
     primitivity_index,

@@ -31,6 +31,14 @@ from .algebra import (
 from .errors import InputError
 from .lattice import SupportSet, convex_hull, erode, is_convex_support
 
+# How many curves a process keeps a branch of: the constructors' probes, one
+# per (support, seed), and the verifier's walks, one per (curve, point).  The
+# th2-atlas draws on the 132 convex supports of the bound-2 box under one
+# seed, so 160 keep all of them.  More would only hold memory where the seed
+# changes per call: the criterion-2 sweep draws a fresh seed for every
+# construction and never asks for a probe twice.
+PROBE_CAPACITY = 160
+
 
 @dataclass
 class BranchParametrization:

@@ -13,8 +13,9 @@ B and the seed, not on A or m, so an atlas draws the same few curves for
 every pair.  A bounded cache of probes, keyed by (B's point set, seed),
 keeps each key's draws, whether each is smooth at (1, 1), and each
 self-checked branch with its power and monomial tables.  That is safe: the
-key fixes everything a probe holds, and every system is still verified from
-scratch before it is returned, by a verifier that never reads the cache.
+key fixes everything a probe holds, and every system is still verified
+before it is returned, by a verifier that never reads the cache; it keeps
+only the rungs that it walked and checked itself.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .algebra import (
     rational_roots,
 )
 from .branches import (
+    PROBE_CAPACITY,
     BranchParametrization,
     branch_series,
     compute_dim_V,
@@ -233,13 +235,6 @@ class _Probe:
             return osculating_matrix(A, branch, order)
 
 
-# The th2-atlas draws on the 132 convex supports of the bound-2 box under
-# one seed, so 160 probes keep all of them.  More would only hold memory
-# where the seed changes per call: the criterion-2 sweep draws a fresh seed
-# for every construction and never asks for a probe twice.
-PROBE_CAPACITY = 160
-
-
 @lru_cache(maxsize=PROBE_CAPACITY)
 def _probe(support: SupportSet, seed: int) -> _Probe:
     """The shared probe of (support, seed): equal point sets share one."""
@@ -314,7 +309,7 @@ def construct_prescribed(
     integer numerators of ``osculating_matrix``, so Bareiss elimination, the
     kernel and the row-m dot product run on integers; g's coefficients are
     made Fractions once, from the column denominators.  The returned order
-    is re-verified from scratch by the verifier.
+    is re-verified by the verifier, which never reads the probe.
     """
     _require_pairing(A, B)
     if m < 0:

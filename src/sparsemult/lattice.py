@@ -6,9 +6,9 @@ explicit dimension flag (0 for a point, 1 for a segment, 2 for a genuine
 polygon) and degenerate hulls are ordinary values, not errors.
 
 The operations here are the geometric substrate for everything else:
-hulls, lattice-point enumeration, Minkowski sums, erosions (the set of
-shifts taking one set inside another), normalized 2D mixed volumes and
-canonical forms under the unimodular affine group.
+hulls, lattice-point enumeration, erosions (the set of shifts taking one
+set inside another), normalized 2D mixed volumes and canonical forms under
+the unimodular affine group.
 """
 
 from __future__ import annotations
@@ -196,16 +196,6 @@ def area2(P: LatticePolygon) -> int:
     return abs(s)
 
 
-def minkowski_sum(P: LatticePolygon, Q: LatticePolygon) -> LatticePolygon:
-    """Minkowski sum of two hulls: the hull of the pairwise vertex sums.
-
-    The sum of two convex polygons is the convex hull of the sums of their
-    vertices, whatever their dimensions; the vertex sets are small.
-    """
-    pts = {(p[0] + q[0], p[1] + q[1]) for p in P.vertices for q in Q.vertices}
-    return convex_hull(SupportSet(pts))
-
-
 def erode(P: LatticePolygon, B: SupportSet) -> SupportSet:
     """Region erosion: all shifts c with c + b inside P for every b in B.
 
@@ -251,16 +241,34 @@ def erode(P: LatticePolygon, B: SupportSet) -> SupportSet:
     return SupportSet(out)
 
 
+def _support_sum(P: LatticePolygon, Q: LatticePolygon) -> int:
+    """Sum over the counterclockwise edges a -> b of P of the support
+    function of Q at the outward normal (b_y - a_y, a_x - b_x), whose
+    length is the edge's.  A segment is its two opposite edges; a point
+    has none."""
+    v, w = P.vertices, Q.vertices
+    if len(v) == 1:
+        return 0
+    total, a = 0, v[-1]
+    for b in v:
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        total += max([ey * qx - ex * qy for qx, qy in w])
+        a = b
+    return total
+
+
 def mixed_volume(P: LatticePolygon, Q: LatticePolygon) -> int:
     """Normalized 2D mixed volume: mv(P, P) equals area2(P).
 
     With this normalization mv equals the generic number of torus roots of
-    a system with these Newton polygons.
+    a system with these Newton polygons.  It is the sum of Q's support
+    function over the edge normals of P (Schneider, Convex Bodies, 5.1),
+    and the same sum with P and Q swapped; both are computed and must agree.
     """
-    s = area2(minkowski_sum(P, Q)) - area2(P) - area2(Q)
-    if s % 2 != 0 or s < 0:
-        raise AssertionError(f"mixed volume defect {s} is not an even non-negative integer")
-    return s // 2
+    s, t = _support_sum(P, Q), _support_sum(Q, P)
+    if s != t or s < 0:
+        raise AssertionError(f"mixed volume sums {s} and {t} differ or are negative")
+    return s
 
 
 def is_segment(S: SupportSet) -> bool:

@@ -1,32 +1,43 @@
 """Exact verification of multiplicity claims.
 
-The verifier never trusts a constructor: it recomputes branches from
-scratch (with the constructors' Newton code, ``branch_rungs``) and reports
-orders read off exact series coefficients.  A branch order is certified
-within a budget n0 = |f| + |g| + 8, raised to the Bernstein bound when
-nothing shows: no isolated root exceeds it, so nothing showing by then
-means the root is not isolated.  The bound is computed only then, and the
-walk goes on from rung n0 instead of starting again.  Orders 0 and 1 are
-read off the jets of f and g at p, one pass per polynomial giving integers
-over one denominator: g(p), else g's derivative along the tangent of f,
-one Fraction each.  A higher order is read from the shortest Newton rung,
-of precision 3 or more, that shows it, which gives the coefficient of the
-expansion to the budget.  Either way the rung the order stands for (p, the
-tangent or the Newton rung) is checked to annihilate its curve.  At a
-singular point of f the order is 0 when g(p) != 0, read with no branch.
-Laurent input is accepted wherever it can be evaluated: a negative
-exponent needs a non-zero coordinate.  Every check returns a replayable certificate whose
-transcript is reproduced bit for bit when re-run on the same inputs.
+The verifier never trusts a constructor: it expands branches itself (with
+the constructors' Newton code, ``branch_rungs``) and reports orders read
+off exact series coefficients.  It keeps, per (curve, point), the walk
+along the branch that it has made and checked itself: the live rung
+generator and its highest rung that passed ``assert_annihilates``.  A
+later call on the same curve and point reads its rungs as prefixes of that
+one, or goes on with the same walk; the jets and the other curve are still
+computed on every call.  The memo is the verifier's own: the constructors
+never read or fill it, and it never reads their probes.
+
+A branch order is certified within a budget n0 = |f| + |g| + 8, raised to
+the Bernstein bound when nothing shows: no isolated root exceeds it, so
+nothing showing by then means the root is not isolated.  The bound is
+computed only then, and the walk goes on from rung n0 instead of starting
+again.  Orders 0 and 1 are read off the jets of f and g at p, one pass per
+polynomial giving integers over one denominator: g(p), else g's derivative
+along the tangent of f, one Fraction each.  A higher order is read from the
+shortest Newton rung, of precision 3 or more, that shows it, which gives
+the coefficient of the expansion to the budget.  Either way the rung the
+order stands for (p, the tangent or the Newton rung) is checked to
+annihilate its curve before it is kept, or is a prefix of a kept rung that
+was.  At a singular point of f the order is 0 when g(p) != 0, read with no
+branch.  Laurent input is accepted wherever it can be evaluated: a negative
+exponent needs a non-zero coordinate.  Every check returns a replayable
+certificate whose transcript is reproduced bit for bit when re-run on the
+same inputs.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .algebra import LaurentPolynomial, UnivariatePolynomial, det, _frac
-from .branches import branch_rungs
+from .branches import PROBE_CAPACITY, BranchParametrization, branch_rungs
 from .errors import InputError, VerificationError
 from .lattice import SupportSet, convex_hull, mixed_volume
 
@@ -43,7 +54,10 @@ class MultiplicityCertificate:
     ``transcript`` holds the exact data that forces the verdict (leading
     series coefficient, derivative values, per-line orders or determinant).
     ``replay`` re-runs the same check and compares transcripts: it shows a
-    claim reproducible, not confirmed by an independent method.
+    claim reproducible, not confirmed by an independent method.  A
+    BranchOrder replay in the same process reads the rungs the verifier
+    kept from its first check of the curve at that point, so it re-reads
+    the order from the same checked branch rather than expanding it anew.
     A BranchOrder ``truncation`` is the budget within which the order is
     certified (n0, or the Bernstein bound past it), not the length of the
     expansion it was read from: orders 0 and 1 come from g's value and
@@ -99,6 +113,42 @@ def _bernstein_bound(f: LaurentPolynomial, g: LaurentPolynomial, p: Tuple[Fracti
     return mixed_volume(hull(f.support()), hull(g.support()))
 
 
+class _Walk:
+    """The verifier's own walk along one curve's branch at one point: the
+    live ``branch_rungs`` generator and the highest rung it has yielded that
+    passed ``assert_annihilates``, kept as bare series, without power or
+    monomial tables.  Rung k up to that one is its prefix, truncated and
+    reduced by ``_make``: the unique normal form of rung k, which
+    annihilates the curve through t^k as the kept rung does through its own
+    order.  One thread at a time reads or extends a walk."""
+
+    __slots__ = ("lock", "rungs", "free_variable", "x_series", "y_series")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.drop()
+
+    def drop(self) -> None:
+        self.rungs = self.free_variable = self.x_series = self.y_series = None
+
+    @property
+    def order(self) -> int:
+        """The kept rung's order, -1 when none is kept."""
+        return -1 if self.x_series is None else self.x_series.truncation_order
+
+    def keep(self, branch: BranchParametrization) -> None:
+        self.free_variable, self.x_series, self.y_series = (
+            branch.free_variable, branch.x_series, branch.y_series)
+
+
+@lru_cache(maxsize=PROBE_CAPACITY)
+def _walk(curve: LaurentPolynomial, p: Tuple[Fraction, Fraction], builder) -> _Walk:
+    """The walk along ``curve`` at p, shared by every call on them.  The
+    builder is the ``branch_rungs`` looked up at call time, so a test or a
+    tracer that rebinds it starts walks of its own and sees every one."""
+    return _Walk()
+
+
 def intersection_multiplicity_smooth(
     f: LaurentPolynomial,
     g: LaurentPolynomial,
@@ -112,10 +162,12 @@ def intersection_multiplicity_smooth(
     whole local intersection number: the order is 0 when g(p) != 0, else 1
     when g's derivative along f's tangent at p is non-zero, both read off
     the jets of f and g with no series; only a higher order expands the
-    branch by Newton rungs, in one walk from rung 0.  Where f is singular the multiplicity is 0 if
-    g(p) != 0 (free variable None); else f is read along g's branch, as the
-    multiplicity is symmetric, and a singular g too raises InputError.  So
-    does a negative exponent at a zero coordinate of p.  Returns
+    branch by Newton rungs, along the curve's kept walk, which goes on from
+    its last rung when it is too short.  Where f is singular the
+    multiplicity is 0 if g(p) != 0 (free variable None); else f is read
+    along g's branch, as the multiplicity is symmetric, and a singular g too
+    raises InputError.  So does a negative exponent at a zero coordinate of
+    p.  Returns
     NON_ISOLATED when no order shows by the Bernstein bound, which an
     isolated root cannot exceed.
     """
@@ -141,32 +193,65 @@ def intersection_multiplicity_smooth(
     # curve shows a non-zero coefficient gives the order and leading
     # coefficient that the expansion to the budget would.  On rung 0 (p) that
     # coefficient is the other curve's value, on rung 1 (the tangent) its
-    # derivative along the tangent: both are read off its jet at p, and the
-    # rung is still self-checked.  A walk that reaches n0 with nothing shown
-    # goes on, from the same rungs, to the Bernstein bound when that is larger.
-    rungs = branch_rungs(curve, p, (cx, cy), n0)
-    branch, n, cap = next(rungs), n0, None  # raises at a singular point
-    order, lead = 0, value
-    while not lead:
-        if branch.truncation_order == n:
-            if cap is not None:
-                break
-            cap = _bernstein_bound(f, g, p)
-            if cap <= n0:
-                break
-            n = cap
-        branch = rungs.send(n)
-        if branch.truncation_order == 1:
-            # the tangent is (c_y, -c_x) up to scale when c_y != 0, else (0, 1)
-            order, lead = 1, Fraction(ox * cy - oy * cx, od * cy) if cy else Fraction(oy, od)
-        else:
-            series = branch.evaluate_poly(other)
-            order = series.order()
-            lead = 0 if order is None else series.coefficient(order)
-    branch.assert_annihilates()
+    # derivative along the tangent: both are read off its jet at p.  Higher
+    # rungs come from the curve's walk: a prefix of its kept rung, else the
+    # walk goes on under this call's budget.  A walk that reaches n0 with
+    # nothing shown goes on, from the same rungs, to the Bernstein bound when
+    # that is larger.  The rung the order stands for is checked to annihilate
+    # the curve before it is kept; one the walk kept was checked when it was.
+    n, cap = n0, None
+    walk = _walk(curve, p, branch_rungs)
+    with walk.lock:
+        kept, top = walk.order, None  # top: the last rung this call took from the walk
+
+        def rung(k: int) -> BranchParametrization:
+            nonlocal top
+            source = walk
+            if k > kept:
+                if walk.rungs is None:
+                    rungs = branch_rungs(curve, p, (cx, cy), n)
+                    top = next(rungs)  # raises at a singular point
+                    walk.rungs = rungs
+                while top is None or top.truncation_order < k:
+                    top = walk.rungs.send(n)
+                if top.truncation_order == k:
+                    return top
+                source = top
+            return BranchParametrization(curve, p, source.free_variable, source.x_series.truncate(k),
+                                         source.y_series.truncate(k), k)
+
+        try:
+            if kept < 0:
+                rung(0)
+            k, order, lead = 0, 0, value
+            while not lead:
+                if k == n:
+                    if cap is not None:
+                        break
+                    cap = _bernstein_bound(f, g, p)
+                    if cap <= n0:
+                        break
+                    n = cap
+                k = min(n, 2 * k + 1)
+                if k == 1:
+                    # the tangent is (c_y, -c_x) up to scale when c_y != 0, else (0, 1)
+                    order, lead = 1, Fraction(ox * cy - oy * cx, od * cy) if cy else Fraction(oy, od)
+                else:
+                    series = rung(k).evaluate_poly(other)
+                    order = series.order()
+                    lead = 0 if order is None else series.coefficient(order)
+            if k > kept:
+                rung(k)
+                top.assert_annihilates()
+                walk.keep(top)
+        except BaseException:
+            # a failed check, or a walk left past its kept rung
+            walk.drop()
+            raise
+        free_variable = walk.free_variable
     if lead:
         transcript = {"order": order, "leading_coefficient": lead, "truncation": n,
-                      "free_variable": branch.free_variable}
+                      "free_variable": free_variable}
     else:
         origin = "" if p[0] != 0 and p[1] != 0 else " (origin adjoined)"
         transcript = {"order": NON_ISOLATED,
@@ -301,7 +386,9 @@ def rank_impossibility(exponents: Sequence[int]) -> MultiplicityCertificate:
 
 def replay(cert: MultiplicityCertificate):
     """Re-run the verification recorded in a certificate; returns the fresh
-    certificate, raising VerificationError if the transcript changed."""
+    certificate, raising VerificationError if the transcript changed.  A
+    BranchOrder is re-read along the curve's kept walk when the verifier
+    has one, so within a process its branch is not expanded again."""
     if cert.kind == "DerivativeTable" and "poly" in cert.inputs:
         _, fresh = univariate_multiplicity(
             cert.inputs["poly"], cert.inputs["point"], with_certificate=True

@@ -23,7 +23,6 @@ from sparsemult.lattice import (
     erode,
     is_segment,
     lattice_points,
-    minkowski_sum,
     mixed_volume,
     normal_form,
     primitivity_index,
@@ -171,56 +170,6 @@ def test_area2_values():
     assert area2(convex_hull(SupportSet([(0, 0), (5, 0)]))) == 0
 
 
-# --- Minkowski sums ----------------------------------------------------------
-
-
-def test_minkowski_squares():
-    s = convex_hull(SQUARE)
-    out = minkowski_sum(s, s)
-    assert set(out.vertices) == {(0, 0), (2, 0), (2, 2), (0, 2)}
-
-
-def test_minkowski_simplex_segment():
-    seg = convex_hull(SupportSet([(0, 0), (1, 0)]))
-    out = minkowski_sum(convex_hull(SIMPLEX), seg)
-    assert set(out.vertices) == {(0, 0), (2, 0), (1, 1), (0, 1)}
-
-
-def test_minkowski_point_translates():
-    pt = convex_hull(SupportSet([(3, 4)]))
-    h = convex_hull(SIMPLEX)
-    out = minkowski_sum(h, pt)
-    assert set(out.vertices) == {(3, 4), (4, 4), (3, 5)}
-
-
-def test_minkowski_matches_pairwise_oracle():
-    rng = random.Random(5)
-    for _ in range(40):
-        P = random_polygon(rng)
-        Q = random_polygon(rng)
-        assert minkowski_sum(P, Q).vertices == oracle_minkowski(P, Q).vertices
-
-
-def oracle_mixed_volume(P, Q):
-    """Mixed area from support functions (Schneider, Convex Bodies, 5.1):
-    the sum over the counterclockwise edges a -> b of P of the support
-    function of Q at the outward normal (b_y - a_y, -(b_x - a_x)).  A
-    segment is its two opposite edges; a point has none."""
-    v = P.vertices
-    if len(v) == 1:
-        return 0
-    edges = [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
-    return sum(max((b[1] - a[1]) * q[0] - (b[0] - a[0]) * q[1] for q in Q.vertices)
-               for a, b in edges)
-
-
-@settings(deadline=None, max_examples=300)
-@given(_hull_points(), _hull_points())
-def test_mixed_volume_matches_support_function_oracle(p_pts, q_pts):
-    P, Q = convex_hull(SupportSet(p_pts)), convex_hull(SupportSet(q_pts))
-    assert mixed_volume(P, Q) == oracle_mixed_volume(P, Q) == oracle_mixed_volume(Q, P)
-
-
 # --- erosion -----------------------------------------------------------------
 
 
@@ -326,6 +275,29 @@ def test_erosion_sum_containment():
 
 
 # --- mixed volume ------------------------------------------------------------
+
+
+def oracle_mixed_volume(P, Q):
+    """Mixed area from support functions (Schneider, Convex Bodies, 5.1):
+    the sum over the counterclockwise edges a -> b of P of the support
+    function of Q at the outward normal (b_y - a_y, -(b_x - a_x)).  A
+    segment is its two opposite edges; a point has none."""
+    v = P.vertices
+    if len(v) == 1:
+        return 0
+    edges = [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+    return sum(max((b[1] - a[1]) * q[0] - (b[0] - a[0]) * q[1] for q in Q.vertices)
+               for a, b in edges)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_hull_points(), _hull_points())
+def test_mixed_volume_matches_support_function_oracle(p_pts, q_pts):
+    P, Q = convex_hull(SupportSet(p_pts)), convex_hull(SupportSet(q_pts))
+    # and from areas: 2 mv(P, Q) = area2(P + Q) - area2(P) - area2(Q)
+    by_area = area2(oracle_minkowski(P, Q)) - area2(P) - area2(Q)
+    assert mixed_volume(P, Q) == oracle_mixed_volume(P, Q) == oracle_mixed_volume(Q, P) == by_area // 2
+    assert by_area % 2 == 0
 
 
 def test_mixed_volume_bezout():

@@ -4,6 +4,8 @@ certificates and replays."""
 import hashlib
 import json
 import random
+import sys
+import threading
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -170,6 +172,10 @@ def test_a_walk_past_n0_goes_on_from_its_last_rung(monkeypatch):
     assert evaluated == [3, 7, 14, 16, 16]
     assert cert.transcript == {"order": 16, "leading_coefficient": F(1),
                                "truncation": 16, "free_variable": "y"}
+    # a replay on the same curve reads the kept rung and enters no walk; once
+    # the walks are cleared it enters one, at 14
+    assert replay(cert).transcript == cert.transcript and entered == [14]
+    verify._walk.cache_clear()
     assert replay(cert).transcript == cert.transcript and entered == [14, 14]
 
 
@@ -818,6 +824,188 @@ def test_no_transcript_of_the_corpus_holds_a_float():
         assert all(type(v) is F for k, v in cert.transcript.items() if k == "leading_coefficient")
         walked += 1
     assert walked >= 200
+
+
+# --- the verifier's kept walks ------------------------------------------------------------
+
+
+def _shared_curve_calls(rng):
+    """Calls (f, g, p) in which each curve meets several g, in shuffled order.
+
+    One curve per family: a smooth f with g = f u + c t^k, orders 0 to 7
+    (4 and up read off rung 7); f = a (x - p0) - b y^k, on which (x - p0)^2
+    has order 2k past n0, certified at the Bernstein bound, met also by g
+    of orders up to 15 whose budgets n0 differ; a smooth f with Laurent
+    multiples of it, non-isolated; a smooth h through p met by curves
+    singular at p, in either argument order, so that each is read along h;
+    a Laurent f at a point with a zero coordinate, met also by a g with a
+    pole there, which is rejected on every call."""
+    x, y = LaurentPolynomial({(1, 0): 1}), LaurentPolynomial({(0, 1): 1})
+    box = [(a, b) for a in range(4) for b in range(4)]
+
+    def q():
+        return F(rng.choice([-7, -3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+
+    def smooth(p, exps):
+        while True:
+            f = _through(rng, p, exps, rng.randint(2, 5))
+            if f.gradient(p) != (0, 0):
+                return f
+
+    def along_free(f, p):
+        return (x - p[0]) if f.gradient(p)[1] != 0 else (y - p[1])
+
+    calls = []
+    p = rng.choice([(F(1), F(1)), (F(2), F(-1, 3)), (F(-3, 2), F(1, 2))])
+    f = smooth(p, box)
+    calls += [(f, f * (_through(rng, p, box, rng.randint(1, 3)) + q()) + q() * along_free(f, p) ** k, p)
+              for k in rng.sample(range(8), 5)]
+    p0, k = rng.choice([F(1), F(0), F(0), F(-3, 2)]), rng.randint(8, 11)
+    f, p = q() * (x - p0) - q() * y ** k, (p0, F(0))
+    calls += [(f, q() * (x - p0) ** 2, p), (f, q() * (x - p0) ** 2 + q() * y ** (2 * k + 1), p),
+              (f, y ** 15 + q() * (x - p0) ** 2, p), (f, y ** rng.randint(1, 7) + (x - p0) * q(), p),
+              (f, f * (_through(rng, p, box, 4) + q()) + y ** rng.randint(4, 7), p)]
+    p = rng.choice([(F(1), F(1)), (F(0), F(1)), (F(2), F(0))])
+    f = smooth(p, box)
+    calls += [(f, f * (_through(rng, p, box, 2) + q()), p), (f, f * q(), p),
+              (f, f * (_through(rng, p, box, 2) + q()) + q() * along_free(f, p) ** 3, p)]
+    p = rng.choice([(F(1), F(1)), (F(-1, 2), F(3)), (F(0), F(1))])
+    h = smooth(p, box)
+    u, v = x - p[0], y - p[1]
+    for _ in range(3):
+        singular = q() * u ** 2 + q() * u * v + q() * v ** 2 + q() * u ** 3
+        calls.append((singular, h, p) if rng.random() < 0.5 else (h, singular, p))
+    calls.append((h, h * q() + q() * along_free(h, p) ** 4, p))
+    p = rng.choice([(F(0), F(1)), (F(-3, 2), F(0)), (F(0), F(-1, 2))])
+    laurent = [(a, b) for a in range(-2 if p[0] else 0, 3) for b in range(-2 if p[1] else 0, 3)]
+    while True:
+        f = smooth(p, laurent)
+        if any(e[0] < 0 or e[1] < 0 for e in f.terms):
+            break
+    pole = (-1, 0) if p[0] == 0 else (0, -1)
+    calls += [(f, f * (_through(rng, p, box, 2) + q()) + q() * along_free(f, p) ** k, p)
+              for k in rng.sample(range(6), 3)]
+    calls.append((f, _through(rng, p, box, 2) + LaurentPolynomial({pole: q()}), p))
+    rng.shuffle(calls)
+    return calls
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 2**32 - 1))
+def test_a_warm_walk_gives_what_a_cold_one_does(seed):
+    # every call of the sequence, made while the curves' walks are kept,
+    # gives the transcript or the rejection that it gives on a cleared memo
+    verify._walk.cache_clear()
+    calls = _shared_curve_calls(random.Random(seed))
+    warm = [_verifier_outcome(f, g, p) for f, g, p in calls]
+    cold = []
+    for f, g, p in calls:
+        verify._walk.cache_clear()
+        cold.append(_verifier_outcome(f, g, p))
+    assert warm == cold
+
+
+def test_shared_curve_calls_cover_every_kind():
+    # the kinds the warm-against-cold test must meet, in one sequence
+    calls = _shared_curve_calls(random.Random(77))
+    outcomes = [json.loads(o) if o.startswith("{") else o for o in
+                (_verifier_outcome(f, g, p) for f, g, p in calls)]
+    orders = [o["order"] for o in outcomes if isinstance(o, dict)]
+    assert any(isinstance(m, int) and m >= 4 for m in orders)
+    assert NON_ISOLATED in orders
+    assert any(isinstance(o, dict) and isinstance(o["order"], int)
+               and o["transcript"]["truncation"] > len(f.terms) + len(g.terms) + 8
+               for o, (f, g, _) in zip(outcomes, calls))
+    assert any(_singular(f, p) and isinstance(o, dict) and o["transcript"].get("free_variable")
+               for o, (f, _, p) in zip(outcomes, calls))
+    assert any((p[0] == 0 or p[1] == 0) and any(e[0] < 0 or e[1] < 0 for e in f.terms)
+               and isinstance(o, dict) for o, (f, _, p) in zip(outcomes, calls))
+    assert "InputError: negative exponent at a zero coordinate" in outcomes
+
+
+def test_one_walk_shared_by_threads_gives_the_sequential_transcripts():
+    # threads that read and extend one curve's kept walk at once, each with
+    # its own g: orders 0 to 7, so the walk grows from rung 1 past rung 7
+    x, y = LaurentPolynomial({(1, 0): 1}), LaurentPolynomial({(0, 1): 1})
+    f = x * y ** 2 - F(3, 2) * x ** 2 + 3 * y - F(5, 2)
+    p = (F(1), F(1))
+    gs = [f * (x + k) + (x - 1) ** k for k in range(8)]
+    expected = []
+    for g in gs:
+        verify._walk.cache_clear()
+        expected.append(_verifier_outcome(f, g, p))
+    assert [json.loads(e)["order"] for e in expected] == list(range(8))
+    results = {}
+
+    def work(barrier, i):
+        barrier.wait(10)
+        results[i] = _verifier_outcome(f, gs[i], p)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(12):
+            verify._walk.cache_clear()
+            _verifier_outcome(f, gs[1], p)  # the walk, kept at rung 1
+            barrier = threading.Barrier(8)
+            threads = [threading.Thread(target=work, args=(barrier, i)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+            assert [results[i] for i in range(8)] == expected
+            results.clear()
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_a_rung_that_fails_its_check_is_not_kept(monkeypatch):
+    # a builder whose rungs from precision `bad` on are off in their last
+    # coefficient: the call that reaches such a rung raises, and so does
+    # every later one, with no rung kept; the true builder on the same curve
+    # and point still gives the transcripts it gave before
+    real = verify.branch_rungs
+
+    def corrupted_from(bad):
+        def builder(f, p, gradient, order):
+            rungs = real(f, p, gradient, order)
+            br = next(rungs)
+            while True:
+                if br.truncation_order >= bad:
+                    ys = br.y_series.coeffs
+                    br = BranchParametrization(f, br.base_point, br.free_variable, br.x_series,
+                                               TruncatedSeries(ys[:-1] + (ys[-1] + 1,)),
+                                               br.truncation_order)
+                raised = yield br
+                try:
+                    br = rungs.send(raised)
+                except StopIteration:
+                    return
+        return builder
+
+    x, y = LaurentPolynomial({(1, 0): 1}), LaurentPolynomial({(0, 1): 1})
+    f = x + y ** 2 + x * y - 3
+    p = (F(1), F(1))
+    gs = [f * x + (x - 1) ** k for k in (0, 1, 2, 5)]
+    verify._walk.cache_clear()
+    want = [_verifier_outcome(f, g, p) for g in gs]
+    assert [json.loads(w)["order"] for w in want] == [0, 1, 2, 5]
+    stands_for = [0, 1, 3, 7]  # the rung each order is read from
+    for bad in (0, 3, 7):
+        builder = corrupted_from(bad)
+        monkeypatch.setattr(verify, "branch_rungs", builder)
+        for _ in range(3):
+            for g, w, rung in zip(gs, want, stands_for):
+                got = _verifier_outcome(f, g, p)
+                if rung >= bad:
+                    assert got == "AssertionError: branch expansion does not annihilate f"
+                else:
+                    assert got == w
+                walk = verify._walk(f, p, builder)
+                assert walk.rungs is None or walk.order < bad
+        monkeypatch.setattr(verify, "branch_rungs", real)
+        assert [_verifier_outcome(f, g, p) for g in gs] == want
 
 
 # --- line sums -----------------------------------------------------------------------
