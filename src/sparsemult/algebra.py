@@ -8,18 +8,20 @@ with parameter coefficients comes out as a univariate polynomial whose
 coefficients are parameter polynomials.  Everything is immutable after
 construction and all arithmetic is exact.
 
-Truncated series, the hot loop of branch expansion, are fraction-free: one
-positive common denominator and integer numerators, kept in lowest terms,
-so that normal form is unique.  Fractions are built only where a caller
-reads a coefficient.  The jet of a Laurent polynomial at a point, its
-value and gradient for rational coefficients only, is likewise summed
-over one integer denominator.
-
-Univariate decision polynomials are computed on integers as well: the
-triangle Hessian and Theta are integer coefficient lists, and root
-stripping and the rational-root search divide integer numerators by
-(b·t − a) exactly (Gauss's lemma).  Fractions are built once, at the
-boundary, in the :class:`UnivariatePolynomial` that is returned.
+Truncated series, the hot loop of branch expansion, and univariate
+polynomials are both fraction-free: integer numerators over one positive
+common denominator, kept in lowest terms, so that normal form is unique.
+Their arithmetic runs on the integers and reduces each result once;
+Fractions are built only where a caller reads a coefficient or a value.
+Callers that already hold integers, such as the triangle Hessian and
+Theta, hand them to the trusted constructor
+:meth:`UnivariatePolynomial.from_integers`.  Evaluation is Horner on the
+numerators; long division and exact ``//`` divide in Z[t] and scale only
+at a step that is not exact there, so the Bareiss elimination over Z[s]
+never does; root stripping and the rational-root search divide by
+(b·t − a) exactly (Gauss's lemma).  The jet of a Laurent polynomial at a
+point, its value and gradient for rational coefficients only, is likewise
+summed over one integer denominator.
 """
 
 from __future__ import annotations
@@ -209,67 +211,139 @@ def _is_zero(c) -> bool:
     return not c if isinstance(c, MPoly) else c == 0
 
 
+def _over(v, d: int):
+    """v / d for a positive integer d: a Fraction for an integer v, an MPoly
+    for an MPoly v."""
+    if isinstance(v, MPoly):
+        return v if d == 1 else v * Fraction(1, d)
+    return Fraction(v) if d == 1 else Fraction(v, d)
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials
 
 
 class UnivariatePolynomial:
-    """Dense univariate polynomial; coefficients are Fractions or MPolys."""
+    """Dense univariate polynomial over Q, stored fraction-free.
 
-    __slots__ = ("coeffs", "var")
+    The t^i coefficient is ``nums[i] / den``: integer numerators over one
+    positive denominator, in lowest terms (gcd(den, *nums) == 1), with no
+    trailing zero; the zero polynomial has ``nums == ()`` and ``den == 1``.
+    That normal form is unique, so equal polynomials have equal fields and
+    equal hashes.  Arithmetic, evaluation, division and root stripping run
+    on the integers and reduce each result once, in ``from_integers``;
+    ``coeffs``, ``coefficient`` and ``leading`` build Fractions only for
+    callers that read them.
+
+    A resultant in symbolic parameters has MPoly coefficients instead: then
+    every entry of ``nums`` is an MPoly and ``den`` is 1, and the same code
+    runs on them, since MPolys add to and multiply by integers.
+    """
+
+    __slots__ = ("nums", "den", "var")
 
     def __init__(self, coeffs: Sequence = (), var: str = "t"):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
-            cs.pop()
-        self.coeffs = tuple(cs if cs and isinstance(cs[0], MPoly) else [_frac(c) if not isinstance(c, MPoly) else c for c in cs])
-        self.var = var
+        ring = next((c for c in cs if isinstance(c, MPoly)), None)
+        if ring is not None:
+            nums, den = [ring._coerce(c) for c in cs], 1
+        else:
+            cs = [_frac(c) for c in cs]
+            # over the least common denominator the numerators share no factor with it
+            den = lcm(*[c.denominator for c in cs])
+            nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and not nums[-1]:
+            nums.pop()
+        self.nums, self.den, self.var = tuple(nums), den, var
+
+    @classmethod
+    def from_integers(cls, nums: Sequence, var: str = "t", den: int = 1) -> "UnivariatePolynomial":
+        """Trusted constructor: Σ nums[i]·var^i / den for integer numerators
+        (or MPolys) over a non-zero integer den, brought to normal form."""
+        n = len(nums)
+        while n and not nums[n - 1]:
+            n -= 1
+        nums = nums[:n]
+        if den != 1:
+            if n and isinstance(nums[-1], MPoly):
+                nums, den = [c * Fraction(1, den) for c in nums], 1
+            else:
+                g = gcd(den, *nums)
+                if den < 0:
+                    g = -g
+                nums, den = [c // g for c in nums], den // g
+        p = object.__new__(cls)
+        p.nums, p.den, p.var = tuple(nums), den, var
+        return p
 
     @classmethod
     def zero(cls, var: str = "t") -> "UnivariatePolynomial":
-        return cls((), var)
+        return cls.from_integers((), var)
+
+    @property
+    def coeffs(self) -> tuple:
+        nums, den = self.nums, self.den
+        if nums and isinstance(nums[-1], MPoly):
+            return nums
+        return tuple(Fraction(c, den) for c in nums)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def leading(self):
         if self.is_zero():
             raise InputError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coefficient(len(self.nums) - 1)
 
     def coefficient(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            c = self.nums[i]
+            return c if isinstance(c, MPoly) else Fraction(c, self.den)
         return Fraction(0)
 
     def __call__(self, x):
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return Fraction(0) if acc is None else acc
-
-    def _wrap(self, coeffs):
-        return UnivariatePolynomial(coeffs, self.var)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return self._wrap([self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        """The value at a rational x = a/b: Horner on the numerators gives
+        Σ nums[i]·a^i·b^(n−i), which is divided once by den·b^n."""
+        if not self.nums:
+            return Fraction(0)
+        x = _frac(x)
+        a, b = x.numerator, x.denominator
+        acc, bp = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * a + c * bp
+            bp *= b
+        return _over(acc, self.den * (bp // b))
 
     def _coerce(self, other) -> "UnivariatePolynomial":
         if isinstance(other, UnivariatePolynomial):
             if other.var != self.var:
                 raise InputError(f"variable mismatch {self.var!r} vs {other.var!r}")
             return other
+        if isinstance(other, (int, Fraction)):
+            return self.from_integers((other.numerator,), self.var, other.denominator)
         return UnivariatePolynomial([other], self.var)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        a, b, den = self.nums, other.nums, self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            sa, sb = other.den // g, den // g
+            a, b, den = [c * sa for c in a], [c * sb for c in b], den * sa
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return self.from_integers(out, self.var, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap([-c for c in self.coeffs])
+        return self.from_integers([-c for c in self.nums], self.var, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -278,23 +352,25 @@ class UnivariatePolynomial:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, UnivariatePolynomial):
-            return self._wrap([c * other for c in self.coeffs])
+        if isinstance(other, (int, Fraction)):
+            return self.from_integers(
+                [c * other.numerator for c in self.nums], self.var, self.den * other.denominator)
         other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return self._wrap(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return self._wrap(out)
+        a, b = self.nums, other.nums
+        if not a or not b:
+            return self.zero(self.var)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return self.from_integers(out, self.var, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise InputError("negative power")
-        return _square_and_multiply(self, n, self._wrap([Fraction(1)]))
+        return _square_and_multiply(self, n, self.from_integers((1,), self.var))
 
     def __floordiv__(self, other) -> "UnivariatePolynomial":
         """Exact division; raises ArithmeticError on a non-zero remainder."""
@@ -305,48 +381,54 @@ class UnivariatePolynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = UnivariatePolynomial([other], self.var)
+            other = self._coerce(other)
         return (
             isinstance(other, UnivariatePolynomial)
             and self.var == other.var
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        return hash((self.var, self.nums, self.den))
 
     def derivative(self) -> "UnivariatePolynomial":
-        return self._wrap([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        return self.from_integers([c * i for i, c in enumerate(self.nums) if i], self.var, self.den)
 
     def divmod_linear(self, root: Fraction) -> Tuple["UnivariatePolynomial", Fraction]:
         """Synthetic division by (var - root), returning (quotient, remainder).
 
-        The root is a Fraction; the coefficients may be Fractions or any ring
-        elements that add to and multiply by Fractions, such as the MPoly
-        coefficients of a resultant in parameters."""
+        For root = a/b the Horner sums h_k = Σ_{i>=k} nums[i]·a^(i−k)·b^(n−i)
+        are integers (or MPolys): the quotient's t^k coefficient is
+        h_(k+1)·b^k over den·b^(n−1), and the remainder is h_0 over den·b^n.
+        """
+        if not self.nums:
+            return self, Fraction(0)
         root = _frac(root)
-        acc = Fraction(0)
-        out = []
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        out.reverse()
-        rem = out[0] if out else Fraction(0)
-        return self._wrap(out[1:]), rem
+        a, b = root.numerator, root.denominator
+        h, acc, bp = [], 0, 1
+        for c in reversed(self.nums):
+            acc = acc * a + c * bp
+            h.append(acc)
+            bp *= b
+        h.reverse()
+        n = len(h) - 1
+        quot = self.from_integers([h[k + 1] * b ** k for k in range(n)], self.var, self.den * b ** max(n - 1, 0))
+        return quot, _over(h[0], self.den * b ** n)
 
     def monic(self) -> "UnivariatePolynomial":
         if self.is_zero():
             return self
-        lead = self.leading()
-        return self._wrap([c / lead for c in self.coeffs])
+        return self.from_integers(self.nums, self.var, self.nums[-1])
 
     def primitive_integer(self) -> "UnivariatePolynomial":
         """Scale to integer coefficients with gcd 1 and positive leading term."""
         if self.is_zero():
             return self
-        nums, _ = _integer_numerators(self)
-        g = gcd(*nums) if nums[-1] > 0 else -gcd(*nums)
-        return self._wrap([v // g for v in nums])
+        g = gcd(*self.nums)
+        if self.nums[-1] < 0:
+            g = -g
+        return self.from_integers([c // g for c in self.nums], self.var)
 
     def __repr__(self):
         if self.is_zero():
@@ -365,36 +447,45 @@ class UnivariatePolynomial:
 
 
 def poly_gcd(p: UnivariatePolynomial, q: UnivariatePolynomial) -> UnivariatePolynomial:
-    """Monic gcd over Q (Euclid)."""
+    """Monic gcd over Q: Euclid, each remainder replaced by its primitive
+    integer part (the same gcd up to a unit, without coefficient swell)."""
     a, b = p, q
     while not b.is_zero():
-        a, b = b, _poly_divmod(a, b)[1]
-    return a.monic() if not a.is_zero() else a
+        a, b = b, _poly_divmod(a, b)[1].primitive_integer()
+    return a.monic()
 
 
 def _poly_divmod(
     a: UnivariatePolynomial, b: UnivariatePolynomial
 ) -> Tuple[UnivariatePolynomial, UnivariatePolynomial]:
-    """Long division over Q: (quotient, remainder) with deg remainder < deg b."""
+    """Long division over Q: (quotient, remainder) with deg remainder < deg b.
+
+    It divides a's numerators A by b's numerators B in Z[t], keeping
+    scale·A = q·B + r with integer q and r.  A step whose leading entry is
+    not a multiple of B's leading coefficient L first multiplies the
+    invariant by L, so an exact division in Z[t], such as every Bareiss
+    step over Z[s], never scales at all.
+    """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    db, lead = b.degree(), b.leading()
-    r = list(a.coeffs)
-    q = [Fraction(0)] * max(len(r) - db, 0)
+    B = b.nums
+    db, lead = len(B) - 1, B[-1]
+    r = list(a.nums)
+    q = [0] * max(len(r) - db, 0)
+    scale = 1
     for k in range(len(q) - 1, -1, -1):
-        factor = r[k + db] / lead
+        factor, rest = divmod(r[k + db], lead)
+        if rest:
+            r, q, scale = [c * lead for c in r], [c * lead for c in q], scale * lead
+            factor = r[k + db] // lead
         if factor:
             q[k] = factor
-            for j, c in enumerate(b.coeffs):
+            for j, c in enumerate(B):
                 r[k + j] -= factor * c
-    return UnivariatePolynomial(q, a.var), UnivariatePolynomial(r[:db], a.var)
-
-
-def _integer_numerators(p: UnivariatePolynomial) -> Tuple[List[int], int]:
-    """Integer numerators of p's coefficients over the lcm of their
-    denominators: p = Σ nums[i]·t^i / den."""
-    den = lcm(*[c.denominator for c in p.coeffs])
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+    # a = (scale·A/B)·(B/b.den)·b.den/(scale·a.den): quotient q·b.den and remainder r over scale·a.den
+    den = scale * a.den
+    return (a.from_integers([c * b.den for c in q], a.var, den),
+            a.from_integers(r[:db], a.var, den))
 
 
 def _exact_linear_quotient(c: List[int], a: int, b: int) -> Optional[List[int]]:
@@ -425,15 +516,14 @@ def factor_out_roots(
     """Divide out each listed rational root to maximal multiplicity.
 
     Returns the reduced factor and the multiplicity of each root, in order.
-    The work is in integers: p is scaled to integer numerators over one
-    denominator, and each root a/b is divided out as (b·t − a) by
-    ``_exact_linear_quotient`` as often as that division is exact.  The
-    reduced factor is b^mult / den times the integer quotient, so it is the
-    quotient of p by the monic (t − a/b)^mult, with Fraction coefficients.
+    The work is in integers: each root a/b is divided out of p's numerators
+    as (b·t − a) by ``_exact_linear_quotient`` as often as that division is
+    exact.  The reduced factor is b^mult / den times the integer quotient,
+    so it is the quotient of p by the monic (t − a/b)^mult.
     """
     if p.is_zero():
         raise InputError("zero polynomial")
-    nums, den = _integer_numerators(p)
+    nums, den = p.nums, p.den
     scale = 1
     mults = []
     for r in roots:
@@ -445,7 +535,7 @@ def factor_out_roots(
             m += 1
         scale *= b ** m
         mults.append(m)
-    return p._wrap([Fraction(v * scale, den) for v in nums]), tuple(mults)
+    return p.from_integers([v * scale for v in nums], p.var, den), tuple(mults)
 
 
 def rational_roots(p: UnivariatePolynomial) -> List[Fraction]:
@@ -458,7 +548,7 @@ def rational_roots(p: UnivariatePolynomial) -> List[Fraction]:
     """
     if p.is_zero():
         raise InputError("zero polynomial")
-    nums, _ = _integer_numerators(p)
+    nums = p.nums
     content = gcd(*nums)
     shift = next(i for i, v in enumerate(nums) if v)
     coeffs = [v // content for v in nums[shift:]]
@@ -648,7 +738,7 @@ class LaurentPolynomial:
     then requires non-zero coordinates).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Optional[Dict[Tuple[int, int], object]] = None):
         clean: Dict[Tuple[int, int], object] = {}
@@ -659,6 +749,7 @@ class LaurentPolynomial:
             if not _is_zero(c):
                 clean[e] = c
         self.terms = clean
+        self._hash = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -713,7 +804,10 @@ class LaurentPolynomial:
         return isinstance(other, LaurentPolynomial) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # the terms never change after construction: hash them once, on demand
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def partial(self, var: str) -> "LaurentPolynomial":
         i = {"x": 0, "y": 1}[var]
@@ -776,13 +870,18 @@ class LaurentPolynomial:
 # fraction-free linear algebra over Z, Q[s] and parameter rings
 
 
-def _integerize_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    out = []
-    for row in rows:
-        fr = [_frac(c) for c in row]
-        den = lcm(*[c.denominator for c in fr])
-        out.append([c.numerator * (den // c.denominator) for c in fr])
-    return out
+def _integer_row(row: Sequence[Scalar]) -> Tuple[List[int], int]:
+    """A row as integer numerators over the lcm of its denominators; a row
+    of ints is taken as it is, over 1."""
+    if all(type(c) is int for c in row):
+        return list(row), 1
+    fr = [_frac(c) for c in row]
+    den = lcm(*[c.denominator for c in fr])
+    return [c.numerator * (den // c.denominator) for c in fr], den
+
+
+def _integerize_rows(rows: Sequence[Sequence[Scalar]]) -> List[List[int]]:
+    return [_integer_row(row)[0] for row in rows]
 
 
 def _bareiss_echelon(m: List[List]) -> Tuple[List[List], List[int], int]:
@@ -930,10 +1029,9 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     scale = 1
     m = []
     for row in rows:
-        fr = [_frac(c) for c in row]
-        den = lcm(*[c.denominator for c in fr])
+        ints, den = _integer_row(row)
         scale *= den
-        m.append([c.numerator * (den // c.denominator) for c in fr])
+        m.append(ints)
     ech, piv, sign = _bareiss_echelon(m)
     if len(piv) < n:
         return Fraction(0)

@@ -97,8 +97,8 @@ def hessian_at_one(n: int, m: int, k: int, l: int) -> UnivariatePolynomial:
     c1*a + c2*(-1-a), and He = 2 fx fy fxy - fx^2 fyy - fy^2 fxx is a cubic
     in a.  Its coefficients are computed as integers; the anchor identities
     He(0) = -k*l*(k+l) and He(-1) = -m*n*(m+n) are asserted on those
-    integers on every call, and Fractions are built once, in the returned
-    polynomial.
+    integers on every call, and the returned polynomial keeps them as its
+    integer numerators.
     """
     if n * l - m * k == 0:
         raise InputError("collinear triangle")
@@ -119,17 +119,17 @@ def hessian_at_one(n: int, m: int, k: int, l: int) -> UnivariatePolynomial:
     ]
     if he[0] != -k * l * (k + l) or he[0] - he[1] + he[2] - he[3] != -m * n * (m + n):
         raise AssertionError("Hessian anchor identities failed")
-    return UnivariatePolynomial(he, "a")
+    return UnivariatePolynomial.from_integers(he, "a")
 
 
 def theta_poly(n: int, m: int, k: int) -> UnivariatePolynomial:
     """Reduced Hessian for a triangle in the axis-aligned position
     {(n,0), (m,0), (0,k)}: the full Hessian is (1+a)*k*Theta(a), where
     Theta(a) = (k-1)(n + a m)^2 - k(1 + a)(n(n-1) + a m(m-1)).  The
-    coefficients are computed as integers and turned into Fractions once,
-    in the returned polynomial."""
+    coefficients are computed as integers, the returned polynomial's
+    numerators."""
     nn, mm = n * (n - 1), m * (m - 1)
-    return UnivariatePolynomial(
+    return UnivariatePolynomial.from_integers(
         [
             (k - 1) * n * n - k * nn,
             2 * (k - 1) * n * m - k * (nn + mm),
@@ -148,6 +148,11 @@ class TriangleClass:
     decision_poly: Optional[UnivariatePolynomial] = None
     reduced_factor: Optional[UnivariatePolynomial] = None
     case: str = ""
+
+
+# the roots that the degenerate members a = 0 and a = -1 put on every
+# decision polynomial
+_DEGENERATE_ROOTS = (Fraction(0), Fraction(-1))
 
 
 def _edge_directions(pts: Sequence[Point]) -> List[Point]:
@@ -184,13 +189,13 @@ def triangle_inflection(T: SupportSet) -> TriangleClass:
         (n, m) = (pts[1][0] - base[0], pts[1][1] - base[1])
         (k, l) = (pts[2][0] - base[0], pts[2][1] - base[1])
         he = hessian_at_one(n, m, k, l)
-        reduced, _ = factor_out_roots(he, [Fraction(0), Fraction(-1)])
+        reduced, _ = factor_out_roots(he, _DEGENERATE_ROOTS)
         case = "generic"
         decision = he
     else:
         n, m, k = _axis_position(pts)
         decision = theta_poly(n, m, k)
-        reduced, _ = factor_out_roots(decision, [Fraction(0), Fraction(-1)]) if not decision.is_zero() else (decision, (0, 0))
+        reduced, _ = factor_out_roots(decision, _DEGENERATE_ROOTS) if not decision.is_zero() else (decision, (0, 0))
         case = "axis-aligned"
 
     if not reduced.is_zero() and reduced.degree() >= 1:
@@ -421,9 +426,7 @@ def _triple_root_on(exps: Sequence[int], place) -> LaurentPolynomial:
     """construct_univariate(exps, 3), its exponent e put on the monomial place(e)."""
     p_poly = construct_univariate(exps, 3)
     shift = -min(min(exps), 0)
-    return LaurentPolynomial(
-        {place(e): p_poly.coefficient(e + shift) for e in exps if p_poly.coefficient(e + shift) != 0}
-    )
+    return LaurentPolynomial({place(e): p_poly.coefficient(e + shift) for e in exps})
 
 
 def _binomial(p: Point, q: Point) -> LaurentPolynomial:

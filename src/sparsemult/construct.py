@@ -105,8 +105,8 @@ class ImpossibilityCertificate:
 
 
 def _repair_full_support(
-    v: List[Fraction], basis: List[List[Fraction]], residual_row: List[Fraction]
-) -> List[Fraction]:
+    v: List[int], basis: List[List[int]], residual_row: List[int]
+) -> List[int]:
     """Make every coordinate non-zero by adding other kernel vectors,
     keeping the residual against ``residual_row`` non-zero."""
     for idx in range(len(v)):
@@ -156,20 +156,21 @@ def construct_univariate(exponents: Sequence[int], l: int):
                 "coefficient vector satisfies k vanishing conditions at t = 1",
             },
         )
-    *rows, residual_row = [[Fraction(a) ** j for a in exps] for j in range(l + 1)]
-    basis = kernel_basis(rows, ncols=k)
+    *rows, residual_row = [[a ** j for a in exps] for j in range(l + 1)]
+    # every integer kernel vector has the last pivot as its free entry, so
+    # sums of them are the normalized (free entry 1) ones times that pivot,
+    # and the zero tests and the primitive result are those of the latter
+    basis = [v for _, v in integer_kernel(rows, k)]
     chosen = next((b for b in basis if sum(map(mul, residual_row, b))), None)
     if chosen is None:
         raise AssertionError("rank of the power matrix must grow at row l")
     chosen = _repair_full_support(list(chosen), basis, residual_row)
 
     shift = -min(min(exps), 0)
-    coeffs: Dict[int, Fraction] = {}
+    dense = [0] * (max(exps) + shift + 1)
     for a, c in zip(exps, chosen):
-        coeffs[a + shift] = c
-    dense = [coeffs.get(i, Fraction(0)) for i in range(max(coeffs) + 1)]
-    poly = UnivariatePolynomial(dense, "t").primitive_integer()
-    return poly
+        dense[a + shift] = c
+    return UnivariatePolynomial.from_integers(dense, "t").primitive_integer()
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +518,7 @@ def _line_rows(A: SupportSet, r: int) -> List[List[UnivariatePolynomial]]:
     """
     pts = A.sorted_points()
     return [
-        [UnivariatePolynomial([_binom(a, i - j) * _binom(b, j) for j in range(i + 1)], "s")
+        [UnivariatePolynomial.from_integers([_binom(a, i - j) * _binom(b, j) for j in range(i + 1)], "s")
          for a, b in pts]
         for i in range(r + 1)
     ]

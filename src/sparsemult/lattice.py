@@ -295,18 +295,17 @@ def primitivity_index(A: SupportSet, B: SupportSet):
 
     1 means A and B cannot be shifted to a common proper sublattice.  When
     the difference lattice has rank < 2 the index is infinite and
-    ``INFINITE_INDEX`` is returned.
+    ``INFINITE_INDEX`` is returned.  The index is the gcd of the pairwise
+    cross products of the differences, so it stops at the first gcd of 1.
     """
     vecs = [v for v in _difference_vectors(A) + _difference_vectors(B) if v != (0, 0)]
-    if not vecs:
-        return INFINITE_INDEX
     d = 0
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            d = gcd(d, abs(vecs[i][0] * vecs[j][1] - vecs[i][1] * vecs[j][0]))
-    if d == 0:
-        return INFINITE_INDEX
-    return d
+    for i, (a, b) in enumerate(vecs):
+        for c, e in vecs[i + 1:]:
+            d = gcd(d, a * e - b * c)
+            if d == 1:
+                return 1
+    return d or INFINITE_INDEX
 
 
 @dataclass(frozen=True)

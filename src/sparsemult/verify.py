@@ -34,6 +34,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from .algebra import LaurentPolynomial, UnivariatePolynomial, det, _frac
@@ -328,22 +329,29 @@ def segment_product_multiplicity(
         (p[0] == 0 or p[1] == 0) and any(e[0] < 0 or e[1] < 0 for e in g.terms)
     ):
         raise InputError("negative exponents need non-zero coordinates")
+    # both members become integer numerators over one denominator: f's
+    # coefficients over their lcm, and g(x0, y) with x0 = a/b over that of
+    # g's times a^-lo b^hi, for lo <= 0 <= hi bounding g's x-exponents
     shift = -min(min((e[0] for e in f_x_only.terms), default=0), 0)
-    px = UnivariatePolynomial(
-        [
-            next((c for e, c in f_x_only.terms.items() if e[0] + shift == i), Fraction(0))
-            for i in range(max(e[0] + shift for e in f_x_only.terms) + 1)
-        ],
-        "x",
-    )
+    den = lcm(*[c.denominator for c in f_x_only.terms.values()])
+    dense = [0] * (max(e[0] + shift for e in f_x_only.terms) + 1)
+    for (e1, _), c in f_x_only.terms.items():
+        dense[e1 + shift] = c.numerator * (den // c.denominator)
+    px = UnivariatePolynomial.from_integers(dense, "x", den)
     m1, c1 = univariate_multiplicity(px, p[0], with_certificate=True)
-    sections: Dict[int, Fraction] = {}
+    a, b = p[0].numerator, p[0].denominator
+    e1s = [e[0] for e in g.terms]
+    lo, hi = min(min(e1s), 0), max(max(e1s), 0)
+    den = lcm(*[c.denominator for c in g.terms.values()])
+    sections: Dict[int, int] = {}
     for (e1, e2), c in g.terms.items():
-        sections[e2] = sections.get(e2, Fraction(0)) + _frac(c) * p[0] ** e1
-    shift2 = -min(min(sections, default=0), 0)
-    qy = UnivariatePolynomial(
-        [sections.get(i - shift2, Fraction(0)) for i in range(max(sections) + shift2 + 1)],
+        w = c.numerator * (den // c.denominator) * a ** (e1 - lo) * b ** (hi - e1)
+        sections[e2] = sections.get(e2, 0) + w
+    shift2 = -min(min(sections), 0)
+    qy = UnivariatePolynomial.from_integers(
+        [sections.get(i - shift2, 0) for i in range(max(sections) + shift2 + 1)],
         "y",
+        den * a ** -lo * b ** hi,
     )
     if qy.is_zero():
         raise InputError("vertical section vanishes identically: not isolated")
@@ -373,7 +381,7 @@ def rank_impossibility(exponents: Sequence[int]) -> MultiplicityCertificate:
     if len(set(exps)) != len(exps):
         raise InputError("exponents must be distinct")
     k = len(exps)
-    rows = [[Fraction(a) ** j for a in exps] for j in range(k)]
+    rows = [[a ** j for a in exps] for j in range(k)]
     d = det(rows)
     if d == 0:
         raise AssertionError("distinct exponents cannot give a singular power matrix")

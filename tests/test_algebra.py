@@ -24,6 +24,7 @@ from sparsemult.algebra import (
     sylvester_resultant,
 )
 from sparsemult.errors import InputError
+from sparsemult.jsonio import upoly_to_json
 
 
 # --- truncated series ----------------------------------------------------------
@@ -578,6 +579,170 @@ def test_rational_roots_match_brute_force(c, root_powers, cofactor):
     assert {r for r, e in root_powers if e} <= set(roots)
 
 
+# --- the integer univariate type against lists of Fractions ------------------
+# Each reference below works on plain ascending lists of Fractions, with no
+# trailing zero, and shares no code with UnivariatePolynomial.
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _uref_add(a, b):
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _uref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _uref_eval(a, x):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _uref_divmod(a, b):
+    r, q = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            r[k + j] -= q[k] * c
+    return _trim(q), _trim(r[: len(b) - 1])
+
+
+def _uref_monic_gcd(a, b):
+    while b:
+        a, b = b, _uref_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else a
+
+
+def _uref_primitive(a):
+    den = 1
+    for c in a:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in a]
+    g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [F(v // g) for v in ints]
+
+
+def _uref_roots(a):
+    # every ±p/q with p | the lowest non-zero numerator and q | the leading one
+    ints = _uref_primitive(a)
+    low = next(i for i, v in enumerate(ints) if v)
+    found = {F(0)} if low else set()
+
+    def divisors(n):
+        return [d for d in range(1, abs(int(n)) + 1) if n % d == 0]
+
+    for p in divisors(ints[low]):
+        for q in divisors(ints[-1]):
+            found.update(r for r in (F(p, q), F(-p, q)) if _uref_eval(a, r) == 0)
+    return sorted(found)
+
+
+def _in_normal_form(p):
+    """The fields of p are its unique normal form."""
+    assert p.den > 0 and all(type(c) is int for c in p.nums)
+    assert gcd(p.den, *p.nums) == 1 and (not p.nums or p.nums[-1] != 0)
+    assert p.nums or p.den == 1
+    return True
+
+
+_small_fracs = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 4, 6, 35]))
+_flists = st.lists(_small_fracs, max_size=6).map(_trim)
+# 0, negative integers and non-integral rationals of either sign
+_at = st.one_of(st.just(F(0)), st.builds(F, st.integers(-7, -1)),
+                st.builds(F, st.integers(-9, 9), st.sampled_from([2, 3, 5, 12])))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_flists, _flists, _at, _small_fracs)
+def test_univariate_ring_operations_match_fraction_lists(a, b, x, c):
+    pa, pb = UnivariatePolynomial(a, "s"), UnivariatePolynomial(b, "s")
+    neg_b = [-v for v in b]
+    for got, want in (
+        (pa + pb, _uref_add(a, b)),
+        (pa - pb, _uref_add(a, neg_b)),
+        (pa * pb, _uref_mul(a, b)),
+        (pa * c, _uref_mul(a, [c])),
+        (c - pa, _uref_add([c], [-v for v in a])),
+        (pa.derivative(), _trim([v * i for i, v in enumerate(a)][1:])),
+    ):
+        assert _in_normal_form(got) and got.var == "s"
+        assert list(got.coeffs) == want
+        assert got == UnivariatePolynomial(want, "s")
+        assert all(type(v) is F for v in got.coeffs)
+    assert pa(x) == _uref_eval(a, x) and type(pa(x)) is F
+    q, rem = pa.divmod_linear(x)
+    ref_q, ref_rem = _ref_synthetic_division(a, x) if a else ([], F(0))
+    assert _in_normal_form(q) and list(q.coeffs) == _trim(ref_q) and rem == ref_rem
+    assert (pa == c) == (a == _trim([c])) and (pa != 0) == bool(a)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_flists, _flists.filter(bool), _flists)
+def test_univariate_division_matches_fraction_long_division(q, b, r):
+    r = _uref_divmod(r, b)[1]  # deg r < deg b
+    a = _uref_add(_uref_mul(q, b), r)
+    pa, pb = UnivariatePolynomial(a), UnivariatePolynomial(b)
+    if r:
+        with pytest.raises(ArithmeticError):
+            pa // pb
+    else:
+        got = pa // pb
+        assert _in_normal_form(got) and list(got.coeffs) == q
+    g = poly_gcd(pa, pb)
+    assert _in_normal_form(g) and list(g.coeffs) == _uref_monic_gcd(a, b)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_scalars, _root_powers.filter(lambda rps: sum(e for _, e in rps) <= 5), _cofactors,
+       st.lists(st.sampled_from(_ROOT_POOL), max_size=3))
+def test_univariate_root_work_matches_fraction_lists(c, root_powers, cofactor, extra):
+    p = _product(c, root_powers, cofactor)
+    a = list(p.coeffs)
+    prim = p.primitive_integer()
+    assert _in_normal_form(prim) and prim.den == 1 and list(prim.coeffs) == _uref_primitive(a)
+    assert rational_roots(p) == _uref_roots(a)
+    roots = [r for r, _ in root_powers] + extra
+    reduced, mults = factor_out_roots(p, roots)
+    ref, ref_mults = list(a), []
+    for r in roots:
+        m = 0
+        while len(ref) > 1 and _uref_eval(ref, r) == 0:
+            ref, m = _ref_synthetic_division(ref, r)[0], m + 1
+        ref_mults.append(m)
+    assert _in_normal_form(reduced) and list(reduced.coeffs) == ref and mults == tuple(ref_mults)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_flists, st.integers(-40, 40).filter(bool))
+def test_integer_constructor_is_the_fraction_constructor(a, k):
+    # numerators over any non-zero multiple of the least common denominator
+    den = k
+    for c in a:
+        den = den * c.denominator // gcd(den, c.denominator)
+    nums = [int(c * den) for c in a] + [0] * (k % 3)
+    p, q = UnivariatePolynomial(a, "y"), UnivariatePolynomial.from_integers(nums, "y", den)
+    assert _in_normal_form(q) and p == q and hash(p) == hash(q)
+    assert upoly_to_json(p) == upoly_to_json(q) and repr(p) == repr(q)
+    assert q.coeffs == tuple(a) and q.degree() == len(a) - 1
+    if a:
+        assert q.leading() == a[-1] and q.coefficient(0) == a[0] and q.coefficient(len(a)) == 0
+
+
 # --- Laurent polynomials -------------------------------------------------------
 
 
@@ -598,6 +763,23 @@ def test_laurent_partials():
     assert fx.coefficient((1, 1)) == 6
     fy = f.partial("y")
     assert fy.coefficient((2, 0)) == 3
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                       st.integers(-5, 5).filter(bool), min_size=1, max_size=9),
+       st.randoms(use_true_random=False))
+def test_laurent_hash_ignores_term_order_and_coefficient_type(terms, rnd):
+    items = list(terms.items())
+    rnd.shuffle(items)
+    from_ints = LaurentPolynomial(dict(items))
+    from_fractions = LaurentPolynomial({e: F(c) for e, c in terms.items()})
+    assert from_ints == from_fractions
+    assert hash(from_ints) == hash(from_fractions) == hash(from_ints)
+    # the cached hash is the hash of the terms
+    assert hash(from_ints) == hash(frozenset(from_fractions.terms.items()))
+    other = from_ints + LaurentPolynomial({(4, 4): 1})
+    assert other != from_ints and hash(other) == hash(frozenset(other.terms.items()))
 
 
 # --- resultants ----------------------------------------------------------------

@@ -379,6 +379,41 @@ def test_primitivity_rank_deficient():
     assert primitivity_index(SupportSet([(0, 0), (1, 0)]), SupportSet([(0, 0), (1, 0)])) == inf
 
 
+def _all_pairs_index(A, B):
+    """The gcd of the cross products of every pair of difference vectors,
+    each support's differences taken from its lowest point; inf for rank < 2."""
+    vecs = []
+    for S in (A, B):
+        base = min(S.points)
+        vecs += [(x - base[0], y - base[1]) for x, y in S.points if (x, y) != base]
+    d = 0
+    for i, (a, b) in enumerate(vecs):
+        for c, e in vecs[i + 1:]:
+            d = gcd(d, abs(a * e - b * c))
+    return d if d else inf
+
+
+_lattice_pts = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+# general supports, points on one line through the origin (collinear, possibly
+# a single point), and supports on a sublattice 2Z x 2Z or 3Z x Z
+_any_support = st.lists(_lattice_pts, min_size=1, max_size=6)
+_on_line = st.builds(lambda d, ks: [(d[0] * k, d[1] * k) for k in ks],
+                     st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (1, 3)]),
+                     st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+_scaled = st.builds(lambda s, pts: [(s[0] * x, s[1] * y) for x, y in pts],
+                    st.sampled_from([(2, 2), (3, 1), (1, 2)]), _any_support)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(_any_support, _on_line, _scaled), st.one_of(_any_support, _on_line, _scaled))
+def test_primitivity_matches_all_pairs_gcd(a, b):
+    A, B = SupportSet(a), SupportSet(b)
+    want = _all_pairs_index(A, B)
+    assert primitivity_index(A, B) == want == primitivity_index(B, A)
+    if want == inf:
+        assert primitivity_index(A, B) is lattice.INFINITE_INDEX
+
+
 # --- normal forms ------------------------------------------------------------
 
 
