@@ -282,10 +282,7 @@ class UnivariatePolynomial:
 
     @property
     def coeffs(self) -> tuple:
-        nums, den = self.nums, self.den
-        if nums and isinstance(nums[-1], MPoly):
-            return nums
-        return tuple(Fraction(c, den) for c in nums)
+        return tuple(_over(c, self.den) for c in self.nums)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -300,8 +297,7 @@ class UnivariatePolynomial:
 
     def coefficient(self, i: int):
         if 0 <= i < len(self.nums):
-            c = self.nums[i]
-            return c if isinstance(c, MPoly) else Fraction(c, self.den)
+            return _over(self.nums[i], self.den)
         return Fraction(0)
 
     def __call__(self, x):

@@ -94,7 +94,7 @@ MAX_EXPONENTS = 40
 # Caps on the CLI's integer options, checked before any work (2-vCPU Xeon,
 # Python 3.11): --retries costs one draw each, about 1.7 s at the cap for a
 # multipoint request that fails every draw; ex10 --n costs about n^2.6,
-# 0.6 s at the cap; triangle-atlas --bound about bound^6, 35 s at the cap.
+# 0.6 s at the cap; triangle-atlas --bound about bound^6, 20 s at the cap.
 MAX_RETRIES = 1000
 MAX_GAP_FAMILY_N = 51
 MAX_TRIANGLE_BOUND = 10

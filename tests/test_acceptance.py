@@ -165,7 +165,7 @@ def test_criterion_7_triangle_atlas():
 
 @pytest.mark.slow
 def test_triangle_atlas_bound10_pinned():
-    # criterion 7 on the [0, 10]^2 box, about 35 s; selected only by
+    # criterion 7 on the [0, 10]^2 box, about 20 s; selected only by
     # `pytest -m slow`.  Re-record after a deliberate change of output with
     # `PYTHONPATH=src python -m sparsemult.cli reproduce triangle-atlas --bound 10 | sha256sum`
     buf = StringIO()
