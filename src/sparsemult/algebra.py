@@ -734,7 +734,7 @@ class LaurentPolynomial:
     then requires non-zero coordinates).
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_jets")
 
     def __init__(self, terms: Optional[Dict[Tuple[int, int], object]] = None):
         clean: Dict[Tuple[int, int], object] = {}
@@ -746,6 +746,7 @@ class LaurentPolynomial:
                 clean[e] = c
         self.terms = clean
         self._hash = None
+        self._jets = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -826,9 +827,18 @@ class LaurentPolynomial:
         """(v, dx, dy, den): the value and gradient at point, integers over
         one positive common denominator, in one pass over the terms.  Each
         coordinate tables x^a for lo <= a <= hi over xd^hi xn^-lo, with
-        lo = 0 at x = 0, where no exponent may be negative."""
+        lo = 0 at x = 0, where no exponent may be negative.
+
+        The terms never change, so the jet is kept per point, keyed by its
+        numerators and denominators, like the hash; a point that raises is
+        not kept, and raises again on every call."""
         px, py = _frac(point[0]), _frac(point[1])
-        xn, xd, yn, yd = px.numerator, px.denominator, py.numerator, py.denominator
+        xn, xd, yn, yd = key = px.numerator, px.denominator, py.numerator, py.denominator
+        if self._jets is None:
+            self._jets = {}
+        jet = self._jets.get(key)
+        if jet is not None:
+            return jet
         terms = self.terms
         if (not xn or not yn) and any((e1 < 0 and not xn) or (e2 < 0 and not yn) for e1, e2 in terms):
             raise InputError("negative exponent at a zero coordinate")
@@ -850,7 +860,8 @@ class LaurentPolynomial:
             if e2:
                 dy += w * e2 * xa * ys[e2 - 1 - ylo]
         den *= xn**-xlo * xd**xhi * yn**-ylo * yd**yhi
-        return (v, dx, dy, den) if den > 0 else (-v, -dx, -dy, -den)
+        jet = self._jets[key] = (v, dx, dy, den) if den > 0 else (-v, -dx, -dy, -den)
+        return jet
 
     def shift_exponents(self, v: Tuple[int, int]) -> "LaurentPolynomial":
         return LaurentPolynomial({(e[0] + v[0], e[1] + v[1]): c for e, c in self.terms.items()})

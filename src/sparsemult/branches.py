@@ -49,8 +49,11 @@ class BranchParametrization:
     exactly through the truncation order.
 
     Powers of x(t) and y(t) and monomials x^i y^j are tabled unreduced,
-    each one integer convolution; ``assert_annihilates`` still sums f over
-    them term by term.
+    each one integer multiplication (shift-and-add for a linear base, a
+    convolution otherwise); ``assert_annihilates`` still sums f over them
+    term by term.  The tables grow in place as curves are evaluated, so a
+    branch that is kept and shared (a probe's, a verifier walk's) is read
+    under its owner's lock.
     """
 
     defining_polynomial: LaurentPolynomial
@@ -64,10 +67,14 @@ class BranchParametrization:
 
     def _power(self, var: int, e: int) -> Tuple[List[int], int]:
         """x^e (var 0) or y^e (var 1) as (numerators, denominator), one
-        convolution per power not yet tabled.
+        multiplication by the base per power not yet tabled.
 
         The table for (var, e < 0) holds base^(+-k) at index k, with the
-        constant 1 at index 0."""
+        constant 1 at index 0.  A base b0 + b1 t with no higher term (the
+        free coordinate p + t, and the dependent one on rungs 0 and 1) is
+        multiplied by shift-and-add, next[i] = b0 cur[i] + b1 cur[i-1]: the
+        integers a convolution with (b0, b1, 0, ...) gives, in two products
+        per coefficient.  Inverses and longer bases are convolved."""
         key = (var, e < 0)
         table = self._powers.get(key)
         if table is None:
@@ -76,8 +83,16 @@ class BranchParametrization:
             table = [([1] + [0] * self.truncation_order, 1), (base.nums, base.den)]
             self._powers[key] = table
         e = abs(e)
-        while len(table) <= e:
-            table.append((_convolve(table[-1][0], table[1][0]), table[-1][1] * table[1][1]))
+        if len(table) <= e:
+            b, bd = table[1]
+            if key[1] or any(b[2:]):
+                while len(table) <= e:
+                    table.append((_convolve(table[-1][0], b), table[-1][1] * bd))
+            else:
+                b0, b1 = (*b, 0)[:2]
+                while len(table) <= e:
+                    cur, d = table[-1]
+                    table.append(([b0 * cur[0]] + [b0 * c + b1 * c1 for c, c1 in zip(cur[1:], cur)], d * bd))
         return table[e]
 
     def _monomial(self, e: Tuple[int, int]) -> Tuple[List[int], int]:

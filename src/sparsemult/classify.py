@@ -77,6 +77,13 @@ def _group_elements() -> List[UnimodularAffineMap]:
 PROJECTIVE_GROUP = _group_elements()
 
 
+def _image(g: UnimodularAffineMap, pts: Sequence[Point]) -> List[Point]:
+    """The images of points that are already pairs of ints under a group
+    element, a linear map: its matrix applied with no revalidation."""
+    (a, b), (c, d) = g.matrix
+    return [(a * x + b * y, c * x + d * y) for x, y in pts]
+
+
 def _linear_triple(p: Sequence[int], q: Sequence[int], r: Sequence[int]) -> List[int]:
     """Coefficients of (p0 + p1 a)(q0 + q1 a)(r0 + r1 a), ascending."""
     (p0, p1), (q0, q1), (r0, r1) = p, q, r
@@ -225,9 +232,8 @@ def triangle_inflection(T: SupportSet) -> TriangleClass:
 def _axis_position(pts: Sequence[Point]) -> Tuple[int, int, int]:
     """Move a triangle with a special edge to {(n,0), (m,0), (0,k)} using
     only line-preserving projectivities and translations."""
-    cur = list(pts)
     for g in PROJECTIVE_GROUP:
-        img = [g.apply(p) for p in cur]
+        img = _image(g, pts)
         for i in range(3):
             for j in range(i + 1, 3):
                 if img[i][1] == img[j][1]:
@@ -276,7 +282,7 @@ def _match_triangle_family(T: SupportSet) -> Tuple[Optional[int], Optional[Unimo
 
     for fam in (1, 2, 4):
         for g in PROJECTIVE_GROUP:
-            img = [g.apply(p) for p in pts]
+            img = _image(g, pts)
             hit = fam2(img) if fam == 2 else fam14(img, fam)
             if hit:
                 return fam, g

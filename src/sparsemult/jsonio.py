@@ -246,6 +246,8 @@ def system_from_json(obj) -> ConstructedSystem:
         mults = tuple(ints_from_json(obj["multiplicities"], "multiplicity"))
         if not points or len(points) != len(mults):
             raise InputError("'points' and 'multiplicities' must be non-empty and of equal length")
+    if any(m < 0 for m in mults):
+        raise InputError("multiplicity must be non-negative")
     exact = obj.get("exact", True)
     if not isinstance(exact, bool):
         raise InputError(f"exact must be a boolean, got {exact!r}")

@@ -32,6 +32,7 @@ from .classify import (
     hessian_at_one,
     match_exceptional_family,
     triangle_inflection,
+    _image,
 )
 from .construct import (
     DEFAULT_SEED,
@@ -223,7 +224,7 @@ def scenario_ex10(n: int = 3, seed: int = DEFAULT_SEED) -> dict:
 def _triangle_projective_canonical(pts) -> Tuple:
     best = None
     for g in PROJECTIVE_GROUP:
-        img = sorted(g.apply(p) for p in pts)
+        img = sorted(_image(g, pts))
         mx = min(p[0] for p in img)
         my = min(p[1] for p in img)
         key = tuple((p[0] - mx, p[1] - my) for p in img)

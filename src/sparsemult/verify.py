@@ -4,11 +4,13 @@ The verifier never trusts a constructor: it expands branches itself (with
 the constructors' Newton code, ``branch_rungs``) and reports orders read
 off exact series coefficients.  It keeps, per (curve, point), the walk
 along the branch that it has made and checked itself: the live rung
-generator and its highest rung that passed ``assert_annihilates``.  A
-later call on the same curve and point reads its rungs as prefixes of that
-one, or goes on with the same walk; the jets and the other curve are still
-computed on every call.  The memo is the verifier's own: the constructors
-never read or fill it, and it never reads their probes.
+generator and its highest rung that passed ``assert_annihilates``, with
+that rung's power and monomial tables.  A later call on the same curve and
+point evaluates the other curve once on the kept rung and reads its rungs
+as prefixes of that value, or goes on with the same walk; both jets are
+still read, and every rejection applied, on every call.  The memo is the
+verifier's own: the constructors never read or fill it, and it never reads
+their probes.
 
 A branch order is certified within a budget n0 = |f| + |g| + 8, raised to
 the Bernstein bound when nothing shows: no isolated root exceeds it, so
@@ -37,8 +39,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import LaurentPolynomial, UnivariatePolynomial, det, _frac
-from .branches import PROBE_CAPACITY, BranchParametrization, branch_rungs
+from .algebra import LaurentPolynomial, TruncatedSeries, UnivariatePolynomial, det, _frac
+from .branches import PROBE_CAPACITY, branch_rungs
 from .errors import InputError, VerificationError
 from .lattice import SupportSet, convex_hull, mixed_volume
 
@@ -56,9 +58,10 @@ class MultiplicityCertificate:
     series coefficient, derivative values, per-line orders or determinant).
     ``replay`` re-runs the same check and compares transcripts: it shows a
     claim reproducible, not confirmed by an independent method.  A
-    BranchOrder replay in the same process reads the rungs the verifier
-    kept from its first check of the curve at that point, so it re-reads
-    the order from the same checked branch rather than expanding it anew.
+    BranchOrder replay in the same process reads the rung the verifier
+    kept, with its power and monomial tables, from its first check of the
+    curve at that point, so it re-reads the order from the same checked
+    branch rather than expanding it anew.
     A BranchOrder ``truncation`` is the budget within which the order is
     certified (n0, or the Bernstein bound past it), not the length of the
     expansion it was read from: orders 0 and 1 come from g's value and
@@ -117,29 +120,27 @@ def _bernstein_bound(f: LaurentPolynomial, g: LaurentPolynomial, p: Tuple[Fracti
 class _Walk:
     """The verifier's own walk along one curve's branch at one point: the
     live ``branch_rungs`` generator and the highest rung it has yielded that
-    passed ``assert_annihilates``, kept as bare series, without power or
-    monomial tables.  Rung k up to that one is its prefix, truncated and
-    reduced by ``_make``: the unique normal form of rung k, which
-    annihilates the curve through t^k as the kept rung does through its own
-    order.  One thread at a time reads or extends a walk."""
+    passed ``assert_annihilates``, kept with its power and monomial tables.
+    Rung k up to that one is its prefix: a curve evaluated on the kept rung
+    and truncated to t^k, reduced by ``_make``, gives the unique normal form
+    of its value on rung k, which annihilates the curve through t^k as the
+    kept rung does through its own order.  The tables grow in place with the
+    curves evaluated on it, so one thread at a time reads or extends a
+    walk."""
 
-    __slots__ = ("lock", "rungs", "free_variable", "x_series", "y_series")
+    __slots__ = ("lock", "rungs", "branch")
 
     def __init__(self):
         self.lock = threading.Lock()
         self.drop()
 
     def drop(self) -> None:
-        self.rungs = self.free_variable = self.x_series = self.y_series = None
+        self.rungs = self.branch = None
 
     @property
     def order(self) -> int:
         """The kept rung's order, -1 when none is kept."""
-        return -1 if self.x_series is None else self.x_series.truncation_order
-
-    def keep(self, branch: BranchParametrization) -> None:
-        self.free_variable, self.x_series, self.y_series = (
-            branch.free_variable, branch.x_series, branch.y_series)
+        return -1 if self.branch is None else self.branch.truncation_order
 
 
 @lru_cache(maxsize=PROBE_CAPACITY)
@@ -195,8 +196,9 @@ def intersection_multiplicity_smooth(
     # coefficient that the expansion to the budget would.  On rung 0 (p) that
     # coefficient is the other curve's value, on rung 1 (the tangent) its
     # derivative along the tangent: both are read off its jet at p.  Higher
-    # rungs come from the curve's walk: a prefix of its kept rung, else the
-    # walk goes on under this call's budget.  A walk that reaches n0 with
+    # rungs come from the curve's walk: a prefix of its kept rung, on which
+    # the other curve is evaluated once, over the tables the rung keeps;
+    # else the walk goes on under this call's budget.  A walk that reaches n0 with
     # nothing shown goes on, from the same rungs, to the Bernstein bound when
     # that is larger.  The rung the order stands for is checked to annihilate
     # the curve before it is kept; one the walk kept was checked when it was.
@@ -204,26 +206,31 @@ def intersection_multiplicity_smooth(
     walk = _walk(curve, p, branch_rungs)
     with walk.lock:
         kept, top = walk.order, None  # top: the last rung this call took from the walk
+        on_kept = None  # the other curve on the kept rung, evaluated once
 
-        def rung(k: int) -> BranchParametrization:
+        def along(k: int) -> TruncatedSeries:
+            # the other curve on rung k: a prefix of its value on the kept
+            # rung, else on the rung the walk yields at k or past it
+            nonlocal on_kept
+            if k <= kept:
+                if on_kept is None:
+                    on_kept = walk.branch.evaluate_poly(other)
+                return on_kept.truncate(k)
+            advance(k)
+            return top.evaluate_poly(other).truncate(k)
+
+        def advance(k: int) -> None:
             nonlocal top
-            source = walk
-            if k > kept:
-                if walk.rungs is None:
-                    rungs = branch_rungs(curve, p, (cx, cy), n)
-                    top = next(rungs)  # raises at a singular point
-                    walk.rungs = rungs
-                while top is None or top.truncation_order < k:
-                    top = walk.rungs.send(n)
-                if top.truncation_order == k:
-                    return top
-                source = top
-            return BranchParametrization(curve, p, source.free_variable, source.x_series.truncate(k),
-                                         source.y_series.truncate(k), k)
+            if walk.rungs is None:
+                rungs = branch_rungs(curve, p, (cx, cy), n)
+                top = next(rungs)  # raises at a singular point
+                walk.rungs = rungs
+            while top is None or top.truncation_order < k:
+                top = walk.rungs.send(n)
 
         try:
             if kept < 0:
-                rung(0)
+                advance(0)
             k, order, lead = 0, 0, value
             while not lead:
                 if k == n:
@@ -238,18 +245,18 @@ def intersection_multiplicity_smooth(
                     # the tangent is (c_y, -c_x) up to scale when c_y != 0, else (0, 1)
                     order, lead = 1, Fraction(ox * cy - oy * cx, od * cy) if cy else Fraction(oy, od)
                 else:
-                    series = rung(k).evaluate_poly(other)
+                    series = along(k)
                     order = series.order()
                     lead = 0 if order is None else series.coefficient(order)
             if k > kept:
-                rung(k)
+                advance(k)
                 top.assert_annihilates()
-                walk.keep(top)
+                walk.branch = top
         except BaseException:
             # a failed check, or a walk left past its kept rung
             walk.drop()
             raise
-        free_variable = walk.free_variable
+        free_variable = walk.branch.free_variable
     if lead:
         transcript = {"order": order, "leading_coefficient": lead, "truncation": n,
                       "free_variable": free_variable}

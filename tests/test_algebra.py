@@ -226,6 +226,31 @@ def test_jet_is_the_value_and_the_evaluated_partials(terms, px, py, parameter_at
             assert str(raised.value) == message
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.dictionaries(_EXPONENTS, _rationals, min_size=1, max_size=8),
+       st.lists(st.tuples(_rationals, _rationals), min_size=1, max_size=6))
+def test_jets_are_kept_one_per_point(terms, points):
+    # a polynomial keeps the jet of each point it is asked at, one entry per
+    # point however the point is written, equal to a fresh polynomial's jet;
+    # a point that raises is never kept, so it raises on every call
+    p = LaurentPolynomial(terms)
+    asked = set()
+    for point in points + [(F(0), F(0))] + points[::-1] + [(F(0), F(0))]:
+        fresh = LaurentPolynomial(p.terms)
+        try:
+            want = fresh.jet(point)
+        except InputError as exc:
+            with pytest.raises(InputError) as raised:
+                p.jet(point)
+            assert str(raised.value) == str(exc) == "negative exponent at a zero coordinate"
+            continue
+        for written in (point, tuple(int(c) if c.denominator == 1 else c for c in point)):
+            assert p.jet(written) == want
+        asked.add(point)
+        assert sorted(p._jets) == sorted((x.numerator, x.denominator, y.numerator, y.denominator)
+                                         for x, y in asked)
+
+
 def test_evaluate_at_a_zero_coordinate_and_with_parameters():
     p = LaurentPolynomial({(2, 0): F(3, 2), (0, 1): F(-1), (1, 1): F(5, 7)})
     assert p.evaluate((F(0), F(-2, 3))) == F(2, 3)

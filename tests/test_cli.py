@@ -321,6 +321,10 @@ def test_verify_negative_exponent_of_g_at_a_zero_coordinate(capsys):
         ["univariate", "--json", json.dumps({"exponents": [0, 1, 3.5], "l": 2})],
         ["univariate", "--json", json.dumps({"exponents": [0, 1, 3], "l": False})],
         ["verify", "--json", json.dumps(_system(multiplicity=1.0))],
+        # a claimed multiplicity below 0 is refused, not checked and failed
+        ["verify", "--json", json.dumps(_system(multiplicity=-1))],
+        ["verify", "--json", json.dumps({"f": _POLY, "g": _LINE, "points": [["1", "1"], ["2", "2"]],
+                                         "multiplicities": [1, -2]})],
         ["verify", "--json", json.dumps(_system(f={"terms": [{"exp": [1, 0]}]}))],
         ["verify", "--json", json.dumps(_system(f={"terms": [{"coeff": "1/1"}]}))],
         ["verify", "--json", json.dumps(_system(f={"terms": [{"exp": [0.5, 0], "coeff": "1"}]}))],

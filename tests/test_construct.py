@@ -18,9 +18,10 @@ from sparsemult.algebra import (
     poly_gcd,
     poly_kernel_basis,
     rank,
+    _convolve,
 )
 from sparsemult import construct
-from sparsemult.branches import branch_series, compute_dim_V, osculating_matrix
+from sparsemult.branches import BranchParametrization, branch_series, compute_dim_V, osculating_matrix
 from sparsemult.construct import (
     ImpossibilityCertificate,
     _draw_through_one,
@@ -284,6 +285,44 @@ def test_evaluate_poly_matches_products_of_powers(seed, case, dep, order, gterms
     for (i, j), c in g.terms.items():
         expected = expected + nx.int_pow(i) * ny.int_pow(j) * c
     assert br.evaluate_poly(g) == expected
+
+
+def _series_numerators(kind):
+    # numerators through t^15 of a base b0 + b1 t (+ higher terms): constant
+    # (b1 = 0) or linear, b0 of either sign or zero, or with a term past t
+    small = st.integers(-9, 9)
+    if kind == "constant":
+        return small.map(lambda b0: [b0] + [0] * 15)
+    if kind == "linear":
+        return st.tuples(small, small).map(lambda b: list(b) + [0] * 14)
+    tail = st.lists(small, min_size=14, max_size=14).filter(any)
+    return st.tuples(small, small, tail).map(lambda b: [b[0], b[1]] + b[2])
+
+
+_BASE_KINDS = st.sampled_from(["constant", "linear", "longer"])
+
+
+@settings(deadline=None, max_examples=200)
+@given(_BASE_KINDS.flatmap(_series_numerators), _BASE_KINDS.flatmap(_series_numerators),
+       st.integers(1, 6), st.integers(0, 15),
+       st.lists(st.tuples(st.integers(0, 1), st.integers(-12, 12)), min_size=1, max_size=8))
+def test_power_tables_equal_repeated_convolution(xnums, ynums, den, order, asked):
+    # each power of a table, whichever path grows it and in whatever order
+    # the powers are asked, holds the numerators and the denominator that
+    # k - 1 convolutions of the base (of its inverse, for k < 0) give
+    bases = [TruncatedSeries._make(nums[: order + 1], den) for nums in (xnums, ynums)]
+    br = BranchParametrization(LaurentPolynomial({(0, 0): 1}), (F(1), F(1)), "x", *bases, order)
+    for var, e in asked:
+        base = bases[var]
+        if e < 0:
+            if base.nums[0] == 0:
+                continue
+            base = base.inverse()
+        nums, d = [1] + [0] * order, 1
+        for _ in range(abs(e)):
+            nums, d = _convolve(nums, base.nums), d * base.den
+        got = br._power(var, e)
+        assert list(got[0]) == nums and got[1] == d
 
 
 # --- osculating matrices --------------------------------------------------------

@@ -509,6 +509,40 @@ def test_rung_used_for_the_order_is_self_checked(monkeypatch):
         intersection_multiplicity_smooth(f, g, (F(1), F(1)))
 
 
+@pytest.mark.parametrize("free", [(2,), (1, 1)])
+def test_a_corrupted_free_series_fails_the_check(monkeypatch, free):
+    # rungs whose free coordinate is p + 2t (linear, so its powers come by
+    # shift-and-add) or p + t + t^2 (convolved): branch_series raises, and so
+    # does the verifier on a cold walk and on a walk kept at the last rung the
+    # corruption does not reach yet (rung 0 for p + 2t, the tangent for p + t + t^2)
+    real = branches.branch_rungs
+
+    def corrupted(f, p, gradient, order):
+        for br in real(f, p, gradient, order):
+            k = br.truncation_order
+            xs = TruncatedSeries.from_coeff_map({0: p[0], **dict(enumerate(free, 1))}, k)
+            yield BranchParametrization(f, br.base_point, br.free_variable, xs, br.y_series, k)
+
+    f = LaurentPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -2})
+    p = (F(1), F(1))
+    order_2 = LaurentPolynomial({(1, 1): 1, (0, 0): -1})
+    clean = len(free) - 1  # the highest rung the corruption does not reach
+    below = LaurentPolynomial({(0, 0): 1}) if clean == 0 else LaurentPolynomial({(1, 0): 1, (0, 1): -1})
+    assert branch_series(f, p, 6).free_variable == "x"
+    assert [intersection_multiplicity_smooth(f, g, p) for g in (below, order_2)] == [clean, 2]
+    monkeypatch.setattr(branches, "branch_rungs", corrupted)
+    monkeypatch.setattr(verify, "branch_rungs", corrupted)
+    with pytest.raises(AssertionError, match="annihilate"):
+        branch_series(f, p, 6)
+    verify._walk.cache_clear()
+    with pytest.raises(AssertionError, match="annihilate"):
+        intersection_multiplicity_smooth(f, order_2, p)
+    assert intersection_multiplicity_smooth(f, below, p) == clean
+    assert verify._walk(f, p, corrupted).order == clean
+    with pytest.raises(AssertionError, match="annihilate"):
+        intersection_multiplicity_smooth(f, order_2, p)
+
+
 def test_tangent_rung_is_self_checked(monkeypatch):
     # rung 1 is built from the gradient it is handed; given one whose tangent
     # slope -f_x/f_y is one too large, the Newton steps above it keep the
@@ -887,6 +921,30 @@ def _shared_curve_calls(rng):
               for k in rng.sample(range(6), 3)]
     calls.append((f, _through(rng, p, box, 2) + LaurentPolynomial({pole: q()}), p))
     rng.shuffle(calls)
+    calls += _kept_then_new_monomials(rng)
+    return calls
+
+
+def _kept_then_new_monomials(rng):
+    """Calls, in this order, that keep a walk at K = 7 and one at K past n0,
+    then read rung 3 < K from each with a g whose monomials neither the
+    curve nor an earlier g has put in the kept rung's tables."""
+    x, y = LaurentPolynomial({(1, 0): 1}), LaurentPolynomial({(0, 1): 1})
+    box = [(a, b) for a in range(4) for b in range(4)]
+
+    def q():
+        return F(rng.choice([-7, -3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+
+    p = rng.choice([(F(1), F(1)), (F(2), F(-1, 3)), (F(-3, 2), F(1, 2))])
+    f = _smooth_through(rng, p, box, rng.randint(2, 5))
+    t = (x - p[0]) if f.gradient(p)[1] != 0 else (y - p[1])
+    calls = [(f, f * (_through(rng, p, box, 2) + q()) + q() * t ** rng.randint(4, 7), p),
+             (f, f * (x ** rng.randint(5, 7) * y ** rng.randint(4, 6) * q() + q()) + q() * t ** 2, p),
+             (f, f * (y ** rng.randint(4, 6) + q()) + q() * t ** 3, p)]
+    p0, k = rng.choice([F(1), F(0), F(-3, 2)]), rng.randint(8, 11)
+    f, p = q() * (x - p0) - q() * y ** k, (p0, F(0))
+    calls += [(f, q() * (x - p0) ** 2, p),
+              (f, y ** rng.randint(2, 3) + q() * x ** rng.randint(4, 6) * (x - p0) ** 2, p)]
     return calls
 
 
@@ -903,6 +961,28 @@ def test_a_warm_walk_gives_what_a_cold_one_does(seed):
         verify._walk.cache_clear()
         cold.append(_verifier_outcome(f, g, p))
     assert warm == cold
+
+
+def test_a_kept_rung_tables_new_monomials_as_a_fresh_rung_does():
+    # a walk kept at K = 7, and one kept at K past n0, read at rung 3 by a g
+    # with monomials the kept rung has not tabled: the kept rung tables them,
+    # and the transcripts are those of a cleared memo
+    calls = _kept_then_new_monomials(random.Random(5))
+    verify._walk.cache_clear()
+    warm, kept = [], []
+    for f, g, p in calls:
+        walk = verify._walk(f, p, verify.branch_rungs)
+        tabled = set() if walk.branch is None else set(walk.branch._monomial_cache)
+        kept.append((walk.order, bool(set(g.terms) - tabled)))
+        warm.append(_verifier_outcome(f, g, p))
+    cold = []
+    for f, g, p in calls:
+        verify._walk.cache_clear()
+        cold.append(_verifier_outcome(f, g, p))
+    assert warm == cold
+    orders = [json.loads(o)["order"] for o in warm]
+    assert orders[1:3] == [2, 3] and kept[1] == (7, True) and kept[2] == (7, True)
+    assert orders[4] in (2, 3) and kept[4][0] == orders[3] > len(calls[3][0].terms) + 11 and kept[4][1]
 
 
 def test_shared_curve_calls_cover_every_kind():
