@@ -83,16 +83,13 @@ class BranchParametrization:
             table = [([1] + [0] * self.truncation_order, 1), (base.nums, base.den)]
             self._powers[key] = table
         e = abs(e)
-        if len(table) <= e:
-            b, bd = table[1]
+        while len(table) <= e:
+            (cur, d), (b, bd) = table[-1], table[1]
             if key[1] or any(b[2:]):
-                while len(table) <= e:
-                    table.append((_convolve(table[-1][0], b), table[-1][1] * bd))
+                nums = _convolve(cur, b)
             else:
-                b0, b1 = (*b, 0)[:2]
-                while len(table) <= e:
-                    cur, d = table[-1]
-                    table.append(([b0 * cur[0]] + [b0 * c + b1 * c1 for c, c1 in zip(cur[1:], cur)], d * bd))
+                nums = [b[0] * cur[0]] + [b[0] * c + b[1] * c1 for c, c1 in zip(cur[1:], cur)]
+            table.append((nums, d * bd))
         return table[e]
 
     def _monomial(self, e: Tuple[int, int]) -> Tuple[List[int], int]:

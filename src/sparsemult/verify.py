@@ -198,9 +198,9 @@ def intersection_multiplicity_smooth(
     # derivative along the tangent: both are read off its jet at p.  Higher
     # rungs come from the curve's walk: a prefix of its kept rung, on which
     # the other curve is evaluated once, over the tables the rung keeps;
-    # else the walk goes on under this call's budget.  A walk that reaches n0 with
-    # nothing shown goes on, from the same rungs, to the Bernstein bound when
-    # that is larger.  The rung the order stands for is checked to annihilate
+    # else the walk goes on under this call's budget.  A walk that reaches
+    # n0 with nothing shown goes on, from the same rungs, to the Bernstein
+    # bound when that is larger.  The rung the order stands for is checked to annihilate
     # the curve before it is kept; one the walk kept was checked when it was.
     n, cap = n0, None
     walk = _walk(curve, p, branch_rungs)

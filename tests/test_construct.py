@@ -309,7 +309,7 @@ _BASE_KINDS = st.sampled_from(["constant", "linear", "longer"])
 def test_power_tables_equal_repeated_convolution(xnums, ynums, den, order, asked):
     # each power of a table, whichever path grows it and in whatever order
     # the powers are asked, holds the numerators and the denominator that
-    # k - 1 convolutions of the base (of its inverse, for k < 0) give
+    # |k| convolutions of 1 by the base (by its inverse, for k < 0) give
     bases = [TruncatedSeries._make(nums[: order + 1], den) for nums in (xnums, ynums)]
     br = BranchParametrization(LaurentPolynomial({(0, 0): 1}), (F(1), F(1)), "x", *bases, order)
     for var, e in asked:
