@@ -982,7 +982,9 @@ def test_a_kept_rung_tables_new_monomials_as_a_fresh_rung_does():
     assert warm == cold
     orders = [json.loads(o)["order"] for o in warm]
     assert orders[1:3] == [2, 3] and kept[1] == (7, True) and kept[2] == (7, True)
-    assert orders[4] in (2, 3) and kept[4][0] == orders[3] > len(calls[3][0].terms) + 11 and kept[4][1]
+    f, g, _ = calls[3]
+    assert kept[4][0] == orders[3] > len(f.terms) + len(g.terms) + 8  # K past n0
+    assert orders[4] in (2, 3) and kept[4][1]
 
 
 def test_shared_curve_calls_cover_every_kind():
