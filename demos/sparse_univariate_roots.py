@@ -8,8 +8,7 @@ multiplicity k.
 
 from fractions import Fraction
 
-from sparsemult import construct_univariate, rank_impossibility, univariate_multiplicity
-from sparsemult.construct import ImpossibilityCertificate
+from sparsemult import Certificate, construct_univariate, replay, univariate_multiplicity
 
 exponents = [0, 1, 3, 7]
 print(f"support exponents: {exponents}\n")
@@ -21,9 +20,9 @@ for l in range(len(exponents)):
     print(f"   derivative table confirms order {verified} at t = 1\n")
 
 blocked = construct_univariate(exponents, len(exponents))
-assert isinstance(blocked, ImpossibilityCertificate)
+assert isinstance(blocked, Certificate)
 print(f"multiplicity {len(exponents)} is impossible:")
 print(f"   the {len(exponents)}x{len(exponents)} power-basis matrix has determinant "
       f"{blocked.transcript['determinant']} (a Vandermonde value, never zero)")
-cert = rank_impossibility(exponents)
+cert = replay(blocked)
 print(f"   independent certificate agrees: det = {cert.transcript['determinant']}")

@@ -55,7 +55,6 @@ from .branches import (
 from .construct import (
     DEFAULT_SEED,
     ConstructedSystem,
-    ImpossibilityCertificate,
     build_gap_family_member,
     build_line_product_system,
     construct_multipoint,
@@ -63,16 +62,17 @@ from .construct import (
     construct_univariate,
     contact_bound,
     gap_family_achievable_set,
-    gap_family_phi,
     gap_family_supports,
     line_contact_construct,
 )
 from .verify import (
     NON_ISOLATED,
-    MultiplicityCertificate,
+    Certificate,
+    gap_family_phi,
     intersection_multiplicity_smooth,
     origin_multiplicity_line_product,
     rank_impossibility,
+    replay,
     segment_product_multiplicity,
     univariate_multiplicity,
 )

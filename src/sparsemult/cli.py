@@ -26,7 +26,6 @@ from .classify import decide_mult3, triangle_inflection
 from .construct import (
     DEFAULT_SEED,
     RETRY_BUDGET,
-    ImpossibilityCertificate,
     construct_multipoint,
     construct_prescribed,
     construct_univariate,
@@ -61,6 +60,7 @@ from .lattice import convex_hull, mixed_volume
 from .reproduce import SCENARIOS, run_scenario
 from .verify import (
     NON_ISOLATED,
+    Certificate,
     intersection_multiplicity_smooth,
     univariate_multiplicity,
 )
@@ -245,7 +245,7 @@ def cmd_univariate(args) -> int:
     l = int_from_json(req["l"], "l")
     result = construct_univariate(exponents, l)
     request = {"command": "univariate", "exponents": exponents, "l": l}
-    if isinstance(result, ImpossibilityCertificate):
+    if isinstance(result, Certificate):
         _emit(args, {"request": request, "outcome": "impossible",
                      "certificate": {"kind": result.kind,
                                      "transcript": _value_to_json(result.transcript)}})

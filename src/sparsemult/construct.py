@@ -61,7 +61,13 @@ from .lattice import (
     simplex_map,
     unimodular_triple,
 )
-from .verify import intersection_multiplicity_smooth, rank_impossibility
+from .verify import (
+    Certificate,
+    elimination_impossibility,
+    gap_family_phi,
+    intersection_multiplicity_smooth,
+    rank_impossibility,
+)
 
 DEFAULT_SEED = 1729
 RETRY_BUDGET = 16
@@ -84,20 +90,12 @@ class ConstructedSystem:
     seed: int
     retries_used: int
     exact: bool = True
-    certificate: Optional[object] = None
+    certificate: Optional[Certificate] = None
     normalization: Optional[UnimodularAffineMap] = None
 
     @property
     def point(self) -> Tuple[Fraction, Fraction]:
         return self.points[0]
-
-
-@dataclass
-class ImpossibilityCertificate:
-    """Exact witness that a requested multiplicity cannot be realized."""
-
-    kind: str
-    transcript: Dict[str, object]
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +129,11 @@ def construct_univariate(exponents: Sequence[int], l: int):
     exactly ``l`` at t = 1.
 
     For l >= k (k the number of exponents) no non-trivial solution exists;
-    an :class:`ImpossibilityCertificate` carrying the non-zero k x k
-    determinant is returned instead.  Output is deterministic, integral and
-    primitive.  Conditions are imposed through the power basis
-    (t d/dt)^j P at 1, which is equivalent to the derivative conditions.
+    the RankImpossibility certificate of ``rank_impossibility``, carrying
+    the non-zero k x k determinant, is returned instead.  Output is
+    deterministic, integral and primitive.  Conditions are imposed through
+    the power basis (t d/dt)^j P at 1, which is equivalent to the
+    derivative conditions.
     """
     exps = [int(a) for a in exponents]
     if len(set(exps)) != len(exps):
@@ -145,17 +144,7 @@ def construct_univariate(exponents: Sequence[int], l: int):
     if l < 0:
         raise InputError("multiplicity must be non-negative")
     if l >= k:
-        d = rank_impossibility(exps).transcript["determinant"]
-        return ImpossibilityCertificate(
-            kind="RankImpossibility",
-            transcript={
-                "exponents": list(exps),
-                "requested_multiplicity": l,
-                "determinant": d,
-                "statement": "the k x k power-basis matrix is non-singular, so only the zero "
-                "coefficient vector satisfies k vanishing conditions at t = 1",
-            },
-        )
+        return rank_impossibility(exps, l)
     *rows, residual_row = [[a ** j for a in exps] for j in range(l + 1)]
     # every integer kernel vector has the last pivot as its free entry, so
     # sums of them are the normalized (free entry 1) ones times that pivot,
@@ -535,9 +524,11 @@ def line_contact_construct(
 
     The support must contain a unimodular triangle (so a line lives in it
     after normalization) and at least r points.  The slope is treated as an
-    unknown and solved exactly: if no rational slope admits order-r contact,
-    a definitive :class:`ConstructionFailure` with the obstruction
-    transcript is raised.
+    unknown: random generic slopes, the rational roots of the rank minors,
+    slope 0 and the vertical are tried.  When none gives order-r contact,
+    :class:`ConstructionFailure` is raised with the data the search ran on
+    as ``diagnostics``; it shows that no rational slope works, not that no
+    line does (an irrational slope may).
     """
     if r < 2:
         raise InputError("contact order below 2 is not a tangency question")
@@ -562,12 +553,10 @@ def _line_contact_on(
     cols = A.sorted_points()
     basis, minors = poly_kernel_basis(rows[:r])
     residual_polys = [sum(rr * vv for rr, vv in zip(rows[r], v)) for v in basis]
-
-    transcript: Dict[str, object] = {
-        "support": [list(p) for p in cols],
-        "contact_order": r,
-        "generic_residuals": [repr(q) for q in residual_polys],
-    }
+    # rank drops of the condition matrix: generic slopes avoid them, and
+    # each one is tried as a special slope
+    minor_roots = [s0 for q in minors if q.degree() > 0 for s0 in rational_roots(q)]
+    special = sorted(set([Fraction(0)] + minor_roots))
 
     def line_poly(slope: Fraction) -> LaurentPolynomial:
         return LaurentPolynomial(
@@ -578,10 +567,8 @@ def _line_contact_on(
         """(line, kernel vectors, residual row) for each line to try, in order."""
         # generic slopes: specialized kernel stays a kernel away from minor roots
         if any(not q.is_zero() for q in residual_polys):
-            bad: List[Fraction] = []
-            for q in minors + residual_polys:
-                if not q.is_zero():
-                    bad.extend(rational_roots(q))
+            bad = minor_roots + [s0 for q in residual_polys if not q.is_zero()
+                                 for s0 in rational_roots(q)]
             for _ in range(retries):
                 s0 = Fraction(rng.randint(1, 12), rng.randint(1, 4))
                 if rng.random() < 0.5:
@@ -597,13 +584,6 @@ def _line_contact_on(
         # special slopes: rank drops of the condition matrix can open new
         # kernels; the horizontal tangent (slope 0) also needs its own pass
         # because the symbolic kernel treats s as a generic unit
-        special: List[Fraction] = [Fraction(0)]
-        for q in minors:
-            if q.degree() > 0:
-                special.extend(rational_roots(q))
-        special = sorted(set(special))
-        transcript["special_slopes_tested"] = [str(s) for s in special]
-        transcript["rank_minors"] = [repr(q) for q in minors]
         for s0 in special:
             num_rows = [[c(s0) for c in row] for row in rows[:r]]
             yield line_poly(s0), kernel_basis(num_rows, ncols=len(cols)), [c(s0) for c in rows[r]]
@@ -643,7 +623,13 @@ def _line_contact_on(
 
     raise ConstructionFailure(
         f"no rational slope admits contact order exactly {r} on this support",
-        certificate={"kind": "EliminationImpossibility", "transcript": transcript},
+        {
+            "support": [list(p) for p in cols],
+            "contact_order": r,
+            "generic_residuals": [repr(q) for q in residual_polys],
+            "special_slopes_tested": [str(s0) for s0 in special],
+            "rank_minors": [repr(q) for q in minors],
+        },
     )
 
 
@@ -707,15 +693,6 @@ def gap_family_supports(n: int) -> Tuple[SupportSet, SupportSet]:
     return A, B
 
 
-def gap_family_phi(upto: int) -> List[int]:
-    """The positive integer sequence from the obstruction recursion
-    (phi_1 = 1, phi_k = sum phi_i phi_{k-i})."""
-    phi = [0, 1]
-    for k in range(2, upto + 1):
-        phi.append(sum(phi[i] * phi[k - i] for i in range(1, k)))
-    return phi[1:]
-
-
 def gap_family_achievable_set(n: int) -> List[int]:
     out = set(range(1, n + 2)) | {2 * j for j in range(1, n + 1)}
     return sorted(out)
@@ -723,8 +700,9 @@ def gap_family_achievable_set(n: int) -> List[int]:
 
 def build_gap_family_member(n: int, m: int, seed: int = DEFAULT_SEED):
     """Explicit system on the gap-family pair with an origin root of
-    multiplicity exactly m, or an ImpossibilityCertificate when m is odd and
-    larger than n + 1 (the obstruction coefficient never vanishes).
+    multiplicity exactly m, or the EliminationImpossibility certificate of
+    ``elimination_impossibility`` when m is odd and larger than n + 1 (the
+    obstruction coefficient never vanishes).
 
     Returns (kind, payload): kind is "system" or "impossible".
     """
@@ -769,19 +747,4 @@ def build_gap_family_member(n: int, m: int, seed: int = DEFAULT_SEED):
             "route": "glued-even",
         }
 
-    phi = gap_family_phi(n + 1)
-    return "impossible", ImpossibilityCertificate(
-        kind="EliminationImpossibility",
-        transcript={
-            "multiplicity": m,
-            "phi": phi,
-            "all_positive": all(v > 0 for v in phi),
-            "statement": (
-                "with both mixed terms present, the composed equation forces the "
-                "solved coefficients into a sign-alternating pattern whose order-"
-                f"{n + 1} obstruction sum is a positive combination (phi_{n + 1} = "
-                f"{phi[-1]} > 0), so no odd multiplicity above n + 1 is reachable; "
-                "degenerate members only merge even root counts"
-            ),
-        },
-    )
+    return "impossible", elimination_impossibility(n, m)

@@ -27,12 +27,13 @@ class VerificationError(RuntimeError):
 
 
 class ConstructionFailure(RuntimeError):
-    """A constructor proved that no admissible output exists for its input.
+    """A constructor ran out of candidates of the kind it can build.
 
-    Unlike RetryBudgetExhausted this is a definitive outcome and carries an
-    exact transcript of the obstruction.
+    Unlike RetryBudgetExhausted no retry can change it, but it proves no
+    impossibility: line contact shows only that no rational slope works.
+    ``diagnostics`` holds the data the search ran on.
     """
 
-    def __init__(self, message, certificate=None):
+    def __init__(self, message, diagnostics=None):
         super().__init__(message)
-        self.certificate = certificate or {}
+        self.diagnostics = diagnostics or {}

@@ -15,7 +15,7 @@ from .algebra import LaurentPolynomial, UnivariatePolynomial, _frac
 from .construct import ConstructedSystem
 from .errors import InputError
 from .lattice import SupportSet, UnimodularAffineMap
-from .verify import MultiplicityCertificate
+from .verify import Certificate
 
 
 def _check_keys(obj: dict, allowed: set, what: str):
@@ -191,7 +191,7 @@ def _value_to_json(v):
     return repr(v)
 
 
-def certificate_to_json(cert: MultiplicityCertificate) -> dict:
+def certificate_to_json(cert: Certificate) -> dict:
     return {
         "kind": cert.kind,
         "inputs": _value_to_json(cert.inputs),

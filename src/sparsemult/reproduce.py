@@ -39,7 +39,6 @@ from .construct import (
     build_gap_family_member,
     build_line_product_system,
     gap_family_achievable_set,
-    gap_family_phi,
     require_gap_family_n,
 )
 from .errors import InputError
@@ -52,8 +51,10 @@ from .lattice import (
     mixed_volume,
 )
 from .verify import (
+    gap_family_phi,
     intersection_multiplicity_smooth,
     origin_multiplicity_line_product,
+    replay,
     segment_product_multiplicity,
 )
 
@@ -199,13 +200,9 @@ def scenario_ex10(n: int = 3, seed: int = DEFAULT_SEED) -> dict:
                 realized.append(m)
             _check(checks, f"n={n}: multiplicity {m} realized exactly", ok, route=payload["route"])
         else:
-            cert = payload
-            _check(
-                checks,
-                f"n={n}: multiplicity {m} obstructed",
-                m not in achievable and cert.transcript["all_positive"],
-                phi=cert.transcript["phi"],
-            )
+            replay(payload)  # raises unless phi is recomputed, and positive, as certified
+            _check(checks, f"n={n}: multiplicity {m} obstructed", m not in achievable,
+                   phi=payload.transcript["phi"])
     _check(
         checks,
         f"n={n}: achievable set matches",

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import LaurentPolynomial, TruncatedSeries, UnivariatePolynomial, det, _frac
 from .branches import PROBE_CAPACITY, branch_rungs
@@ -48,20 +48,20 @@ from .lattice import SupportSet, convex_hull, mixed_volume
 NON_ISOLATED = "non-isolated"
 
 
-@dataclass
-class MultiplicityCertificate:
-    """Replayable record of one verification.
+@dataclass(frozen=True)
+class Certificate:
+    """Replayable record of one exact claim.
 
-    ``kind`` is one of BranchOrder, DerivativeTable, LineSum and
-    RankImpossibility.  ``inputs`` identifies the checked objects;
-    ``transcript`` holds the exact data that forces the verdict (leading
-    series coefficient, derivative values, per-line orders or determinant).
-    ``replay`` re-runs the same check and compares transcripts: it shows a
-    claim reproducible, not confirmed by an independent method.  A
-    BranchOrder replay in the same process reads the rung the verifier
-    kept, with its power and monomial tables, from its first check of the
-    curve at that point, so it re-reads the order from the same checked
-    branch rather than expanding it anew.
+    ``kind`` is a key of ``CHECKS``: BranchOrder, DerivativeTable, LineSum,
+    RankImpossibility or EliminationImpossibility.  ``inputs`` identifies
+    the checked objects; ``transcript`` holds the exact data that forces the
+    verdict (leading series coefficient, derivative values, per-line orders,
+    determinant or obstruction sequence).  ``replay`` re-runs the same check
+    and compares transcripts: it shows a claim reproducible, not confirmed
+    by an independent method.  A BranchOrder replay in the same process
+    reads the rung the verifier kept, with its power and monomial tables,
+    from its first check of the curve at that point, so it re-reads the
+    order from the same checked branch rather than expanding it anew.
     A BranchOrder ``truncation`` is the budget within which the order is
     certified (n0, or the Bernstein bound past it), not the length of the
     expansion it was read from: orders 0 and 1 come from g's value and
@@ -91,14 +91,10 @@ def univariate_multiplicity(
             break
         m += 1
         d = d.derivative()
-    cert = MultiplicityCertificate(
-        kind="DerivativeTable",
-        inputs={"poly": P, "point": t0},
-        transcript={"derivative_values": list(values), "multiplicity": m},
-    )
-    if with_certificate:
-        return m, cert
-    return m
+    if not with_certificate:
+        return m
+    return m, Certificate("DerivativeTable", {"poly": P, "point": t0},
+                          {"derivative_values": values, "multiplicity": m})
 
 
 def _bernstein_bound(f: LaurentPolynomial, g: LaurentPolynomial, p: Tuple[Fraction, Fraction]) -> int:
@@ -273,7 +269,7 @@ def _result(transcript, f, g, p, with_certificate):
     order = transcript["order"]
     if not with_certificate:
         return order
-    return order, MultiplicityCertificate("BranchOrder", {"f": f, "g": g, "point": p}, transcript)
+    return order, Certificate("BranchOrder", {"f": f, "g": g, "point": p}, transcript)
 
 
 def origin_multiplicity_line_product(
@@ -308,14 +304,10 @@ def origin_multiplicity_line_product(
             raise InputError("a line form divides v: the root is not isolated")
         orders.append(ordr)
     total = sum(orders)
-    cert = MultiplicityCertificate(
-        kind="LineSum",
-        inputs={"lines": [(a, b) for a, b in forms], "v": v},
-        transcript={"per_line_orders": orders, "total": total},
-    )
-    if with_certificate:
-        return total, cert
-    return total
+    if not with_certificate:
+        return total
+    return total, Certificate("LineSum", {"lines": forms, "v": v},
+                              {"per_line_orders": orders, "total": total})
 
 
 def segment_product_multiplicity(
@@ -364,67 +356,101 @@ def segment_product_multiplicity(
         raise InputError("vertical section vanishes identically: not isolated")
     m2, c2 = univariate_multiplicity(qy, p[1], with_certificate=True)
     total = m1 * m2
-    cert = MultiplicityCertificate(
-        kind="DerivativeTable",
-        inputs={"f": f_x_only, "g": g, "point": p},
-        transcript={
-            "m1": m1,
-            "m2": m2,
-            "product": total,
-            "m1_table": c1.transcript["derivative_values"],
-            "m2_table": c2.transcript["derivative_values"],
-        },
-    )
-    if with_certificate:
-        return total, cert
-    return total
+    if not with_certificate:
+        return total
+    return total, Certificate("DerivativeTable", {"f": f_x_only, "g": g, "point": p}, {
+        "m1": m1,
+        "m2": m2,
+        "product": total,
+        "m1_table": c1.transcript["derivative_values"],
+        "m2_table": c2.transcript["derivative_values"],
+    })
 
 
-def rank_impossibility(exponents: Sequence[int]) -> MultiplicityCertificate:
+def rank_impossibility(exponents: Sequence[int], l: Optional[int] = None) -> Certificate:
     """Certificate that no sparse polynomial on these exponents has a root
-    of multiplicity |exponents| at t = 1: the power-basis matrix is square
-    and non-singular (a Vandermonde after row reduction)."""
+    of multiplicity l >= k = |exponents| at t = 1 (l defaults to k): the
+    k x k power-basis matrix is non-singular (a Vandermonde after row
+    reduction), so k vanishing conditions leave only the zero vector."""
     exps = [int(a) for a in exponents]
     if len(set(exps)) != len(exps):
         raise InputError("exponents must be distinct")
     k = len(exps)
-    rows = [[a ** j for a in exps] for j in range(k)]
-    d = det(rows)
+    l = k if l is None else l
+    if l < k:
+        raise InputError(f"multiplicity {l} is below the {k} exponents: no rank obstruction")
+    d = det([[a ** j for a in exps] for j in range(k)])
     if d == 0:
         raise AssertionError("distinct exponents cannot give a singular power matrix")
-    return MultiplicityCertificate(
-        kind="RankImpossibility",
-        inputs={"exponents": exps},
-        transcript={"determinant": d, "order_blocked": k},
-    )
+    return Certificate("RankImpossibility", {"exponents": exps, "l": l}, {
+        "exponents": list(exps),
+        "requested_multiplicity": l,
+        "determinant": d,
+        "statement": "the k x k power-basis matrix is non-singular, so only the zero "
+                     "coefficient vector satisfies k vanishing conditions at t = 1",
+    })
 
 
-def replay(cert: MultiplicityCertificate):
-    """Re-run the verification recorded in a certificate; returns the fresh
-    certificate, raising VerificationError if the transcript changed.  A
-    BranchOrder is re-read along the curve's kept walk when the verifier
-    has one, so within a process its branch is not expanded again."""
-    if cert.kind == "DerivativeTable" and "poly" in cert.inputs:
-        _, fresh = univariate_multiplicity(
-            cert.inputs["poly"], cert.inputs["point"], with_certificate=True
-        )
-    elif cert.kind == "DerivativeTable":
-        _, fresh = segment_product_multiplicity(
-            cert.inputs["f"], cert.inputs["g"], cert.inputs["point"], with_certificate=True
-        )
-    elif cert.kind == "BranchOrder":
-        _, fresh = intersection_multiplicity_smooth(
-            cert.inputs["f"], cert.inputs["g"], cert.inputs["point"], with_certificate=True
-        )
-    elif cert.kind == "LineSum":
-        _, fresh = origin_multiplicity_line_product(
-            cert.inputs["lines"], cert.inputs["v"], with_certificate=True
-        )
-    elif cert.kind == "RankImpossibility":
-        fresh = rank_impossibility(cert.inputs["exponents"])
-    else:
+def gap_family_phi(upto: int) -> List[int]:
+    """The positive integer sequence from the gap family's obstruction
+    recursion (phi_1 = 1, phi_k = sum phi_i phi_{k-i})."""
+    phi = [0, 1]
+    for k in range(2, upto + 1):
+        phi.append(sum(phi[i] * phi[k - i] for i in range(1, k)))
+    return phi[1:]
+
+
+def elimination_impossibility(n: int, m: int) -> Certificate:
+    """Certificate that the gap-family pair of parameter n has no root of
+    the odd multiplicity m above n + 1: the solved coefficients alternate
+    in sign, and the order-(n + 1) obstruction sum is phi_{n + 1}, which
+    the recursion keeps positive.  Issued only after phi is recomputed and
+    every value is seen positive."""
+    if n < 3 or n % 2 == 0 or m % 2 == 0 or not n + 1 < m <= 2 * n:
+        raise InputError(f"no elimination obstruction for n={n}, m={m}: "
+                         "needs n odd >= 3, m odd and n + 1 < m <= 2n")
+    phi = gap_family_phi(n + 1)
+    if not all(v > 0 for v in phi):
+        raise VerificationError("the obstruction recursion is not positive")
+    return Certificate("EliminationImpossibility", {"n": n, "multiplicity": m}, {
+        "phi": phi,
+        "statement": (
+            "with both mixed terms present, the composed equation forces the "
+            "solved coefficients into a sign-alternating pattern whose order-"
+            f"{n + 1} obstruction sum is a positive combination (phi_{n + 1} = "
+            f"{phi[-1]} > 0), so no odd multiplicity above n + 1 is reachable; "
+            "degenerate members only merge even root counts"
+        ),
+    })
+
+
+def _derivative_table(inputs) -> Certificate:
+    # one kind, two producers: a univariate table, or a segment product's two
+    if "poly" in inputs:
+        return univariate_multiplicity(inputs["poly"], inputs["point"], True)[1]
+    return segment_product_multiplicity(inputs["f"], inputs["g"], inputs["point"], True)[1]
+
+
+#: Each certificate kind and the function that recomputes it from its inputs.
+CHECKS: Dict[str, Callable[[Dict[str, object]], Certificate]] = {
+    "BranchOrder": lambda i: intersection_multiplicity_smooth(i["f"], i["g"], i["point"], True)[1],
+    "DerivativeTable": _derivative_table,
+    "LineSum": lambda i: origin_multiplicity_line_product(i["lines"], i["v"], True)[1],
+    "RankImpossibility": lambda i: rank_impossibility(i["exponents"], i["l"]),
+    "EliminationImpossibility": lambda i: elimination_impossibility(i["n"], i["multiplicity"]),
+}
+
+
+def replay(cert: Certificate) -> Certificate:
+    """Re-run the check recorded in a certificate; returns the fresh
+    certificate, raising VerificationError if the transcript changed and
+    InputError for a kind with no check.  A BranchOrder is re-read along
+    the curve's kept walk when the verifier has one, so within a process
+    its branch is not expanded again."""
+    check = CHECKS.get(cert.kind)
+    if check is None:
         raise InputError(f"cannot replay certificate kind {cert.kind!r}")
+    fresh = check(cert.inputs)
     if fresh.transcript != cert.transcript:
         raise VerificationError("replay produced a different transcript")
     return fresh
-

@@ -23,7 +23,6 @@ from sparsemult.algebra import (
 from sparsemult import construct
 from sparsemult.branches import BranchParametrization, branch_series, compute_dim_V, osculating_matrix
 from sparsemult.construct import (
-    ImpossibilityCertificate,
     _draw_through_one,
     _line_rows,
     build_gap_family_member,
@@ -32,7 +31,6 @@ from sparsemult.construct import (
     construct_prescribed,
     construct_univariate,
     gap_family_achievable_set,
-    gap_family_phi,
     gap_family_supports,
     line_contact_construct,
 )
@@ -52,7 +50,10 @@ from sparsemult.lattice import (
     primitivity_index,
 )
 from sparsemult.verify import (
+    Certificate,
+    gap_family_phi,
     intersection_multiplicity_smooth,
+    replay,
     segment_product_multiplicity,
     univariate_multiplicity,
 )
@@ -82,10 +83,20 @@ def test_univariate_l0_nonvanishing_full_support():
 
 def test_univariate_impossibility_certificate():
     cert = construct_univariate([0, 1, 3, 7], 4)
-    assert isinstance(cert, ImpossibilityCertificate)
+    assert isinstance(cert, Certificate)
     assert cert.kind == "RankImpossibility"
     # Vandermonde product oracle: (1)(3)(7)(2)(6)(4)
     assert cert.transcript["determinant"] == 1 * 3 * 7 * 2 * 6 * 4 == 1008
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=8, unique=True), st.integers(0, 8))
+def test_univariate_impossibility_replays_to_the_vandermonde(exps, extra):
+    cert = construct_univariate(exps, len(exps) + extra)
+    assert replay(cert) == cert
+    # the power matrix rows are a^j, so its determinant is the Vandermonde product
+    assert cert.transcript["determinant"] == prod(
+        b - a for i, a in enumerate(exps) for b in exps[i + 1:])
 
 
 def test_univariate_negative_exponents():
@@ -702,8 +713,8 @@ def test_line_contact_inflection_body_fails_exactly():
     quad = SupportSet([(0, 0), (1, 0), (0, 1), (-1, -1)])
     with pytest.raises(ConstructionFailure) as exc:
         line_contact_construct(quad, 3, seed=3)
-    transcript = exc.value.certificate["transcript"]
-    assert "rank_minors" in transcript
+    diagnostics = exc.value.diagnostics
+    assert "rank_minors" in diagnostics and "kind" not in diagnostics
 
 
 def test_line_contact_square_fails():
@@ -852,8 +863,9 @@ def test_gap_family_members_n3():
 def test_gap_family_obstruction():
     kind, cert = build_gap_family_member(3, 5)
     assert kind == "impossible"
+    assert cert.inputs == {"n": 3, "multiplicity": 5}
     assert cert.transcript["phi"] == [1, 1, 2, 5]
-    assert cert.transcript["all_positive"]
+    assert replay(cert).transcript == cert.transcript
     assert gap_family_achievable_set(3) == [1, 2, 3, 4, 6]
 
 

@@ -4,8 +4,10 @@ certificates and replays."""
 import hashlib
 import json
 import random
+import re
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from sparsemult.algebra import (
     sylvester_resultant,
 )
 from sparsemult.branches import BranchParametrization, branch_rungs, branch_series, is_multiple_of
-from sparsemult.construct import build_line_product_system, construct_prescribed
+from sparsemult.construct import build_gap_family_member, build_line_product_system, construct_prescribed
 from sparsemult.errors import InputError, VerificationError
 from sparsemult.lattice import (
     SupportSet,
@@ -32,6 +34,7 @@ from sparsemult.lattice import (
 )
 from sparsemult.verify import (
     NON_ISOLATED,
+    Certificate,
     intersection_multiplicity_smooth,
     origin_multiplicity_line_product,
     rank_impossibility,
@@ -1169,6 +1172,13 @@ def test_rank_impossibility_rejects_duplicates():
         rank_impossibility([0, 1, 1])
 
 
+def test_rank_impossibility_rejects_a_multiplicity_below_k():
+    assert rank_impossibility([0, 1, 3]).transcript["requested_multiplicity"] == 3
+    assert rank_impossibility([0, 1, 3], 5).transcript["requested_multiplicity"] == 5
+    with pytest.raises(InputError):
+        rank_impossibility([0, 1, 3], 2)
+
+
 # --- certificates -----------------------------------------------------------------------
 
 
@@ -1195,12 +1205,67 @@ def test_certificate_replay_bit_exact():
     assert (m, scert.kind) == (6, "DerivativeTable") and "poly" not in scert.inputs
     assert replay(scert).transcript == scert.transcript
 
+    _, ecert = build_gap_family_member(5, 9)
+    assert replay(ecert).transcript == ecert.transcript
 
-def test_certificate_replay_detects_tampering():
+
+def _branch_order_cert():
     f = LaurentPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -2})
     g = LaurentPolynomial({(1, 1): 1, (0, 0): -1})
-    _, cert = intersection_multiplicity_smooth(f, g, (F(1), F(1)), with_certificate=True)
-    cert.transcript["order"] = 5
+    return intersection_multiplicity_smooth(f, g, (F(1), F(1)), with_certificate=True)[1]
+
+
+def _segment_cert():
+    fB = LaurentPolynomial({(2, 0): 1, (1, 0): -2, (0, 0): 1})
+    fA = LaurentPolynomial({(1, 0): 1, (0, 3): -1, (0, 0): -1})
+    return segment_product_multiplicity(fB, fA, (F(1), F(0)), with_certificate=True)[1]
+
+
+def _line_sum_cert():
+    _, v, lines, _ = build_line_product_system(3, 2, 0, seed=5)
+    return origin_multiplicity_line_product(lines, v, with_certificate=True)[1]
+
+
+# one certificate per producer, with one transcript entry to change
+_TAMPERED = {
+    "BranchOrder": (_branch_order_cert, "order", 5),
+    "DerivativeTable-univariate": (
+        lambda: univariate_multiplicity(UnivariatePolynomial([2, -3, 0, 1]), F(1), True)[1],
+        "multiplicity", 3),
+    "DerivativeTable-segment": (_segment_cert, "product", 7),
+    "LineSum": (_line_sum_cert, "total", 7),
+    "RankImpossibility": (lambda: rank_impossibility([0, 1, 3, 7], 5), "determinant", 1009),
+    "EliminationImpossibility": (lambda: build_gap_family_member(3, 5)[1], "phi", [1, 1, 2, 4]),
+}
+
+
+def test_every_kind_has_a_tampering_case():
+    assert {case.split("-")[0] for case in _TAMPERED} == set(verify.CHECKS)
+
+
+@pytest.mark.parametrize("case", sorted(_TAMPERED))
+def test_certificate_replay_detects_tampering(case):
+    make, key, value = _TAMPERED[case]
+    cert = make()
+    assert cert.kind == case.split("-")[0] and replay(cert) == cert
     with pytest.raises(VerificationError):
-        replay(cert)
+        replay(replace(cert, transcript={**cert.transcript, key: value}))
+
+
+def test_replay_rejects_an_unknown_kind():
+    with pytest.raises(InputError, match="cannot replay"):
+        replay(Certificate("Handwaving", {}, {}))
+
+
+def test_replay_rejects_a_gap_family_certificate_for_an_even_multiplicity():
+    _, cert = build_gap_family_member(5, 9)
+    with pytest.raises(InputError):
+        replay(replace(cert, inputs={**cert.inputs, "multiplicity": 8}))
+
+
+def test_readme_lists_every_certificate_kind():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"kind one of (.*?), the keys of\s+`verify\.CHECKS`", readme, re.S)
+    assert listed is not None
+    assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(verify.CHECKS)
 
