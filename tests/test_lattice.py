@@ -491,13 +491,15 @@ def test_normal_form_cached_equals_fresh():
 
 
 def _canonical_form_lines():
-    """One ``support -> canonical points`` line for every bound-2 convex
-    support and for 200 seeded random supports in [0, 5]^2."""
+    """One ``support -> canonical points`` line for every point and segment
+    among the bound-2 convex supports and 200 seeded random supports in
+    [0, 5]^2."""
     rng = random.Random(23)
     supports = _convex_supports_in_box(2)
     for _ in range(200):
         supports.append(SupportSet((rng.randrange(6), rng.randrange(6)) for _ in range(rng.randint(1, 8))))
-    return [f"{list(S.sorted_points())} -> {list(normal_form(S)[0].sorted_points())}" for S in supports]
+    return [f"{list(S.sorted_points())} -> {list(normal_form(S)[0].sorted_points())}"
+            for S in supports if is_segment(S)]
 
 
 def _canonical_forms_digest():
