@@ -246,9 +246,7 @@ def cmd_univariate(args) -> int:
     result = construct_univariate(exponents, l)
     request = {"command": "univariate", "exponents": exponents, "l": l}
     if isinstance(result, Certificate):
-        _emit(args, {"request": request, "outcome": "impossible",
-                     "certificate": {"kind": result.kind,
-                                     "transcript": _value_to_json(result.transcript)}})
+        _emit(args, {"request": request, "outcome": "impossible", "certificate": certificate_to_json(result)})
         return EXIT_OK
     mult, cert = univariate_multiplicity(result, Fraction(1), with_certificate=True)
     _emit(args, {"request": request, "outcome": "constructed", "polynomial": upoly_to_json(result),

@@ -34,6 +34,7 @@ from sparsemult.lattice import (
     is_segment,
     primitivity_index,
 )
+from sparsemult.verify import CHECKS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -210,6 +211,30 @@ def test_cli_golden(name):
 def test_line_contact_golden():
     expected = (GOLDEN / "line_contact_grid2x3.json").read_text(encoding="utf-8")
     assert _line_contact_text() == expected
+
+
+def _certificates(value):
+    """Every object stored under a ``certificate`` key, at any depth."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key == "certificate" and isinstance(item, dict):
+                yield item
+            yield from _certificates(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _certificates(item)
+
+
+def test_golden_certificates_have_one_shape():
+    # every printed certificate comes from one writer: kind, inputs and
+    # transcript, with a kind that replay can recompute
+    seen = 0
+    for path in sorted(GOLDEN.glob("*.json")):
+        for cert in _certificates(json.loads(path.read_text(encoding="utf-8"))):
+            assert set(cert) == {"kind", "inputs", "transcript"}, path.name
+            assert cert["kind"] in CHECKS, path.name
+            seen += 1
+    assert seen
 
 
 def test_nonconvex_corpus_pinned():
