@@ -638,14 +638,6 @@ class TruncatedSeries:
         c = _frac(c)
         return cls._make((c.numerator,) + (0,) * order, c.denominator)
 
-    @classmethod
-    def from_coeff_map(cls, pairs: Dict[int, Fraction], order: int) -> "TruncatedSeries":
-        cs = [Fraction(0)] * (order + 1)
-        for i, c in pairs.items():
-            if 0 <= i <= order:
-                cs[i] = _frac(c)
-        return cls(cs)
-
     def coefficient(self, i: int) -> Fraction:
         if i > self.truncation_order:
             raise InputError(f"coefficient {i} beyond truncation {self.truncation_order}")
@@ -675,12 +667,6 @@ class TruncatedSeries:
             [x * sa + y * sb for x, y in zip(self.nums, other.nums)], da * sa)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries._make([-c for c in self.nums], self.den)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedSeries) else -_frac(other))
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -755,9 +741,6 @@ class LaurentPolynomial:
         if not self.terms:
             raise InputError("zero polynomial has empty support")
         return SupportSet(self.terms.keys())
-
-    def coefficient(self, e: Tuple[int, int]):
-        return self.terms.get((int(e[0]), int(e[1])), Fraction(0))
 
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):

@@ -105,9 +105,6 @@ class BranchParametrization:
             self._monomial_cache[e] = cached
         return cached
 
-    def monomial_series(self, e: Tuple[int, int]) -> TruncatedSeries:
-        return TruncatedSeries._make(*self._monomial((int(e[0]), int(e[1]))))
-
     def evaluate_poly(self, g: LaurentPolynomial) -> TruncatedSeries:
         """g along the branch: the sum of c * monomial over one common
         denominator, reduced once."""

@@ -7,8 +7,8 @@ polygon) and degenerate hulls are ordinary values, not errors.
 
 The operations here are the geometric substrate for everything else:
 hulls, lattice-point enumeration, erosions (the set of shifts taking one
-set inside another), normalized 2D mixed volumes and canonical forms under
-the unimodular affine group.
+set inside another), normalized 2D mixed volumes and canonical forms of
+points and segments under the unimodular affine group.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class SupportSet:
     Set semantics: duplicates collapse and equality ignores order.  The
     empty set is allowed (erosions can be empty); operations that need a
     polynomial support check non-emptiness themselves.  The point set never
-    changes, so the sorted points, the convex hull and the normal form are
-    computed once, on first use, and stored on the instance.
+    changes, so the sorted points, the convex hull and (for a point or a
+    segment) the normal form are computed once, on first use, and stored on
+    the instance.
     """
 
     __slots__ = ("_points", "_sorted", "_hull", "_normal")
@@ -134,10 +135,6 @@ class LatticePolygon:
             lo_y, hi_y = sorted((a[1], b[1]))
             return lo_x <= p[0] <= hi_x and lo_y <= p[1] <= hi_y
         return all(cross(a, b, p) >= 0 for a, b in self.edges())
-
-    def translate(self, v: Point) -> "LatticePolygon":
-        dx, dy = v
-        return LatticePolygon(tuple((x + dx, y + dy) for x, y in self.vertices), self.dim)
 
 
 def convex_hull(S: SupportSet) -> LatticePolygon:
@@ -321,10 +318,6 @@ class UnimodularAffineMap:
             raise InputError(f"matrix {self.matrix} is not unimodular")
 
     @classmethod
-    def identity(cls) -> "UnimodularAffineMap":
-        return cls(((1, 0), (0, 1)), (0, 0))
-
-    @classmethod
     def translation(cls, v: Point) -> "UnimodularAffineMap":
         return cls(((1, 0), (0, 1)), _as_point(v))
 
@@ -357,88 +350,6 @@ class UnimodularAffineMap:
         return UnimodularAffineMap(inv, (-(p * sx + q * sy), -(r * sx + s * sy)))
 
 
-def _translate_normalized(S: SupportSet) -> Tuple[SupportSet, Point]:
-    cx, cy = S.min_corner()
-    return S.translate((-cx, -cy)), (-cx, -cy)
-
-
-def _maxside(S: SupportSet) -> int:
-    xs = [p[0] for p in S]
-    ys = [p[1] for p in S]
-    return max(max(xs) - min(xs), max(ys) - min(ys))
-
-
-def _set_key(S: SupportSet):
-    T, _ = _translate_normalized(S)
-    xs = [p[0] for p in T]
-    ys = [p[1] for p in T]
-    w, h = max(xs), max(ys)
-    return (max(w, h), w, h, T.sorted_points())
-
-
-_ELEMENTARY = [
-    ((1, 1), (0, 1)),
-    ((1, -1), (0, 1)),
-    ((1, 0), (1, 1)),
-    ((1, 0), (-1, 1)),
-    ((0, 1), (1, 0)),
-    ((1, 0), (0, -1)),
-    ((-1, 0), (0, 1)),
-]
-
-
-def _greedy_reduce(S: SupportSet) -> UnimodularAffineMap:
-    """Shrink the bounding box by elementary unimodular moves (local search)."""
-    M = UnimodularAffineMap.identity()
-    cur = S
-    key = _set_key(cur)
-    for _ in range(200):
-        best = None
-        for mat in _ELEMENTARY:
-            E = UnimodularAffineMap(mat)
-            cand = E.apply_set(cur)
-            k = _set_key(cand)
-            if k < key and (best is None or k < best[0]):
-                best = (k, E, cand)
-        if best is None:
-            return M
-        key, E, cur = best
-        M = E.compose(M)
-    return M
-
-
-def _candidate_maps(S: SupportSet, radius: int) -> Iterator[UnimodularAffineMap]:
-    """All unimodular linear maps M with the two reference difference vectors
-    mapped into the box [-radius, radius]^2.
-
-    d1 is the shortest non-zero difference vector of S and d2 the shortest
-    one not parallel to it.  A map is fixed by the images w1 = M d1 and
-    w2 = M d2, so every pair (w1, w2) of box points with
-    det(w1, w2) = +-det(d1, d2) is tried, and M = [w1 w2] [d1 d2]^-1 is
-    yielded when it is integral; its determinant is then +-1.  Every map
-    whose image of S has maxside <= radius appears here, which is what
-    makes the canonical form below input-independent.
-    """
-    diffs = sorted(
-        (v for v in {(q[0] - p[0], q[1] - p[1]) for p in S for q in S} if v != (0, 0)),
-        key=lambda v: (v[0] * v[0] + v[1] * v[1], v),
-    )
-    d1 = diffs[0]
-    d2 = next(v for v in diffs if d1[0] * v[1] - d1[1] * v[0] != 0)
-    det_d = d1[0] * d2[1] - d1[1] * d2[0]
-    box = [(x, y) for x in range(-radius, radius + 1) for y in range(-radius, radius + 1)]
-    for w1x, w1y in box:
-        for w2x, w2y in box:
-            if abs(w1x * w2y - w1y * w2x) != abs(det_d):
-                continue
-            # [w1 w2] times the adjugate of [d1 d2], exact when det_d divides it
-            m = (w1x * d2[1] - w2x * d1[1], w2x * d1[0] - w1x * d2[0],
-                 w1y * d2[1] - w2y * d1[1], w2y * d1[0] - w1y * d2[0])
-            if any(v % det_d for v in m):
-                continue
-            yield UnimodularAffineMap(((m[0] // det_d, m[1] // det_d), (m[2] // det_d, m[3] // det_d)))
-
-
 def _ext_gcd_solution(a: int, b: int, c: int) -> Tuple[int, int]:
     """One integer solution (x, y) of a*x + b*y = c (gcd(a,b) divides c)."""
 
@@ -458,55 +369,30 @@ def _ext_gcd_solution(a: int, b: int, c: int) -> Tuple[int, int]:
 
 
 def normal_form(S: SupportSet) -> Tuple[SupportSet, UnimodularAffineMap]:
-    """Canonical representative of S under translation + GL(2, Z).
+    """Canonical representative of a point or a segment S under translation
+    + GL(2, Z), and the affine map that takes S onto it.
 
-    The canonical set minimizes (maxside, width, height, sorted point list)
-    over all unimodular images, so two sets are equivalent iff their normal
-    forms are equal.  Returns the witnessing affine map; idempotent.
-
-    A full-dimensional S is first shrunk by :func:`_greedy_reduce`, whose
-    image bounds the maxside of the minimum; :func:`_candidate_maps` then
-    lists every map within that radius, and each image is scored.  When S
-    has symmetries several maps reach the canonical set and the first one
-    found is returned, so a full-dimensional witness is fixed only up to
-    the symmetries of the canonical set.  Points and segments are mapped
-    directly, and their maps are fixed.
+    A point goes to the origin.  A segment goes onto the x-axis, starting at
+    the origin; of the two maps that do this, one for each direction of the
+    segment, the one whose image has the smaller sorted point list is kept.
+    So two points or segments are equivalent iff their normal forms are
+    equal; the form is idempotent and its map is fixed.  A full-dimensional
+    S has no normal form here and raises InputError.
 
     The result is cached on the instance S: later calls on S return the same
-    (immutable) set and map without searching again.
+    (immutable) set and map without computing them again.
     """
     if S._normal is None:
-        S._normal = _search_normal_form(S)
+        pts = S.sorted_points()
+        if not pts:
+            raise InputError("normal form of an empty set")
+        if len(pts) == 1:
+            S._normal = SupportSet([(0, 0)]), UnimodularAffineMap.translation((-pts[0][0], -pts[0][1]))
+        elif is_segment(S):
+            S._normal = _segment_normal_form(S)
+        else:
+            raise InputError("normal form of a full-dimensional support: only points and segments have one")
     return S._normal
-
-
-def _search_normal_form(S: SupportSet) -> Tuple[SupportSet, UnimodularAffineMap]:
-    pts = S.sorted_points()
-    if not pts:
-        raise InputError("normal form of an empty set")
-    if len(pts) == 1:
-        t = UnimodularAffineMap.translation((-pts[0][0], -pts[0][1]))
-        return SupportSet([(0, 0)]), t
-    if is_segment(S):
-        return _segment_normal_form(S)
-
-    M0 = _greedy_reduce(S)
-    reduced = M0.apply_set(S)
-    radius = max(_maxside(reduced), 1)
-    best = None
-    for M in _candidate_maps(S, radius):
-        img = M.apply_set(S)
-        if _maxside(img) > radius:
-            continue
-        k = _set_key(img)
-        if best is None or k < best[0]:
-            best = (k, M)
-    key, M = best
-    canon_pts = key[3]
-    img = M.apply_set(S)
-    shift = img.min_corner()
-    full = UnimodularAffineMap.translation((-shift[0], -shift[1])).compose(M)
-    return SupportSet(canon_pts), full
 
 
 def _segment_normal_form(S: SupportSet) -> Tuple[SupportSet, UnimodularAffineMap]:
@@ -520,8 +406,9 @@ def _segment_normal_form(S: SupportSet) -> Tuple[SupportSet, UnimodularAffineMap
         x, y = _ext_gcd_solution(a, b, 1)
         M = UnimodularAffineMap(((x, y), (-b, a)))
         img = M.apply_set(S)
-        T, t = _translate_normalized(img)
-        k = T.sorted_points()
+        cx, cy = img.min_corner()
+        t = (-cx, -cy)
+        k = img.translate(t).sorted_points()
         if best is None or k < best[0]:
             best = (k, UnimodularAffineMap.translation(t).compose(M))
     k, full = best

@@ -295,6 +295,16 @@ def test_verify_laurent_f_at_a_zero_coordinate(capsys):
     assert rep["verified"] is True and rep["results"][0]["observed"] == 1
 
 
+def test_verify_laurent_f_with_a_negative_dependent_exponent(capsys):
+    # f = y^-2 + x - 2 and g = x - 2y + 1 share the tangent at (1, 1) and
+    # meet there twice; y^-2 is read along the branch through a series inverse
+    f = _terms(([0, -2], "1/1"), ([1, 0], "1/1"), ([0, 0], "-2/1"))
+    g = _terms(([1, 0], "1/1"), ([0, 1], "-2/1"), ([0, 0], "1/1"))
+    code, rep = run_cli(capsys, "verify", "--json", json.dumps(_system(f=f, g=g, multiplicity=2)))
+    assert code == 0
+    assert rep["verified"] is True and rep["results"][0]["observed"] == 2
+
+
 def test_verify_negative_exponent_of_g_at_a_zero_coordinate(capsys):
     # g = y + 1/x has no value at (0, 1), where f = x vanishes smoothly
     g = _terms(([0, 1], "1/1"), ([-1, 0], "1/1"))

@@ -98,7 +98,7 @@ def random_polygon(rng, box=10, npts=6):
 
 
 def random_unimodular(rng, steps=5):
-    M = UnimodularAffineMap.identity()
+    M = UnimodularAffineMap(((1, 0), (0, 1)))
     gens = [
         UnimodularAffineMap(((1, 1), (0, 1))),
         UnimodularAffineMap(((1, -1), (0, 1))),
@@ -323,7 +323,7 @@ def test_mixed_volume_properties():
         Q = random_polygon(rng)
         assert mixed_volume(P, Q) == mixed_volume(Q, P)
         assert mixed_volume(P, P) == area2(P)
-        t = Q.translate((rng.randint(-4, 4), rng.randint(-4, 4)))
+        t = convex_hull(SupportSet(Q.vertices).translate((rng.randint(-4, 4), rng.randint(-4, 4))))
         assert mixed_volume(P, t) == mixed_volume(P, Q)
         M = random_unimodular(rng)
         MP = convex_hull(M.apply_set(SupportSet(P.vertices)))
@@ -417,33 +417,38 @@ def test_primitivity_matches_all_pairs_gcd(a, b):
 # --- normal forms ------------------------------------------------------------
 
 
+SEGMENT = SupportSet([(0, 0), (1, 2), (3, 6)])
+
+
 def test_normal_form_translation_quotient():
-    c1, _ = normal_form(SIMPLEX)
-    c2, _ = normal_form(SIMPLEX.translate((7, -3)))
-    assert c1 == c2
+    for S in (SEGMENT, SupportSet([(2, 5)])):
+        c1, _ = normal_form(S)
+        c2, _ = normal_form(S.translate((7, -3)))
+        assert c1 == c2
 
 
 def test_normal_form_swap_consistency():
-    S = SupportSet([(0, 0), (1, 0), (0, 1), (-1, -1)])
     M = UnimodularAffineMap(((0, 1), (1, 0)))
-    c1, _ = normal_form(S)
-    c2, _ = normal_form(M.apply_set(S))
-    assert c1 == c2
+    c1, _ = normal_form(SEGMENT)
+    c2, _ = normal_form(M.apply_set(SEGMENT))
+    assert c1 == c2 == SupportSet([(0, 0), (1, 0), (3, 0)])
 
 
-def test_normal_form_quadrilateral_equivalence():
-    c1, _ = normal_form(SupportSet([(0, 0), (1, 0), (0, 1), (3, -1)]))
-    c2, _ = normal_form(SupportSet([(0, 0), (1, 0), (0, 1), (-1, -1)]))
-    assert c1 == c2
+def _random_segment(rng):
+    """A point or up to five points on a line through a point of [-3, 3]^2."""
+    d = (rng.randint(-3, 3), rng.randint(-3, 3))
+    base = (rng.randint(-3, 3), rng.randint(-3, 3))
+    ks = {rng.randint(-2, 2) for _ in range(rng.randint(1, 5))}
+    return SupportSet((base[0] + k * d[0], base[1] + k * d[1]) for k in ks)
 
 
 def test_normal_form_witness_and_idempotence():
     rng = random.Random(13)
-    for _ in range(10):
-        pts = [(rng.randrange(5), rng.randrange(5)) for _ in range(4)]
-        S = SupportSet(pts)
+    for _ in range(50):
+        S = _random_segment(rng)
         canon, M = normal_form(S)
         assert M.apply_set(S) == canon
+        assert all(y == 0 for _, y in canon) and canon.min_corner() == (0, 0)
         canon2, M2 = normal_form(canon)
         assert canon2 == canon
 
@@ -451,10 +456,10 @@ def test_normal_form_witness_and_idempotence():
 def test_normal_form_invariance_under_random_maps():
     rng = random.Random(14)
     bases = [
-        SIMPLEX,
-        SQUARE,
-        SupportSet([(0, 0), (1, 0), (0, 1), (-1, -1)]),
-        SupportSet([(0, 0), (2, 0), (0, 2), (1, 1)]),
+        SupportSet([(0, 0)]),
+        SupportSet([(0, 0), (1, 0)]),
+        SupportSet([(0, 0), (1, 0), (3, 0)]),
+        SupportSet([(0, 0), (2, 1), (4, 2), (8, 4)]),
     ]
     for S in bases:
         canon, _ = normal_form(S)
@@ -469,19 +474,17 @@ def test_segment_normal_forms():
     c2, _ = normal_form(SupportSet([(1, 1), (2, 3)]))
     assert c1.sorted_points() == ((0, 0), (2, 0))
     assert c2.sorted_points() == ((0, 0), (1, 0))
+    with pytest.raises(InputError, match="full-dimensional"):
+        normal_form(SIMPLEX)
 
 
 def test_normal_form_cached_equals_fresh():
-    # the cached (canon, map) is the one a search on an equal new set finds;
-    # route iii prints the map, so it must match as well as the set.  The
-    # atlas holds a single point and segments, so every branch is covered.
+    # the cached (canon, map) is the one a computation on an equal new set
+    # finds; route iii prints the map, so it must match as well as the set.
+    # The atlas holds a single point and segments, so every branch is covered.
     rng = random.Random(17)
-    supports = _convex_supports_in_box(2)
-    atlas_size = len(supports)
-    while len(supports) < atlas_size + 100:
-        S = SupportSet((rng.randrange(6), rng.randrange(6)) for _ in range(rng.randint(3, 8)))
-        if not is_segment(S):
-            supports.append(S)
+    supports = [S for S in _convex_supports_in_box(2) if is_segment(S)]
+    supports += [_random_segment(rng) for _ in range(100)]
     for S in supports:
         first = normal_form(S)
         assert normal_form(S) is first
@@ -515,27 +518,27 @@ def test_canonical_forms_pinned():
     assert _canonical_forms_digest() == pinned
 
 
-def test_normal_form_searches_once_per_instance(monkeypatch):
-    searches = []
-    candidate_maps = lattice._candidate_maps
+def test_normal_form_computes_once_per_instance(monkeypatch):
+    computed = []
+    segment_normal_form = lattice._segment_normal_form
 
-    def counted(S, radius):
-        searches.append(S)
-        return candidate_maps(S, radius)
+    def counted(S):
+        computed.append(S)
+        return segment_normal_form(S)
 
-    monkeypatch.setattr(lattice, "_candidate_maps", counted)
-    S = SupportSet([(0, 0), (3, 1), (1, 2), (2, 2)])
+    monkeypatch.setattr(lattice, "_segment_normal_form", counted)
+    S = SupportSet([(0, 0), (3, 1), (6, 2)])
     canon, M = normal_form(S)
-    assert normal_form(S) == (canon, M) and len(searches) == 1
+    assert normal_form(S) == (canon, M) and len(computed) == 1
     equal = SupportSet(S.points)
-    assert normal_form(equal) == (canon, M) and len(searches) == 2
+    assert normal_form(equal) == (canon, M) and len(computed) == 2
 
 
 # --- affine maps -------------------------------------------------------------
 
 
 def test_apply_map_identity_and_shift():
-    assert UnimodularAffineMap.identity().apply_set(SIMPLEX) == SIMPLEX
+    assert UnimodularAffineMap(((1, 0), (0, 1))).apply_set(SIMPLEX) == SIMPLEX
     shifted = UnimodularAffineMap.translation((1, 1)).apply_set(SIMPLEX)
     assert shifted.sorted_points() == ((1, 1), (1, 2), (2, 1))
 

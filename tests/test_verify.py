@@ -523,7 +523,7 @@ def test_a_corrupted_free_series_fails_the_check(monkeypatch, free):
     def corrupted(f, p, gradient, order):
         for br in real(f, p, gradient, order):
             k = br.truncation_order
-            xs = TruncatedSeries.from_coeff_map({0: p[0], **dict(enumerate(free, 1))}, k)
+            xs = TruncatedSeries(([p[0], *free] + [0] * k)[: k + 1])
             yield BranchParametrization(f, br.base_point, br.free_variable, xs, br.y_series, k)
 
     f = LaurentPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): -2})
