@@ -29,10 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError
-from .lattice import SupportSet
+from .lattice import SupportSet, _as_point
 
 Scalar = Union[int, Fraction]
 
@@ -725,7 +725,7 @@ class LaurentPolynomial:
     def __init__(self, terms: Optional[Dict[Tuple[int, int], object]] = None):
         clean: Dict[Tuple[int, int], object] = {}
         for e, c in (terms or {}).items():
-            e = (int(e[0]), int(e[1]))
+            e = _as_point(e)
             if not isinstance(c, MPoly):
                 c = _frac(c)
             if not _is_zero(c):
@@ -734,13 +734,22 @@ class LaurentPolynomial:
         self._hash = None
         self._jets = None
 
+    @classmethod
+    def _make(cls, terms: Dict[Tuple[int, int], Fraction]) -> "LaurentPolynomial":
+        # trusted constructor: int exponent pairs to non-zero Fractions, a
+        # dict the caller gives up
+        p = object.__new__(cls)
+        p.terms = terms
+        p._hash = p._jets = None
+        return p
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def support(self) -> SupportSet:
         if not self.terms:
             raise InputError("zero polynomial has empty support")
-        return SupportSet(self.terms.keys())
+        return SupportSet._make(self.terms)
 
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
@@ -914,10 +923,11 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(piv)
 
 
-def _kernel_numerators(ech: List[List], piv: List[int], ncols: int, zero, one) -> List[Tuple[int, List]]:
+def _kernel_numerators(ech: List[List], piv: List[int], ncols: int, zero, one) -> Iterator[Tuple[int, List]]:
     """(free column, kernel vector) of a Bareiss echelon with ring entries,
     free columns ascending: the free column's entry is the last pivot
     (``one`` when there is none), the other free entries are ``zero``.
+    Each vector is back-substituted when it is asked for.
 
     The last pivot is the k x k minor on the pivot columns, so by Cramer's
     rule every entry of such a vector is a minor too, and each division of
@@ -925,7 +935,6 @@ def _kernel_numerators(ech: List[List], piv: List[int], ncols: int, zero, one) -
     """
     top = ech[len(piv) - 1][piv[-1]] if piv else one
     pivots = set(piv)
-    basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
@@ -934,8 +943,7 @@ def _kernel_numerators(ech: List[List], piv: List[int], ncols: int, zero, one) -
         for k in range(len(piv) - 1, -1, -1):
             pc, row = piv[k], ech[k]
             v[pc] = -sum(map(mul, row[pc + 1:], v[pc + 1:]), zero) // row[pc]
-        basis.append((fc, v))
-    return basis
+        yield fc, v
 
 
 def integer_kernel(rows: List[List[int]], ncols: int) -> List[Tuple[int, List[int]]]:
@@ -947,7 +955,7 @@ def integer_kernel(rows: List[List[int]], ncols: int) -> List[Tuple[int, List[in
     rows are eliminated in place, so pass lists the caller gives up.
     """
     ech, piv, _ = _bareiss_echelon(rows)
-    return _kernel_numerators(ech, piv, ncols, 0, 1)
+    return list(_kernel_numerators(ech, piv, ncols, 0, 1))
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: Optional[int] = None) -> List[List[Fraction]]:
@@ -1005,7 +1013,7 @@ def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
     ech, piv, _ = _bareiss_echelon(_integerize_rows([list(r) + [b] for r, b in zip(rows, rhs)]))
     if n in piv:
         return None
-    _, v = _kernel_numerators(ech, piv, n + 1, 0, 1)[-1]
+    _, v = list(_kernel_numerators(ech, piv, n + 1, 0, 1))[-1]
     return [Fraction(-c, v[n]) for c in v[:n]]
 
 

@@ -26,10 +26,10 @@ from .construct import (
     RETRY_BUDGET,
     ConstructedSystem,
     contact_bound,
-    construct_prescribed,
     construct_univariate,
     probe_curve,
     _line_contact_on,
+    _prescribed,
 )
 from .errors import (
     ConstructionFailure,
@@ -374,8 +374,12 @@ def _mult3_witness_routes(
     line (the line living in whichever support holds a unimodular triangle),
     and the univariate route for segment pairs.  The log records, for every
     applicable route, either success or the exact reason it cannot work.
-    Route i calls ``construct_prescribed`` only when ``contact_bound`` on
-    its draw 0 (kept for the constructor's first check) allows D >= 3.
+    Route i checks the pairing itself (no segment, primitivity index 1) and
+    computes ``contact_bound`` D on draw 0; only when D >= 3 does it run
+    the draws of ``construct_prescribed``, without that function's input
+    checks, handing them D, which stands in for the bound check on draw 0
+    when that draw is smooth.  Its witness is the one
+    ``construct_prescribed(X, Y, 3, seed, retries)`` returns.
     """
     log: List[str] = []
 
@@ -391,7 +395,8 @@ def _mult3_witness_routes(
             log.append(f"route i {orient}: inapplicable (contact bound D={d} < 3)")
             continue
         try:
-            system = construct_prescribed(X, Y, 3, seed=seed, retries=retries)
+            # D >= 3 keeps m = 3 within |X| - 1, construct_prescribed's own m check
+            system = _prescribed(X, Y, 3, seed, retries, draw0_bound=d)
             log.append(f"route i {orient}: witness found")
             return system, log
         except (HypothesisViolation, RetryBudgetExhausted) as exc:

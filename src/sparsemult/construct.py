@@ -16,6 +16,13 @@ self-checked branch with its power and monomial tables.  That is safe: the
 key fixes everything a probe holds, and every system is still verified
 before it is returned, by a verifier that never reads the cache; it keeps
 only the rungs that it walked and checked itself.
+
+``construct_prescribed`` is its input checks in front of ``_prescribed``,
+the draws.  The multiplicity-3 classifier's route i checks the pairing and
+computes the draw-0 bound D itself, and calls ``_prescribed`` with that D;
+it gets the system ``construct_prescribed`` would return.  The draws and
+g are built from int exponents and non-zero coefficients, by the trusted
+``LaurentPolynomial._make``, with no re-check of each term.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (
     LaurentPolynomial,
     UnivariatePolynomial,
+    _bareiss_echelon,
+    _kernel_numerators,
     integer_kernel,
     kernel_basis,
     poly_kernel_basis,
@@ -174,7 +183,7 @@ def _draw_through_one(B: SupportSet, rng: random.Random) -> Optional[LaurentPoly
     coeffs.append(last)
     if any(c == 0 for c in coeffs):
         return None
-    return LaurentPolynomial({e: Fraction(c) for e, c in zip(pts, coeffs)})
+    return LaurentPolynomial._make({e: Fraction(c) for e, c in zip(pts, coeffs)})
 
 
 _ONE = (Fraction(1), Fraction(1))
@@ -237,14 +246,6 @@ def probe_curve(B: SupportSet, seed: int, attempt: int) -> Optional[LaurentPolyn
     return _probe(B, seed).draw(attempt)[0]
 
 
-@lru_cache(maxsize=1)
-def _dim_V(A: SupportSet, f: LaurentPolynomial, kernel) -> int:
-    """dim V by ``kernel``, kept for the next call: route i checks D on draw
-    0 just before ``construct_prescribed`` checks the same (A, f).  A counter
-    that rebinds ``compute_dim_V`` changes the key, so it sees every call."""
-    return kernel(A, f)[0]
-
-
 def contact_bound(A: SupportSet, B: SupportSet, f: Optional[LaurentPolynomial]) -> int:
     """D = |A| - dim V - 1 along the curve f on B, V the multiples of f
     supported in A: they lie in the kernel of every osculating row, so rows
@@ -253,7 +254,7 @@ def contact_bound(A: SupportSet, B: SupportSet, f: Optional[LaurentPolynomial]) 
     dim V meets when A is convex."""
     if f is None:
         return len(A) - len(erode(convex_hull(A), B)) - 1
-    return len(A) - _dim_V(A, f, compute_dim_V) - 1
+    return len(A) - compute_dim_V(A, f)[0] - 1
 
 
 def _require_pairing(A: SupportSet, B: SupportSet) -> None:
@@ -270,13 +271,16 @@ def _exact_contact_vector(rows: List[List[int]], m: int) -> Optional[List[int]]:
 
     Contact order exactly m needs rank m on rows 0..m-1 and row m outside
     their span: a kernel of full size len(rows[m]) - m with a vector whose
-    dot product with row m is non-zero; the first such vector is returned.
-    Rows 0..m-1 are eliminated in place."""
-    ncols = len(rows[m])
-    basis = integer_kernel(rows[:m], ncols)
-    if len(basis) != ncols - m:
+    dot product with row m is non-zero; the first such vector of
+    ``integer_kernel``'s basis is returned.  The vectors are
+    back-substituted one at a time, up to that one.  Rows 0..m-1 are
+    eliminated in place."""
+    ech, piv, _ = _bareiss_echelon(rows[:m])
+    # the kernel has len(rows[m]) - len(piv) vectors
+    if len(piv) != m:
         return None
-    return next((v for _, v in basis if sum(map(mul, rows[m], v))), None)
+    row = rows[m]
+    return next((v for _, v in _kernel_numerators(ech, piv, len(row), 0, 1) if sum(map(mul, row, v))), None)
 
 
 def construct_prescribed(
@@ -307,7 +311,16 @@ def construct_prescribed(
     if m > len(A) - 1:
         raise HypothesisViolation(
             f"m={m} exceeds |A| - 1 = {len(A) - 1}, the largest value D = |A| - dim V - 1 can take")
+    return _prescribed(A, B, m, seed, retries)
 
+
+def _prescribed(
+    A: SupportSet, B: SupportSet, m: int, seed: int, retries: int, draw0_bound: Optional[int] = None
+) -> ConstructedSystem:
+    """The draws of ``construct_prescribed``, on a pairing and an m its
+    callers have checked.  ``draw0_bound`` is ``contact_bound`` on draw 0
+    when the caller has it; it stands in for that check only when draw 0 is
+    smooth, the one case where the loop reads a bound on draw 0."""
     probe = _probe(B, seed)
     p = _ONE
     diagnostics: List[str] = []
@@ -318,7 +331,7 @@ def construct_prescribed(
         if not smooth:
             diagnostics.append(f"attempt {attempt}: degenerate draw")
             continue
-        D = contact_bound(A, B, f)
+        D = draw0_bound if attempt == 0 and draw0_bound is not None else contact_bound(A, B, f)
         bound_checks += 1
         if m > D:
             if is_convex_support(A):
@@ -342,8 +355,8 @@ def construct_prescribed(
         # non-zero one
         first = next(j for j, c in enumerate(u) if c)
         lead = dens[first] * u[first]
-        g = LaurentPolynomial({e: Fraction(d * c, lead)
-                               for e, d, c in zip(A.sorted_points(), dens, u) if c})
+        g = LaurentPolynomial._make({e: Fraction(d * c, lead)
+                                     for e, d, c in zip(A.sorted_points(), dens, u) if c})
         observed, cert = intersection_multiplicity_smooth(f, g, p, with_certificate=True)
         if observed != m:
             diagnostics.append(f"attempt {attempt}: verifier saw {observed}, wanted {m}")

@@ -62,6 +62,14 @@ class SupportSet:
         self._hull: Optional["LatticePolygon"] = None
         self._normal: Optional[Tuple["SupportSet", "UnimodularAffineMap"]] = None
 
+    @classmethod
+    def _make(cls, points: Iterable[Point]) -> "SupportSet":
+        # trusted constructor: points the program computed as pairs of ints
+        s = object.__new__(cls)
+        s._points = frozenset(points)
+        s._sorted = s._hull = s._normal = None
+        return s
+
     @property
     def points(self) -> frozenset:
         return self._points
@@ -72,8 +80,8 @@ class SupportSet:
         return self._sorted
 
     def translate(self, v: Point) -> "SupportSet":
-        dx, dy = v
-        return SupportSet((x + dx, y + dy) for x, y in self._points)
+        dx, dy = _as_point(v)
+        return SupportSet._make((x + dx, y + dy) for x, y in self._points)
 
     def min_corner(self) -> Point:
         if not self._points:
@@ -211,9 +219,9 @@ def erode(P: LatticePolygon, B: SupportSet) -> SupportSet:
     bys = [p[1] for p in pts]
     bx0, by0, bx1, by1 = pts[0][0], min(bys), pts[-1][0], max(bys)
     if x1 - x0 < bx1 - bx0 or y1 - y0 < by1 - by0:
-        return SupportSet()
+        return SupportSet._make(())
     if P.dim < 2:
-        return SupportSet(
+        return SupportSet._make(
             (cx, cy)
             for cx in range(x0 - bx0, x1 - bx1 + 1)
             for cy in range(y0 - by0, y1 - by1 + 1)
@@ -235,7 +243,7 @@ def erode(P: LatticePolygon, B: SupportSet) -> SupportSet:
         hi = min([(ex * cy - h) // ey for ex, ey, h in rising])
         lo = -min([(ex * cy - h) // -ey for ex, ey, h in falling])
         out.extend((cx, cy) for cx in range(lo, hi + 1))
-    return SupportSet(out)
+    return SupportSet._make(out)
 
 
 def _support_sum(P: LatticePolygon, Q: LatticePolygon) -> int:
@@ -313,7 +321,9 @@ class UnimodularAffineMap:
     shift: Point = (0, 0)
 
     def __post_init__(self):
-        (a, b), (c, d) = self.matrix
+        # int entries only: apply_set builds its images with no further check
+        (a, b), (c, d) = _as_point(self.matrix[0]), _as_point(self.matrix[1])
+        _as_point(self.shift)
         if abs(a * d - b * c) != 1:
             raise InputError(f"matrix {self.matrix} is not unimodular")
 
@@ -327,10 +337,10 @@ class UnimodularAffineMap:
         return (a * x + b * y + self.shift[0], c * x + d * y + self.shift[1])
 
     def apply_set(self, S: SupportSet) -> SupportSet:
-        # the points of S are already pairs of ints; SupportSet checks the images
+        # the points of S and the entries of the map are ints, so are the images
         (a, b), (c, d) = self.matrix
         sx, sy = self.shift
-        return SupportSet((a * x + b * y + sx, c * x + d * y + sy) for x, y in S.points)
+        return SupportSet._make((a * x + b * y + sx, c * x + d * y + sy) for x, y in S.points)
 
     def compose(self, other: "UnimodularAffineMap") -> "UnimodularAffineMap":
         """self after other: (self . other)(p) = self(other(p))."""

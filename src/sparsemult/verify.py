@@ -177,7 +177,8 @@ def intersection_multiplicity_smooth(
         raise InputError("point is not on the first curve")
     g_jet = g.jet(p)  # raises for a negative exponent at a zero coordinate
     n0 = len(f.terms) + len(g.terms) + 8
-    value = Fraction(g_jet[0], g_jet[3])
+    # g's value at p; like the order-1 lead below, a Fraction only when non-zero
+    value = Fraction(g_jet[0], g_jet[3]) if g_jet[0] else 0
     curve, other, (_, cx, cy, _), (_, ox, oy, od) = f, g, f_jet, g_jet
     if not (cx or cy or value) and (g_jet[1] or g_jet[2]):
         # f is singular: it is read along g; its value at p is 0 as g's is
@@ -239,7 +240,8 @@ def intersection_multiplicity_smooth(
                 k = min(n, 2 * k + 1)
                 if k == 1:
                     # the tangent is (c_y, -c_x) up to scale when c_y != 0, else (0, 1)
-                    order, lead = 1, Fraction(ox * cy - oy * cx, od * cy) if cy else Fraction(oy, od)
+                    num, den = (ox * cy - oy * cx, od * cy) if cy else (oy, od)
+                    order, lead = 1, Fraction(num, den) if num else 0
                 else:
                     series = along(k)
                     order = series.order()

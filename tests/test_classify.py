@@ -15,6 +15,7 @@ from sparsemult import construct
 from sparsemult.algebra import UnivariatePolynomial, factor_out_roots
 from sparsemult.classify import (
     PROJECTIVE_GROUP,
+    _mult3_witness_routes,
     decide_mult3,
     hessian_at_one,
     match_exceptional_family,
@@ -418,6 +419,80 @@ def test_decide_same_on_cold_and_warm_probe_cache():
     assert [_canonical_mult3(A, B) for A, B in pairs] == cold
     assert sum("route i" in line and "witness found" in line for c in cold
                for line in json.loads(c)["route_log"]) >= 50
+
+
+def _route_i_witness(monkeypatch, A, B, seed):
+    """Route i's witness on (A, B) under seed, as (X, Y, system), and the
+    (support, curve) of each compute_dim_V call the routes made on X; None
+    when another route, or none, finds the witness."""
+    calls = []
+    real = construct.compute_dim_V
+
+    def counted(S, f):
+        calls.append((S, f))
+        return real(S, f)
+
+    monkeypatch.setattr(construct, "compute_dim_V", counted)
+    system, log = _mult3_witness_routes(A, B, seed=seed)
+    monkeypatch.setattr(construct, "compute_dim_V", real)
+    won = [line for line in log if line.startswith("route i (") and line.endswith("witness found")]
+    if not won:
+        return None
+    X, Y = (A, B) if won[0] == "route i (A,B): witness found" else (B, A)
+    return X, Y, system, [f for S, f in calls if S == X]
+
+
+def _assert_route_i_is_construct_prescribed(X, Y, seed, system, dim_v_curves):
+    expected = construct.construct_prescribed(X, Y, 3, seed=seed)
+    assert (system.f, system.g, system.retries_used) == (expected.f, expected.g, expected.retries_used)
+    assert system.certificate.kind == expected.certificate.kind
+    assert system.certificate.transcript == expected.certificate.transcript
+    # one compute_dim_V call per (X, draw): route i's on draw 0 unless it is
+    # degenerate (then D is the erosion estimate), the constructor's on each
+    # later smooth draw it reads
+    draws = [construct._probe(Y, seed).draw(k) for k in range(system.retries_used + 1)]
+    want = [f for k, (f, smooth) in enumerate(draws) if (f is not None if k == 0 else smooth)]
+    assert dim_v_curves == want
+
+
+def test_route_i_hands_its_checks_to_the_constructor(monkeypatch):
+    # route i skips construct_prescribed's input checks and its draw-0 bound
+    # check, and must still return that function's witness
+    supports = _convex_supports_in_box(2)
+    pairs = list(itertools.combinations_with_replacement(supports, 2))
+    rng = random.Random(27)
+    rng.shuffle(pairs)
+    won = 0
+    for A, B in pairs:
+        seed = rng.choice([construct.DEFAULT_SEED, rng.randrange(2**32)])
+        hit = _route_i_witness(monkeypatch, A, B, seed)
+        if hit is not None:
+            X, Y, system, curves = hit
+            _assert_route_i_is_construct_prescribed(X, Y, seed, system, curves)
+            won += 1
+            if won == 100:
+                break
+    assert won == 100
+    # a seeded search for a draw 0 that is degenerate (a zero coefficient)
+    # and one that is singular at (1, 1), each on a pair route i wins
+    full = [S for S in supports if not is_segment(S)]
+    found = set()
+    for _ in range(20000):
+        Y, seed = rng.choice(full), rng.randrange(2**32)
+        f, smooth = construct._probe(Y, seed).draw(0)
+        kind = "degenerate" if f is None else None if smooth else "singular"
+        if kind is None or kind in found:
+            continue
+        for X in rng.sample(full, 20):
+            hit = _route_i_witness(monkeypatch, X, Y, seed)
+            if hit is not None and hit[1] == Y:
+                _assert_route_i_is_construct_prescribed(*hit[:2], seed, *hit[2:])
+                assert hit[2].retries_used >= 1
+                found.add(kind)
+                break
+        if len(found) == 2:
+            break
+    assert found == {"degenerate", "singular"}
 
 
 def test_segment_measurement_uses_extents():

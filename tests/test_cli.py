@@ -487,6 +487,7 @@ def test_unreachable_multiplicity_exits_3_before_any_draw(capsys, monkeypatch):
     monkeypatch.setattr(construct, "_draw_through_one", no_work)
     monkeypatch.setattr(construct, "kernel_basis", no_work)
     monkeypatch.setattr(construct, "integer_kernel", no_work)
+    monkeypatch.setattr(construct, "_bareiss_echelon", no_work)
     for argv in (
         ["construct", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "m": 4})],
         ["multipoint", "--json", json.dumps({"A": SQUARE, "B": SIMPLEX, "multiplicities": [2, 2]})],

@@ -15,6 +15,7 @@ from sparsemult.algebra import (
     LaurentPolynomial,
     TruncatedSeries,
     UnivariatePolynomial,
+    integer_kernel,
     poly_gcd,
     poly_kernel_basis,
     rank,
@@ -395,9 +396,14 @@ def _rational(matrix):
 def _kernel_accepts(A, rows, m):
     # construct_prescribed's check for contact order exactly m: rows
     # 0..m-1 leave a kernel of |A| - m vectors, one of them off row m; the
-    # check eliminates its rows in place, so it gets copies
+    # check eliminates its rows in place, so it gets copies.  The vector it
+    # picks is the first of integer_kernel's full basis off row m
     assert len(rows[m]) == len(A)
-    return construct._exact_contact_vector([list(r) for r in rows[: m + 1]], m) is not None
+    u = construct._exact_contact_vector([list(r) for r in rows[: m + 1]], m)
+    basis = integer_kernel([list(r) for r in rows[:m]], len(A))
+    full = len(basis) == len(A) - m
+    assert u == next((v for _, v in basis if full and sum(c * w for c, w in zip(rows[m], v))), None)
+    return u is not None
 
 
 def test_kernel_check_matches_prefix_rank():

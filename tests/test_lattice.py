@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsemult import lattice
+from sparsemult.algebra import LaurentPolynomial
 from sparsemult.lattice import (
     SupportSet,
     UnimodularAffineMap,
@@ -565,6 +566,11 @@ def test_map_compose_inverse():
 def test_non_unimodular_rejected():
     with pytest.raises(InputError):
         UnimodularAffineMap(((2, 0), (0, 1)))
+    # apply_set trusts its images to be pairs of ints, so the entries must be
+    for matrix, shift in ((((1.0, 0), (0, 1)), (0, 0)), (((1, 0), (0, 1)), (0.5, 0)),
+                          (((True, 0), (0, 1)), (0, 0))):
+        with pytest.raises(InputError):
+            UnimodularAffineMap(matrix, shift)
 
 
 def test_apply_set_agrees_with_apply():
@@ -573,6 +579,31 @@ def test_apply_set_agrees_with_apply():
         M = random_unimodular(rng)
         S = SupportSet((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 8)))
         assert M.apply_set(S) == SupportSet(M.apply(p) for p in S)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_hull_points(), st.sets(st.tuples(_shift, _shift), min_size=1, max_size=4),
+       st.tuples(_shift, _shift), st.integers(0, 2**16),
+       st.sampled_from([True, False, 1.0, -2.5]), st.integers(0, 1))
+def test_trusted_supports_equal_checked_ones(hull_pts, bpts, v, map_seed, bad, at):
+    # erode, translate, apply_set and support build their results with no
+    # per-point check; each must equal the checked SupportSet of its points
+    S = SupportSet(hull_pts)
+    M = random_unimodular(random.Random(map_seed))
+    f = LaurentPolynomial({p: i + 1 for i, p in enumerate(S)})
+    for trusted in (erode(convex_hull(S), SupportSet(bpts)), S.translate(v), M.apply_set(S), f.support()):
+        checked = SupportSet(list(trusted.points))
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert trusted.sorted_points() == checked.sorted_points()
+    # the public constructors still reject a bool or float coordinate
+    point = list(hull_pts[0])
+    point[at] = bad
+    with pytest.raises(InputError):
+        SupportSet(hull_pts + [tuple(point)])
+    with pytest.raises(InputError):
+        LaurentPolynomial({tuple(point): 1})
+    with pytest.raises(InputError):
+        LaurentPolynomial({hull_pts[0]: bad})
 
 
 def test_simplex_map_takes_triple_to_simplex():
