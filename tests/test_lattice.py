@@ -601,6 +601,8 @@ def test_trusted_supports_equal_checked_ones(hull_pts, bpts, v, map_seed, bad, a
     with pytest.raises(InputError):
         SupportSet(hull_pts + [tuple(point)])
     with pytest.raises(InputError):
+        S.translate(tuple(point))
+    with pytest.raises(InputError):
         LaurentPolynomial({tuple(point): 1})
     with pytest.raises(InputError):
         LaurentPolynomial({hull_pts[0]: bad})
