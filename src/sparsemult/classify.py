@@ -11,7 +11,7 @@ impossible verdict against the exceptional-family catalogue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -414,8 +414,7 @@ def _mult3_witness_routes(
         M = simplex_map(*triple)
         Ynorm = M.apply_set(Y)
         try:
-            system = _line_contact_on(Ynorm, 3, seed, retries)
-            system.normalization = M
+            system = replace(_line_contact_on(Ynorm, 3, seed, retries), normalization=M)
             log.append(f"route ii {orient}: witness found")
             return system, log
         except ConstructionFailure as exc:

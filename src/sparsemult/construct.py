@@ -23,13 +23,20 @@ computes the draw-0 bound D itself, and calls ``_prescribed`` with that D;
 it gets the system ``construct_prescribed`` would return.  The draws and
 g are built from int exponents and non-zero coefficients, by the trusted
 ``LaurentPolynomial._make``, with no re-check of each term.
+
+Line contact (route ii of the classifier) searches slopes on a normalized
+support, and the outcome depends only on that support's point set, the
+contact order, the seed and the budget.  A bounded memo keeps each
+failure's message and diagnostics, never a curve or a system, and raises it
+again with a fresh copy of the diagnostics; a witness is searched for and
+verified on every call.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -551,16 +558,60 @@ def line_contact_construct(
     if triple is None:
         raise HypothesisViolation("support contains no unimodular triangle, so no line fits")
     M = simplex_map(*triple)
-    Anorm = M.apply_set(A)
+    return replace(_line_contact_on(M.apply_set(A), r, seed, retries), normalization=M)
 
-    system = _line_contact_on(Anorm, r, seed, retries)
-    system.normalization = M
-    return system
+
+# How many line-contact failures a process remembers: the bound-2 th2-atlas
+# fails on 67 normalized supports under one seed.
+LINE_FAILURE_CAPACITY = 128
+
+
+class _Witness(Exception):
+    """Carries a line-contact system out of ``_line_failure``, whose memo
+    keeps what the function returns and never what it raises."""
+
+
+def _fresh(value):
+    """A copy of nested dicts and lists that shares none of them with value."""
+    if isinstance(value, dict):
+        return {k: _fresh(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_fresh(v) for v in value]
+    return value
+
+
+@lru_cache(maxsize=LINE_FAILURE_CAPACITY)
+def _line_failure(A: SupportSet, r: int, seed: int, retries: int) -> Tuple[str, Dict]:
+    """The message and diagnostics of the search's ConstructionFailure on
+    (A's point set, r, seed, retries); a witness leaves as ``_Witness``."""
+    try:
+        system = _search_line_contact(A, r, seed, retries)
+    except ConstructionFailure as exc:
+        return str(exc), exc.diagnostics
+    raise _Witness(system)
 
 
 def _line_contact_on(
     A: SupportSet, r: int, seed: int, retries: int
 ) -> ConstructedSystem:
+    """Order-r contact of a curve on A, the normalized support, with a line
+    through (1, 1), or ConstructionFailure.  The search depends only on A's
+    point set, r, the seed and the budget, so a failure is remembered and
+    raised again, with diagnostics of its own, without a search; a support
+    where some slope works is searched, and its witness verified, on every
+    call."""
+    try:
+        message, diagnostics = _line_failure(A, r, seed, retries)
+    except _Witness as found:
+        return found.args[0]
+    raise ConstructionFailure(message, _fresh(diagnostics))
+
+
+def _search_line_contact(
+    A: SupportSet, r: int, seed: int, retries: int
+) -> ConstructedSystem:
+    """The slope search on a normalized support A, as the public line-contact
+    constructor describes it: a witness, or ConstructionFailure."""
     rng = random.Random(seed)
     rows = _line_rows(A, r)
     cols = A.sorted_points()

@@ -411,6 +411,7 @@ def test_decide_same_on_cold_and_warm_probe_cache():
     cold = []
     for A, B in pairs:
         construct._probe.cache_clear()
+        construct._line_failure.cache_clear()
         cold.append(_canonical_mult3(A, B))
     order = list(range(len(pairs)))
     random.Random(9).shuffle(order)
@@ -419,6 +420,34 @@ def test_decide_same_on_cold_and_warm_probe_cache():
     assert [_canonical_mult3(A, B) for A, B in pairs] == cold
     assert sum("route i" in line and "witness found" in line for c in cold
                for line in json.loads(c)["route_log"]) >= 50
+
+
+def test_decide_same_on_cold_and_warm_line_failure_memo():
+    # route ii raises a remembered failure without a search; on pairs that
+    # reach it no order of earlier pairs may change a report
+    reach = []
+    for A, B in random.Random(28).sample(
+            list(itertools.combinations_with_replacement(_convex_supports_in_box(2), 2)), 3000):
+        log = decide_mult3(A, B).route_log or []
+        if any(line.startswith("route ii ") and "inapplicable" not in line for line in log):
+            reach.append((A, B))
+    pairs = reach[:120]
+    cold = []
+    for A, B in pairs:
+        construct._line_failure.cache_clear()
+        cold.append(_canonical_mult3(A, B))
+    order = list(range(len(pairs)))
+    random.Random(29).shuffle(order)
+    shuffled = {i: _canonical_mult3(*pairs[i]) for i in order}
+    assert [shuffled[i] for i in range(len(pairs))] == cold
+    hits = construct._line_failure.cache_info().hits
+    assert [_canonical_mult3(A, B) for A, B in pairs] == cold
+    # the last pass reads every failure from the memo
+    logs = [json.loads(c)["route_log"] for c in cold]
+    failures = sum(line.startswith("route ii ") and "certified failure" in line for log in logs for line in log)
+    assert construct._line_failure.cache_info().hits == hits + failures
+    assert failures >= 50
+    assert sum(line.startswith("route ii ") and "witness found" in line for log in logs for line in log) >= 1
 
 
 def _route_i_witness(monkeypatch, A, B, seed):

@@ -484,6 +484,7 @@ def test_unreachable_multiplicity_exits_3_before_any_draw(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a curve was drawn")
 
+    construct._line_failure.cache_clear()  # kernel_basis is also line contact's
     monkeypatch.setattr(construct, "_draw_through_one", no_work)
     monkeypatch.setattr(construct, "kernel_basis", no_work)
     monkeypatch.setattr(construct, "integer_kernel", no_work)
@@ -505,6 +506,7 @@ def test_multipoint_forced_onto_the_line_exits_3_before_any_draw(capsys, monkeyp
     def no_work(*args, **kwargs):
         raise AssertionError("a curve was drawn")
 
+    construct._line_failure.cache_clear()  # kernel_basis is also line contact's
     monkeypatch.setattr(construct, "kernel_basis", no_work)
     A = {"points": [[0, 0], [3, 0], [0, 3], [1, 1]]}
     req = json.dumps({"A": A, "B": SQUARE, "multiplicities": [2, 1]})

@@ -49,6 +49,8 @@ from sparsemult.lattice import (
     is_segment,
     lattice_points,
     primitivity_index,
+    simplex_map,
+    unimodular_triple,
 )
 from sparsemult.verify import (
     Certificate,
@@ -608,6 +610,7 @@ def test_warm_probe_cache_still_verifies_every_system(monkeypatch):
         calls.append(args)
         return intersection_multiplicity_smooth(*args, **kwargs)
 
+    construct._line_failure.cache_clear()  # line contact checks through this name too
     monkeypatch.setattr(construct, "intersection_multiplicity_smooth", counted)
     hits = construct._probe.cache_info().hits
     for (A, B, m, seed), s in zip(ops, systems):
@@ -715,10 +718,12 @@ def test_multipoint_line_rule_never_blocks_a_satisfiable_request(monkeypatch):
 # --- line contact -----------------------------------------------------------------
 
 
+QUAD = SupportSet([(0, 0), (1, 0), (0, 1), (-1, -1)])
+
+
 def test_line_contact_inflection_body_fails_exactly():
-    quad = SupportSet([(0, 0), (1, 0), (0, 1), (-1, -1)])
     with pytest.raises(ConstructionFailure) as exc:
-        line_contact_construct(quad, 3, seed=3)
+        line_contact_construct(QUAD, 3, seed=3)
     diagnostics = exc.value.diagnostics
     assert "rank_minors" in diagnostics and "kind" not in diagnostics
 
@@ -739,6 +744,97 @@ def test_line_contact_succeeds_on_two_simplex_points():
     assert system.multiplicities == (2,)
     got = intersection_multiplicity_smooth(system.g, system.f, system.point)
     assert got == 2
+
+
+def _line_failure_of(A, r, seed):
+    """(message, diagnostics) of line_contact_construct's ConstructionFailure."""
+    with pytest.raises(ConstructionFailure) as exc:
+        line_contact_construct(A, r, seed=seed)
+    return str(exc.value), exc.value.diagnostics
+
+
+@pytest.mark.parametrize("A", [QUAD, SQUARE], ids=["inflection-body", "square"])
+def test_remembered_line_failure_equals_a_fresh_search(A):
+    Anorm = simplex_map(*unimodular_triple(A)).apply_set(A)
+    with pytest.raises(ConstructionFailure) as searched:
+        construct._search_line_contact(Anorm, 3, 3, construct.RETRY_BUDGET)
+    fresh = str(searched.value), searched.value.diagnostics
+    construct._line_failure.cache_clear()
+    assert _line_failure_of(A, 3, 3) == fresh
+    hits = construct._line_failure.cache_info().hits
+    for _ in range(2):
+        assert _line_failure_of(A, 3, 3) == fresh
+    assert construct._line_failure.cache_info().hits == hits + 2
+
+
+def test_remembered_line_failure_hands_out_its_own_diagnostics():
+    construct._line_failure.cache_clear()
+    _, first = _line_failure_of(QUAD, 3, 3)
+    kept = json.dumps(first)
+    first["support"][0][0] = 99
+    first["support"].append([7, 7])
+    first["rank_minors"].clear()
+    del first["contact_order"]
+    _, second = _line_failure_of(QUAD, 3, 3)
+    assert construct._line_failure.cache_info().hits == 1
+    assert json.dumps(second) == kept
+
+
+def test_line_contact_witness_is_searched_and_verified_on_every_call(monkeypatch):
+    A = lattice_points(convex_hull(SupportSet([(0, 0), (2, 0), (0, 2)])))
+    searches, checks = [], []
+    search, check = construct._search_line_contact, construct.intersection_multiplicity_smooth
+
+    def counted_search(*args):
+        searches.append(args)
+        return search(*args)
+
+    def counted_check(*args, **kwargs):
+        checks.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "_search_line_contact", counted_search)
+    monkeypatch.setattr(construct, "intersection_multiplicity_smooth", counted_check)
+    construct._line_failure.cache_clear()
+    systems = []
+    for calls in range(1, 4):
+        before = len(checks)
+        system = line_contact_construct(A, 2, seed=3)
+        assert len(searches) == calls and len(checks) > before
+        # the last check the search made is the one on the returned pair
+        assert checks[-1][:2] == (system.g, system.f)
+        systems.append(system_to_json(system))
+    assert systems[1:] == systems[:-1]
+    assert construct._line_failure.cache_info().currsize == 0
+
+
+def _plain(value):
+    """Whether value is built of str, int, list and dict only."""
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _plain(v) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return all(_plain(v) for v in value)
+    return type(value) in (str, int)
+
+
+def test_line_failure_memo_is_bounded_and_keeps_no_curve():
+    cap = construct.LINE_FAILURE_CAPACITY
+    assert cap >= 67  # the failing normalized supports of the bound-2 atlas
+    assert construct._line_failure.cache_info().maxsize == cap
+    construct._line_failure.cache_clear()
+    witness_support = lattice_points(convex_hull(SupportSet([(0, 0), (2, 0), (0, 2)])))
+    for seed in range(cap + 10):
+        _line_failure_of(QUAD, 3, seed)
+        line_contact_construct(witness_support, 2, seed=seed)
+        assert construct._line_failure.cache_info().currsize <= min(seed + 1, cap)
+    assert construct._line_failure.cache_info().currsize == cap
+    # a hit returns the memo's own entry: a message and plain diagnostics
+    for seed in range(10, cap + 10):
+        entry = construct._line_failure(QUAD, 3, seed, construct.RETRY_BUDGET)
+        assert _plain(entry) and isinstance(entry, tuple) and len(entry) == 2
+    misses = construct._line_failure.cache_info().misses
+    _line_failure_of(QUAD, 3, 0)  # the oldest, evicted
+    assert construct._line_failure.cache_info().misses == misses + 1
 
 
 def _random_line_supports(seed, count):
