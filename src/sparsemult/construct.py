@@ -594,12 +594,10 @@ def _line_failure(A: SupportSet, r: int, seed: int, retries: int) -> Tuple[str, 
 def _line_contact_on(
     A: SupportSet, r: int, seed: int, retries: int
 ) -> ConstructedSystem:
-    """Order-r contact of a curve on A, the normalized support, with a line
-    through (1, 1), or ConstructionFailure.  The search depends only on A's
-    point set, r, the seed and the budget, so a failure is remembered and
-    raised again, with diagnostics of its own, without a search; a support
-    where some slope works is searched, and its witness verified, on every
-    call."""
+    """Order-r contact of a curve on the normalized support A with a line
+    through (1, 1), or ConstructionFailure.  A remembered failure is raised
+    again without a search, with diagnostics of its own; a witness is
+    searched for and verified on every call."""
     try:
         message, diagnostics = _line_failure(A, r, seed, retries)
     except _Witness as found:
