@@ -720,7 +720,7 @@ class LaurentPolynomial:
     then requires non-zero coordinates).
     """
 
-    __slots__ = ("terms", "_hash", "_jets")
+    __slots__ = ("terms", "_hash", "_jets", "_support")
 
     def __init__(self, terms: Optional[Dict[Tuple[int, int], object]] = None):
         clean: Dict[Tuple[int, int], object] = {}
@@ -731,8 +731,7 @@ class LaurentPolynomial:
             if not _is_zero(c):
                 clean[e] = c
         self.terms = clean
-        self._hash = None
-        self._jets = None
+        self._hash = self._jets = self._support = None
 
     @classmethod
     def _make(cls, terms: Dict[Tuple[int, int], Fraction]) -> "LaurentPolynomial":
@@ -740,16 +739,21 @@ class LaurentPolynomial:
         # dict the caller gives up
         p = object.__new__(cls)
         p.terms = terms
-        p._hash = p._jets = None
+        p._hash = p._jets = p._support = None
         return p
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def support(self) -> SupportSet:
-        if not self.terms:
-            raise InputError("zero polynomial has empty support")
-        return SupportSet._make(self.terms)
+        """The exponents as a SupportSet, built on the first call and kept,
+        like the hash: every later call returns the same instance, with
+        whatever it has stored since."""
+        if self._support is None:
+            if not self.terms:
+                raise InputError("zero polynomial has empty support")
+            self._support = SupportSet._make(self.terms)
+        return self._support
 
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):

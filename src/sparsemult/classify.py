@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,8 +50,7 @@ from .lattice import (
     mixed_volume,
     normal_form,
     primitivity_index,
-    simplex_map,
-    unimodular_triple,
+    unimodular_frame,
 )
 from .verify import segment_product_multiplicity
 
@@ -359,7 +359,7 @@ def match_exceptional_family(A: SupportSet, B: SupportSet) -> Optional[Dict[str,
         return {"family": 2, "shape": "unit-square" if len(convex_hull(A).vertices) == 4 else "four-point-L"}
     for X, Y, orient in ((A, B, "as-given"), (B, A, "transposed")):
         if len(X) == 3 and area2(convex_hull(X)) == 1:
-            Z = simplex_map(*X.sorted_points()).apply_set(Y).points
+            Z = unimodular_frame(X)[1].apply_set(Y).points
             if max(x + y for x, y in Z) - min(x for x, _ in Z) - min(y for _, y in Z) <= 2:
                 return {"family": 3, "orientation": orient}
     return None
@@ -404,14 +404,13 @@ def _mult3_witness_routes(
 
     # route (ii): order-3 contact with a line supported in the other member
     for X, Y, orient in ((A, B, "line in A"), (B, A, "line in B")):
-        triple = unimodular_triple(X)
+        triple, M = unimodular_frame(X)
         if triple is None:
             log.append(f"route ii {orient}: inapplicable (no unimodular triangle)")
             continue
         if len(Y) < 3:
             log.append(f"route ii {orient}: inapplicable (curve support below contact order)")
             continue
-        M = simplex_map(*triple)
         Ynorm = M.apply_set(Y)
         try:
             system = replace(_line_contact_on(Ynorm, 3, seed, retries), normalization=M)
@@ -432,9 +431,23 @@ def _mult3_witness_routes(
     return None, log
 
 
+# How many triple-root univariates a process remembers: route iii of the
+# bound-2 th2-atlas reads 79 exponent tuples.
+TRIPLE_ROOT_CAPACITY = 256
+
+
+@lru_cache(maxsize=TRIPLE_ROOT_CAPACITY)
+def _triple_root(exps: Tuple[int, ...]) -> UnivariatePolynomial:
+    """construct_univariate(exps, 3) per exponent tuple.  Route iii asks
+    only with four exponents or more, so the memo keeps polynomials, never
+    a certificate, a curve or a system."""
+    return construct_univariate(exps, 3)
+
+
 def _triple_root_on(exps: Sequence[int], place) -> LaurentPolynomial:
-    """construct_univariate(exps, 3), its exponent e put on the monomial place(e)."""
-    p_poly = construct_univariate(exps, 3)
+    """The remembered construct_univariate(exps, 3), its exponent e put on
+    the monomial place(e)."""
+    p_poly = _triple_root(tuple(exps))
     shift = -min(min(exps), 0)
     return LaurentPolynomial({place(e): p_poly.coefficient(e + shift) for e in exps})
 

@@ -74,8 +74,7 @@ from .lattice import (
     is_convex_support,
     is_segment,
     primitivity_index,
-    simplex_map,
-    unimodular_triple,
+    unimodular_frame,
 )
 from .verify import (
     Certificate,
@@ -554,10 +553,9 @@ def line_contact_construct(
         raise InputError("contact order below 2 is not a tangency question")
     if len(A) < r:
         raise HypothesisViolation(f"support of {len(A)} points cannot reach contact {r}")
-    triple = unimodular_triple(A)
+    triple, M = unimodular_frame(A)
     if triple is None:
         raise HypothesisViolation("support contains no unimodular triangle, so no line fits")
-    M = simplex_map(*triple)
     return replace(_line_contact_on(M.apply_set(A), r, seed, retries), normalization=M)
 
 

@@ -14,7 +14,7 @@ points and segments under the unimodular affine group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -49,25 +49,29 @@ class SupportSet:
     Set semantics: duplicates collapse and equality ignores order.  The
     empty set is allowed (erosions can be empty); operations that need a
     polynomial support check non-emptiness themselves.  The point set never
-    changes, so the sorted points, the convex hull and (for a point or a
-    segment) the normal form are computed once, on first use, and stored on
-    the instance.
+    changes, so what it fixes is computed once, on first use, and stored on
+    the instance: the sorted points, the convex hull, the index of the
+    difference lattice (:func:`lattice_index`), the first unimodular triple
+    with its simplex map (:func:`unimodular_frame`) and, for a point or a
+    segment, the normal form.  None of these enter equality or the hash.
     """
 
-    __slots__ = ("_points", "_sorted", "_hull", "_normal")
+    __slots__ = ("_points", "_sorted", "_hull", "_normal", "_index", "_frame")
 
     def __init__(self, points: Iterable = ()):
         self._points = frozenset(_as_point(p) for p in points)
         self._sorted: Optional[Tuple[Point, ...]] = None
         self._hull: Optional["LatticePolygon"] = None
         self._normal: Optional[Tuple["SupportSet", "UnimodularAffineMap"]] = None
+        self._index = None
+        self._frame = None
 
     @classmethod
     def _make(cls, points: Iterable[Point]) -> "SupportSet":
         # trusted constructor: points the program computed as pairs of ints
         s = object.__new__(cls)
         s._points = frozenset(points)
-        s._sorted = s._hull = s._normal = None
+        s._sorted = s._hull = s._normal = s._index = s._frame = None
         return s
 
     @property
@@ -113,22 +117,32 @@ class LatticePolygon:
 
     ``dim`` is 0 (single point), 1 (segment: the two endpoints), or
     2 (at least three extreme points, no three consecutive collinear).
-    Construct via :func:`convex_hull`.
+    Construct via :func:`convex_hull`.  The bounding box, the edges (a
+    tuple, empty below dimension 2) and twice the area are computed once,
+    at construction, and kept outside equality and the hash.
     """
 
     vertices: Tuple[Point, ...]
     dim: int
+    _bbox: Tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    _edges: Tuple[Tuple[Point, Point], ...] = field(init=False, repr=False, compare=False)
+    _area2: int = field(init=False, repr=False, compare=False)
 
-    def edges(self) -> List[Tuple[Point, Point]]:
+    def __post_init__(self):
         v = self.vertices
-        if self.dim < 2:
-            return []
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+        xs = [p[0] for p in v]
+        ys = [p[1] for p in v]
+        edges = tuple(zip(v, v[1:] + v[:1])) if self.dim == 2 else ()
+        object.__setattr__(self, "_bbox", (min(xs), min(ys), max(xs), max(ys)))
+        object.__setattr__(self, "_edges", edges)
+        # the shoelace sum
+        object.__setattr__(self, "_area2", abs(sum(a[0] * b[1] - b[0] * a[1] for a, b in edges)))
+
+    def edges(self) -> Tuple[Tuple[Point, Point], ...]:
+        return self._edges
 
     def bbox(self) -> Tuple[int, int, int, int]:
-        xs = [p[0] for p in self.vertices]
-        ys = [p[1] for p in self.vertices]
-        return (min(xs), min(ys), max(xs), max(ys))
+        return self._bbox
 
     def contains(self, p) -> bool:
         """Exact membership test for the closed region."""
@@ -190,15 +204,8 @@ def lattice_points(P: LatticePolygon) -> SupportSet:
 
 
 def area2(P: LatticePolygon) -> int:
-    """Twice the Euclidean area (shoelace); 0 for dim <= 1."""
-    if P.dim < 2:
-        return 0
-    v = P.vertices
-    s = 0
-    for i in range(len(v)):
-        a, b = v[i], v[(i + 1) % len(v)]
-        s += a[0] * b[1] - b[0] * a[1]
-    return abs(s)
+    """Twice the Euclidean area (shoelace), kept on P; 0 for dim <= 1."""
+    return P._area2
 
 
 def erode(P: LatticePolygon, B: SupportSet) -> SupportSet:
@@ -295,15 +302,10 @@ def _difference_vectors(S: SupportSet) -> List[Point]:
     return [(p[0] - base[0], p[1] - base[1]) for p in pts[1:]]
 
 
-def primitivity_index(A: SupportSet, B: SupportSet):
-    """Index in Z^2 of the lattice generated by the differences of A and B.
-
-    1 means A and B cannot be shifted to a common proper sublattice.  When
-    the difference lattice has rank < 2 the index is infinite and
-    ``INFINITE_INDEX`` is returned.  The index is the gcd of the pairwise
-    cross products of the differences, so it stops at the first gcd of 1.
-    """
-    vecs = [v for v in _difference_vectors(A) + _difference_vectors(B) if v != (0, 0)]
+def _generated_index(vecs: List[Point]):
+    """Index in Z^2 of the lattice the non-zero vectors generate: the gcd of
+    their pairwise cross products, which stops at the first gcd of 1, or
+    ``INFINITE_INDEX`` when they have rank < 2."""
     d = 0
     for i, (a, b) in enumerate(vecs):
         for c, e in vecs[i + 1:]:
@@ -311,6 +313,29 @@ def primitivity_index(A: SupportSet, B: SupportSet):
             if d == 1:
                 return 1
     return d or INFINITE_INDEX
+
+
+def lattice_index(S: SupportSet):
+    """Index in Z^2 of the lattice generated by the differences of S, or
+    ``INFINITE_INDEX`` below rank 2.  It is stored on the instance S."""
+    if S._index is None:
+        S._index = _generated_index(_difference_vectors(S))
+    return S._index
+
+
+def primitivity_index(A: SupportSet, B: SupportSet):
+    """Index in Z^2 of the lattice generated by the differences of A and B.
+
+    1 means A and B cannot be shifted to a common proper sublattice.  When
+    the difference lattice has rank < 2 the index is infinite and
+    ``INFINITE_INDEX`` is returned.  The joint lattice contains the
+    difference lattice of each support, so it is Z^2 when either one's
+    stored :func:`lattice_index` is 1; otherwise the index is the gcd of
+    the pairwise cross products of both supports' differences.
+    """
+    if lattice_index(A) == 1 or lattice_index(B) == 1:
+        return 1
+    return _generated_index(_difference_vectors(A) + _difference_vectors(B))
 
 
 @dataclass(frozen=True)
@@ -435,6 +460,18 @@ def unimodular_triple(S: SupportSet) -> Optional[Tuple[Point, Point, Point]]:
                 if abs(cross(pts[i], pts[j], pts[k])) == 1:
                     return pts[i], pts[j], pts[k]
     return None
+
+
+def unimodular_frame(
+    S: SupportSet,
+) -> Tuple[Optional[Tuple[Point, Point, Point]], Optional[UnimodularAffineMap]]:
+    """The first unimodular triple of S (:func:`unimodular_triple`) and its
+    :func:`simplex_map`, or (None, None) when S holds no unimodular
+    triangle.  The pair is stored on the instance S."""
+    if S._frame is None:
+        triple = unimodular_triple(S)
+        S._frame = (None, None) if triple is None else (triple, simplex_map(*triple))
+    return S._frame
 
 
 def simplex_map(p: Point, q: Point, r: Point) -> UnimodularAffineMap:

@@ -258,12 +258,18 @@ def _family_members_in_box(bound: int) -> List[Tuple]:
 def scenario_triangle_atlas(bound: int = 5) -> dict:
     """Classify every non-degenerate triangle with coordinates in
     [0, bound]^2; check family coverage, orbit consistency and the Hessian
-    anchor identities."""
+    anchor identities.
+
+    The projective canonical form does not change under translation, so it
+    is computed once per translation class, keyed by the differences from a
+    triangle's first point (its minimum: ``combinations`` walks the points
+    in sorted order).  Every triangle is still classified on its own."""
     if not 1 <= bound <= MAX_TRIANGLE_BOUND:
         raise InputError(f"triangle-atlas needs 1 <= bound <= {MAX_TRIANGLE_BOUND}, got {bound}")
     checks: List[dict] = []
     pts_all = [(x, y) for x in range(bound + 1) for y in range(bound + 1)]
     verdict_by_class: Dict[Tuple, str] = {}
+    canonical: Dict[Tuple, Tuple] = {}
     family_counts: Dict[int, int] = {}
     n_triangles = 0
     mismatches = []
@@ -276,16 +282,18 @@ def scenario_triangle_atlas(bound: int = 5) -> dict:
         tc = triangle_inflection(T)
         if tc.verdict == "NoInflection":
             family_counts[tc.family] = family_counts.get(tc.family, 0) + 1
-        key = _triangle_projective_canonical(tri)
+        base = tri[0]
+        shape = (tri[1][0] - base[0], tri[1][1] - base[1], tri[2][0] - base[0], tri[2][1] - base[1])
+        key = canonical.get(shape)
+        if key is None:
+            key = canonical[shape] = _triangle_projective_canonical(tri)
         prev = verdict_by_class.get(key)
         if prev is None:
             verdict_by_class[key] = tc.verdict
         elif prev != tc.verdict:
             mismatches.append(tri)
         # anchor identities, formal for any non-degenerate triangle
-        base = tri[0]
-        n_, m_ = tri[1][0] - base[0], tri[1][1] - base[1]
-        k_, l_ = tri[2][0] - base[0], tri[2][1] - base[1]
+        n_, m_, k_, l_ = shape
         he = hessian_at_one(n_, m_, k_, l_)
         if he(Fraction(0)) != -k_ * l_ * (k_ + l_) or he(Fraction(-1)) != -m_ * n_ * (m_ + n_):
             anchor_failures += 1

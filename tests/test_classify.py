@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsemult import construct
+from sparsemult import classify, construct
 from sparsemult.algebra import UnivariatePolynomial, factor_out_roots
 from sparsemult.classify import (
     PROJECTIVE_GROUP,
@@ -22,6 +22,7 @@ from sparsemult.classify import (
     theta_poly,
     triangle_inflection,
 )
+from sparsemult.construct import construct_univariate
 from sparsemult.errors import InputError
 from sparsemult.jsonio import _value_to_json, system_to_json
 from sparsemult.lattice import (
@@ -412,6 +413,7 @@ def test_decide_same_on_cold_and_warm_probe_cache():
     for A, B in pairs:
         construct._probe.cache_clear()
         construct._line_failure.cache_clear()
+        classify._triple_root.cache_clear()
         cold.append(_canonical_mult3(A, B))
     order = list(range(len(pairs)))
     random.Random(9).shuffle(order)
@@ -448,6 +450,86 @@ def test_decide_same_on_cold_and_warm_line_failure_memo():
     assert construct._line_failure.cache_info().hits == hits + failures
     assert failures >= 50
     assert sum(line.startswith("route ii ") and "witness found" in line for log in logs for line in log) >= 1
+
+
+def _route_iii_pairs():
+    """Seeded bound-2 atlas pairs whose route iii builds a triple root."""
+    reach = []
+    for A, B in random.Random(30).sample(
+            list(itertools.combinations_with_replacement(_convex_supports_in_box(2), 2)), 3000):
+        log = decide_mult3(A, B).route_log or []
+        if any(line.startswith("route iii ") and "inapplicable" not in line for line in log):
+            reach.append((A, B))
+    return reach
+
+
+def test_decide_same_on_cold_and_warm_triple_root_memo(monkeypatch):
+    # route iii reads its triple-root univariate from a memo, and its
+    # witness is still verified on every call: no order of earlier pairs
+    # may change a report
+    pairs = _route_iii_pairs()[:80]
+    assert len(pairs) >= 40
+    cold = []
+    for A, B in pairs:
+        classify._triple_root.cache_clear()
+        cold.append(_canonical_mult3(A, B))
+    order = list(range(len(pairs)))
+    random.Random(31).shuffle(order)
+    shuffled = {i: _canonical_mult3(*pairs[i]) for i in order}
+    assert [shuffled[i] for i in range(len(pairs))] == cold
+    # a warm pass hits the memo on every triple root and verifies every witness
+    verified = []
+    real = classify.segment_product_multiplicity
+
+    def counted(f, g, point, with_certificate):
+        verified.append(point)
+        return real(f, g, point, with_certificate)
+
+    monkeypatch.setattr(classify, "segment_product_multiplicity", counted)
+    info = classify._triple_root.cache_info()
+    assert [_canonical_mult3(A, B) for A, B in pairs] == cold
+    logs = [json.loads(c)["route_log"] for c in cold]
+    built = sum(line.startswith("route iii ") and "inapplicable" not in line for log in logs for line in log)
+    assert len(verified) == built
+    assert classify._triple_root.cache_info().hits == info.hits + built
+    assert classify._triple_root.cache_info().misses == info.misses
+    assert sum(line.startswith("route iii ") and "witness found" in line for log in logs for line in log) >= 40
+
+
+def test_triple_root_memo_is_bounded_and_keeps_polynomials_only(monkeypatch):
+    cap = classify.TRIPLE_ROOT_CAPACITY
+    assert cap >= 79  # the exponent tuples route iii reads in the bound-2 atlas
+    assert classify._triple_root.cache_info().maxsize == cap
+    # record the keys a real pass stores; patching construct_univariate
+    # clears the memo first, so every key goes through the wrapper
+    keys = []
+    real = classify.construct_univariate
+
+    def recorded(exps, l):
+        keys.append(exps)
+        return real(exps, l)
+
+    classify._triple_root.cache_clear()
+    monkeypatch.setattr(classify, "construct_univariate", recorded)
+    for A, B in _route_iii_pairs()[:40]:
+        decide_mult3(A, B)
+    monkeypatch.setattr(classify, "construct_univariate", real)
+    classify._triple_root.cache_clear()
+    assert keys and len(set(keys)) == len(keys)
+    for exps in keys:
+        p = classify._triple_root(exps)
+        assert type(p) is UnivariatePolynomial and classify._triple_root(exps) is p
+        assert p == construct_univariate(list(exps), 3)
+    # bounded: the oldest entry is evicted once the capacity is reached
+    classify._triple_root.cache_clear()
+    for k in range(cap + 10):
+        entry = classify._triple_root((0, 1, 2, 4 + k))
+        assert type(entry) is UnivariatePolynomial
+        assert classify._triple_root.cache_info().currsize == min(k + 1, cap)
+    misses = classify._triple_root.cache_info().misses
+    classify._triple_root((0, 1, 2, 4))
+    assert classify._triple_root.cache_info().misses == misses + 1
+    classify._triple_root.cache_clear()
 
 
 def _route_i_witness(monkeypatch, A, B, seed):

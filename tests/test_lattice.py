@@ -6,7 +6,9 @@ never by the code paths under test.
 """
 
 import hashlib
+import itertools
 import random
+from dataclasses import fields
 from math import gcd, inf
 from pathlib import Path
 
@@ -405,14 +407,99 @@ _scaled = st.builds(lambda s, pts: [(s[0] * x, s[1] * y) for x, y in pts],
                     st.sampled_from([(2, 2), (3, 1), (1, 2)]), _any_support)
 
 
+# supports on a proper sublattice, alone or paired: the joint index is 1, 2
+# or 4 while each support's own index is above 1
+_sublattice = st.sampled_from([
+    [(0, 0), (2, 0), (0, 2)], [(0, 0), (2, 2)], [(0, 0), (1, 1)], [(0, 0), (1, 0)],
+    [(1, 0), (0, 1), (2, 1), (1, 2)], [(0, 0), (2, 0), (1, 1)], [(0, 0), (3, 0), (0, 1), (3, 1)],
+])
+_supports = st.one_of(_any_support, _on_line, _scaled, _sublattice)
+
+
 @settings(deadline=None, max_examples=400)
-@given(st.one_of(_any_support, _on_line, _scaled), st.one_of(_any_support, _on_line, _scaled))
+@given(_supports, _supports)
 def test_primitivity_matches_all_pairs_gcd(a, b):
+    # each support stores its own index on first use; the joint index read
+    # through the stored ones equals the from-scratch gcd in both orders,
+    # on fresh instances and on instances that hold an index already
     A, B = SupportSet(a), SupportSet(b)
     want = _all_pairs_index(A, B)
     assert primitivity_index(A, B) == want == primitivity_index(B, A)
     if want == inf:
         assert primitivity_index(A, B) is lattice.INFINITE_INDEX
+    for S in (A, B):
+        assert lattice.lattice_index(S) == _all_pairs_index(S, S)
+    assert primitivity_index(SupportSet(b), B) == _all_pairs_index(B, B)
+    assert primitivity_index(A, B) == want
+
+
+def test_primitivity_of_sublattice_pairs():
+    doubled = SupportSet([(0, 0), (2, 0), (0, 2)])
+    assert lattice.lattice_index(doubled) == 4
+    assert primitivity_index(doubled, SupportSet([(0, 0), (2, 2)])) == 4
+    assert primitivity_index(doubled, SupportSet([(0, 0), (1, 1)])) == 2
+    assert primitivity_index(SupportSet([(5, 5)]), doubled) == 4
+    assert primitivity_index(doubled, SIMPLEX) == 1
+    assert primitivity_index(SupportSet([(0, 0), (1, 0)]), SupportSet([(3, 3), (3, 4)])) == 1
+    assert primitivity_index(SupportSet([(0, 0)]), SupportSet([(1, 2)])) is lattice.INFINITE_INDEX
+
+
+def _fresh_bbox(P):
+    xs = [x for x, _ in P.vertices]
+    ys = [y for _, y in P.vertices]
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+def _fresh_edges(P):
+    v = P.vertices
+    return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))] if P.dim == 2 else []
+
+
+def _fresh_area2(P):
+    # twice the area as the sum of a fan of triangles from the first vertex
+    v = P.vertices
+    return sum(cross(v[0], v[i], v[i + 1]) for i in range(1, len(v) - 1)) if P.dim == 2 else 0
+
+
+@settings(deadline=None)
+@given(_hull_points())
+def test_kept_hull_invariants_equal_fresh_ones(hull_pts):
+    P = convex_hull(SupportSet(hull_pts))
+    assert P.bbox() == _fresh_bbox(P)
+    assert isinstance(P.edges(), tuple) and list(P.edges()) == _fresh_edges(P)
+    assert area2(P) == _fresh_area2(P)
+    # the kept values stay out of equality, the hash and the repr
+    assert [f.name for f in fields(P) if f.compare or f.init] == ["vertices", "dim"]
+    again = lattice.LatticePolygon(P.vertices, P.dim)
+    assert again == P and hash(again) == hash(P)
+    assert repr(P) == f"LatticePolygon(vertices={P.vertices!r}, dim={P.dim})"
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.tuples(_coords, _coords), st.integers(-5, 5).filter(bool), min_size=1, max_size=8))
+def test_polynomial_support_is_kept(terms):
+    f = LaurentPolynomial(terms)
+    S = f.support()
+    assert S == SupportSet(terms) and S.sorted_points() == SupportSet(terms).sorted_points()
+    assert f.support() is S
+    with pytest.raises(InputError):
+        LaurentPolynomial({}).support()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_supports, _hull_points()))
+def test_kept_frame_equals_triple_and_simplex_map(pts):
+    S = SupportSet(pts)
+    triple, M = lattice.unimodular_frame(S)
+    fresh = lattice.unimodular_triple(SupportSet(pts))
+    assert triple == fresh
+    if fresh is None:
+        assert M is None
+        assert all(abs(cross(p, q, r)) != 1 for p, q, r in itertools.combinations(S.sorted_points(), 3))
+    else:
+        assert M == simplex_map(*fresh)
+        assert sorted(M.apply(p) for p in triple) == [(0, 0), (0, 1), (1, 0)]
+    assert lattice.unimodular_frame(S) is lattice.unimodular_frame(S)
 
 
 # --- normal forms ------------------------------------------------------------
