@@ -43,7 +43,6 @@ from .algebra import (
     kernel_basis,
     rank,
     rational_roots,
-    sylvester_resultant,
 )
 from .branches import (
     BranchParametrization,

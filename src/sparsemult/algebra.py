@@ -1,11 +1,11 @@
 """Exact commutative algebra: rationals, sparse polynomials, truncated
 series, fraction-free linear algebra, and Sylvester resultants.
 
-The ground field is Q (``fractions.Fraction``).  Symbolic parameters, when
-needed, are carried by :class:`MPoly`, a sparse multivariate polynomial over
-Q; polynomial types accept either scalar as a coefficient, so a resultant
-with parameter coefficients comes out as a univariate polynomial whose
-coefficients are parameter polynomials.  Everything is immutable after
+The ground field is Q (``fractions.Fraction``): the coefficients of every
+series, univariate and Laurent polynomial are rational, and a constructor
+given anything else raises InputError.  :class:`MPoly`, a sparse
+multivariate polynomial over Q, serves :func:`mpoly_resultant` alone, the
+elimination of symbolic parameters.  Everything is immutable after
 construction and all arithmetic is exact.
 
 Truncated series, the hot loop of branch expansion, and univariate
@@ -20,8 +20,8 @@ numerators; long division and exact ``//`` divide in Z[t] and scale only
 at a step that is not exact there, so the Bareiss elimination over Z[s]
 never does; root stripping and the rational-root search divide by
 (b·t − a) exactly (Gauss's lemma).  The jet of a Laurent polynomial at a
-point, its value and gradient for rational coefficients only, is likewise
-summed over one integer denominator.
+point, its value and gradient, is likewise summed over one integer
+denominator.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _frac(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# multivariate polynomials over Q (parameter carriers)
+# multivariate polynomials over Q (parameter elimination)
 
 
 class MPoly:
@@ -93,9 +93,6 @@ class MPoly:
             other = MPoly.const(self.vars, other)
         return isinstance(other, MPoly) and self.vars == other.vars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
     def __add__(self, other):
         other = self._coerce(other)
         t = dict(self.terms)
@@ -110,9 +107,6 @@ class MPoly:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -207,15 +201,8 @@ def _square_and_multiply(base, n: int, one):
     return out
 
 
-def _is_zero(c) -> bool:
-    return not c if isinstance(c, MPoly) else c == 0
-
-
-def _over(v, d: int):
-    """v / d for a positive integer d: a Fraction for an integer v, an MPoly
-    for an MPoly v."""
-    if isinstance(v, MPoly):
-        return v if d == 1 else v * Fraction(1, d)
+def _over(v: int, d: int) -> Fraction:
+    """v / d for a positive integer d."""
     return Fraction(v) if d == 1 else Fraction(v, d)
 
 
@@ -233,45 +220,34 @@ class UnivariatePolynomial:
     equal hashes.  Arithmetic, evaluation, division and root stripping run
     on the integers and reduce each result once, in ``from_integers``;
     ``coeffs``, ``coefficient`` and ``leading`` build Fractions only for
-    callers that read them.
-
-    A resultant in symbolic parameters has MPoly coefficients instead: then
-    every entry of ``nums`` is an MPoly and ``den`` is 1, and the same code
-    runs on them, since MPolys add to and multiply by integers.
+    callers that read them.  Coefficients are rational: the constructor
+    raises InputError on anything else.
     """
 
     __slots__ = ("nums", "den", "var")
 
     def __init__(self, coeffs: Sequence = (), var: str = "t"):
-        cs = list(coeffs)
-        ring = next((c for c in cs if isinstance(c, MPoly)), None)
-        if ring is not None:
-            nums, den = [ring._coerce(c) for c in cs], 1
-        else:
-            cs = [_frac(c) for c in cs]
-            # over the least common denominator the numerators share no factor with it
-            den = lcm(*[c.denominator for c in cs])
-            nums = [c.numerator * (den // c.denominator) for c in cs]
+        cs = [_frac(c) for c in coeffs]
+        # over the least common denominator the numerators share no factor with it
+        den = lcm(*[c.denominator for c in cs])
+        nums = [c.numerator * (den // c.denominator) for c in cs]
         while nums and not nums[-1]:
             nums.pop()
         self.nums, self.den, self.var = tuple(nums), den, var
 
     @classmethod
-    def from_integers(cls, nums: Sequence, var: str = "t", den: int = 1) -> "UnivariatePolynomial":
+    def from_integers(cls, nums: Sequence[int], var: str = "t", den: int = 1) -> "UnivariatePolynomial":
         """Trusted constructor: Σ nums[i]·var^i / den for integer numerators
-        (or MPolys) over a non-zero integer den, brought to normal form."""
+        over a non-zero integer den, brought to normal form."""
         n = len(nums)
         while n and not nums[n - 1]:
             n -= 1
         nums = nums[:n]
         if den != 1:
-            if n and isinstance(nums[-1], MPoly):
-                nums, den = [c * Fraction(1, den) for c in nums], 1
-            else:
-                g = gcd(den, *nums)
-                if den < 0:
-                    g = -g
-                nums, den = [c // g for c in nums], den // g
+            g = gcd(den, *nums)
+            if den < 0:
+                g = -g
+            nums, den = [c // g for c in nums], den // g
         p = object.__new__(cls)
         p.nums, p.den, p.var = tuple(nums), den, var
         return p
@@ -318,9 +294,9 @@ class UnivariatePolynomial:
             if other.var != self.var:
                 raise InputError(f"variable mismatch {self.var!r} vs {other.var!r}")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.from_integers((other.numerator,), self.var, other.denominator)
-        return UnivariatePolynomial([other], self.var)
+        if not isinstance(other, (int, Fraction)):
+            other = _frac(other)
+        return self.from_integers((other.numerator,), self.var, other.denominator)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -391,27 +367,6 @@ class UnivariatePolynomial:
     def derivative(self) -> "UnivariatePolynomial":
         return self.from_integers([c * i for i, c in enumerate(self.nums) if i], self.var, self.den)
 
-    def divmod_linear(self, root: Fraction) -> Tuple["UnivariatePolynomial", Fraction]:
-        """Synthetic division by (var - root), returning (quotient, remainder).
-
-        For root = a/b the Horner sums h_k = Σ_{i>=k} nums[i]·a^(i−k)·b^(n−i)
-        are integers (or MPolys): the quotient's t^k coefficient is
-        h_(k+1)·b^k over den·b^(n−1), and the remainder is h_0 over den·b^n.
-        """
-        if not self.nums:
-            return self, Fraction(0)
-        root = _frac(root)
-        a, b = root.numerator, root.denominator
-        h, acc, bp = [], 0, 1
-        for c in reversed(self.nums):
-            acc = acc * a + c * bp
-            h.append(acc)
-            bp *= b
-        h.reverse()
-        n = len(h) - 1
-        quot = self.from_integers([h[k + 1] * b ** k for k in range(n)], self.var, self.den * b ** max(n - 1, 0))
-        return quot, _over(h[0], self.den * b ** n)
-
     def monic(self) -> "UnivariatePolynomial":
         if self.is_zero():
             return self
@@ -431,7 +386,7 @@ class UnivariatePolynomial:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if not c:
                 continue
             if i == 0:
                 parts.append(f"{c}")
@@ -702,33 +657,27 @@ class TruncatedSeries:
     def __eq__(self, other):
         return isinstance(other, TruncatedSeries) and self.den == other.den and self.nums == other.nums
 
-    def __repr__(self):
-        return f"TruncatedSeries({list(self.coeffs)})"
-
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in two variables
 
 
 class LaurentPolynomial:
-    """Map from integer exponent pairs to non-zero coefficients.
+    """Map from integer exponent pairs to non-zero rational coefficients.
 
-    Coefficients are Fractions, or MPolys when symbolic parameters are in
-    play.  Parameters are carried through arithmetic and the resultant, not
-    evaluated: ``jet``, and ``evaluate`` and ``gradient`` that read it, take
-    rational coefficients only.  Negative exponents are allowed (evaluation
-    then requires non-zero coordinates).
+    The constructor raises InputError on a coefficient that is not rational.
+    Negative exponents are allowed (evaluation then requires non-zero
+    coordinates).
     """
 
     __slots__ = ("terms", "_hash", "_jets", "_support")
 
-    def __init__(self, terms: Optional[Dict[Tuple[int, int], object]] = None):
-        clean: Dict[Tuple[int, int], object] = {}
+    def __init__(self, terms: Optional[Dict[Tuple[int, int], Scalar]] = None):
+        clean: Dict[Tuple[int, int], Fraction] = {}
         for e, c in (terms or {}).items():
             e = _as_point(e)
-            if not isinstance(c, MPoly):
-                c = _frac(c)
-            if not _is_zero(c):
+            c = _frac(c)
+            if c:
                 clean[e] = c
         self.terms = clean
         self._hash = self._jets = self._support = None
@@ -777,7 +726,7 @@ class LaurentPolynomial:
     def __mul__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return LaurentPolynomial({e: c * other for e, c in self.terms.items()})
-        t: Dict[Tuple[int, int], object] = {}
+        t: Dict[Tuple[int, int], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1])
@@ -838,8 +787,6 @@ class LaurentPolynomial:
         terms = self.terms
         if (not xn or not yn) and any((e1 < 0 and not xn) or (e2 < 0 and not yn) for e1, e2 in terms):
             raise InputError("negative exponent at a zero coordinate")
-        if not all(isinstance(c, Fraction) for c in terms.values()):
-            raise InputError("only a polynomial with rational coefficients can be evaluated")
         e1s, e2s = zip(*terms) if terms else ((0,), (0,))
         xlo, xhi = min(min(e1s) - 1, 0) if xn else 0, max(max(e1s), 0)
         ylo, yhi = min(min(e2s) - 1, 0) if yn else 0, max(max(e2s), 0)
@@ -859,9 +806,6 @@ class LaurentPolynomial:
         jet = self._jets[key] = (v, dx, dy, den) if den > 0 else (-v, -dx, -dy, -den)
         return jet
 
-    def shift_exponents(self, v: Tuple[int, int]) -> "LaurentPolynomial":
-        return LaurentPolynomial({(e[0] + v[0], e[1] + v[1]): c for e, c in self.terms.items()})
-
     def __repr__(self):
         parts = []
         for e, c in sorted(self.terms.items()):
@@ -870,7 +814,7 @@ class LaurentPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free linear algebra over Z, Q[s] and parameter rings
+# fraction-free linear algebra over Z and Q[s]
 
 
 def _integer_row(row: Sequence[Scalar]) -> Tuple[List[int], int]:
@@ -890,9 +834,10 @@ def _integerize_rows(rows: Sequence[Sequence[Scalar]]) -> List[List[int]]:
 def _bareiss_echelon(m: List[List]) -> Tuple[List[List], List[int], int]:
     """Fraction-free row echelon; returns (matrix, pivot columns, sign).
 
-    Entries are ints, UnivariatePolynomials or MPolys: any ring where ``//``
-    divides exactly.  The k-th pivot is the leading k x k minor of the
-    row-permuted matrix on the pivot columns (Bareiss 1968).
+    Entries are ints or UnivariatePolynomials over Q, or the MPolys of
+    ``mpoly_resultant``: any ring where ``//`` divides exactly.  The k-th
+    pivot is the leading k x k minor of the row-permuted matrix on the
+    pivot columns (Bareiss 1968).
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -1044,29 +989,16 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 # Sylvester resultants
 
 
-def _collect_param_vars(*polys: LaurentPolynomial) -> Tuple[str, ...]:
-    names: List[str] = []
-    for p in polys:
-        for c in p.terms.values():
-            if isinstance(c, MPoly):
-                for v in c.vars:
-                    if v not in names:
-                        names.append(v)
-    return tuple(sorted(names))
-
-
-def _sylvester(fc: List[MPoly], gc: List[MPoly], name: str) -> MPoly:
+def _sylvester(fc: List, gc: List, name: str):
     """Resultant of two polynomials in ``name`` from their ascending
-    coefficient lists (leading entries non-zero): the determinant of the
-    Sylvester matrix, by the fraction-free echelon."""
+    coefficient lists (leading entries non-zero), over any ring that
+    ``_bareiss_echelon`` takes: the determinant of the Sylvester matrix.
+    An input of degree 0 gives a diagonal matrix, its coefficient to the
+    power of the other input's degree."""
     n, m = len(fc) - 1, len(gc) - 1
     if n == 0 and m == 0:
         raise InputError(f"both inputs independent of {name}")
-    if n == 0:
-        return fc[0] ** m
-    if m == 0:
-        return gc[0] ** n
-    zero = MPoly(fc[0].vars, {})
+    zero = fc[0] * 0
     rows = [[zero] * j + fc[::-1] + [zero] * (m - 1 - j) for j in range(m)]
     rows += [[zero] * j + gc[::-1] + [zero] * (n - 1 - j) for j in range(n)]
     ech, piv, sign = _bareiss_echelon(rows)
@@ -1078,55 +1010,29 @@ def _sylvester(fc: List[MPoly], gc: List[MPoly], name: str) -> MPoly:
 def sylvester_resultant(
     f: LaurentPolynomial, g: LaurentPolynomial, var: str
 ) -> UnivariatePolynomial:
-    """Resultant eliminating ``var`` ('x' or 'y'), exact.
+    """Resultant eliminating ``var`` ('x' or 'y'), exact, over Q[other].
 
-    Laurent terms are cleared by a monomial shift first; monomials are units
-    on the torus, so this changes the resultant only by a monomial factor in
-    the surviving variable.  The result is a univariate polynomial in the
-    other variable whose coefficients are rationals, or parameter
-    polynomials when the inputs carry parameters.  It vanishes identically
-    iff the (cleared) inputs share a factor involving ``var``.
+    Each input is first divided by its least monomial, x^i·y^j with i and j
+    its minimum exponents.  Monomials are units on the torus, so the result
+    does not depend on a monomial factor of either input.  It is a
+    univariate polynomial with rational coefficients in the other variable,
+    and vanishes identically iff the shifted inputs share a factor
+    involving ``var``.
     """
     if f.is_zero() or g.is_zero():
         raise InputError("resultant of a zero polynomial")
     vi = {"x": 0, "y": 1}[var]
     other = "y" if var == "x" else "x"
 
-    def cleared(p: LaurentPolynomial) -> LaurentPolynomial:
-        m0 = min(e[0] for e in p.terms)
-        m1 = min(e[1] for e in p.terms)
-        return p.shift_exponents((-min(m0, 0), -min(m1, 0)))
-
-    f, g = cleared(f), cleared(g)
-    params = _collect_param_vars(f, g)
-    ring_vars = (other,) + params
-
-    def coeff_list(p: LaurentPolynomial) -> List[MPoly]:
-        d = max(e[vi] for e in p.terms)
-        out = [MPoly(ring_vars, {}) for _ in range(d + 1)]
+    coeff_lists = []
+    for p in (f, g):
+        lo = [min(e[k] for e in p.terms) for k in (0, 1)]
+        hi = [max(e[k] for e in p.terms) - lo[k] for k in (0, 1)]
+        table = [[0] * (hi[1 - vi] + 1) for _ in range(hi[vi] + 1)]
         for e, c in p.terms.items():
-            lifted: MPoly
-            if isinstance(c, MPoly):
-                lifted = MPoly(ring_vars, {})
-                for ee, cc in c.terms.items():
-                    full = [0] * len(ring_vars)
-                    full[0] = e[1 - vi]
-                    for name, k in zip(c.vars, ee):
-                        full[ring_vars.index(name)] = k
-                    lifted = lifted + MPoly(ring_vars, {tuple(full): cc})
-            else:
-                full = [0] * len(ring_vars)
-                full[0] = e[1 - vi]
-                lifted = MPoly(ring_vars, {tuple(full): c})
-            out[e[vi]] = out[e[vi]] + lifted
-        return out
-
-    res = _sylvester(coeff_list(f), coeff_list(g), var)
-    coeffs: List[object] = []
-    rest = tuple(v for v in ring_vars if v != other)
-    for part in res.coeffs_in(other) if res else []:
-        coeffs.append(part.const_value() if not rest else part)
-    return UnivariatePolynomial(coeffs, other)
+            table[e[vi] - lo[vi]][e[1 - vi] - lo[1 - vi]] = c
+        coeff_lists.append([UnivariatePolynomial(row, other) for row in table])
+    return _sylvester(*coeff_lists, var)
 
 
 def mpoly_resultant(f: MPoly, g: MPoly, name: str) -> MPoly:

@@ -98,17 +98,11 @@ class SupportSet:
     def __iter__(self) -> Iterator[Point]:
         return iter(self.sorted_points())
 
-    def __contains__(self, p) -> bool:
-        return _as_point(p) in self._points
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SupportSet) and self._points == other._points
 
     def __hash__(self) -> int:
         return hash(self._points)
-
-    def __repr__(self) -> str:
-        return f"SupportSet({list(self.sorted_points())})"
 
 
 @dataclass(frozen=True)

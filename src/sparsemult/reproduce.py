@@ -19,13 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Tuple
 
-from .algebra import (
-    LaurentPolynomial,
-    MPoly,
-    UnivariatePolynomial,
-    mpoly_resultant,
-    sylvester_resultant,
-)
+from .algebra import MPoly, mpoly_resultant
 from .classify import (
     PROJECTIVE_GROUP,
     decide_mult3,
@@ -114,26 +108,19 @@ def scenario_exim(seed: int = DEFAULT_SEED) -> dict:
     _check(checks, "mixed volume equals 4", mv == 4, mixed_volume=mv)
 
     # resultant of the tangency family, symbolic in (a, b)
-    pv = ("a", "b")
-    a = MPoly.var(pv, "a")
-    b = MPoly.var(pv, "b")
-    one = MPoly.const(pv, 1)
-    F = LaurentPolynomial({(0, 1): one, (0, 0): a - 1, (1, 0): -a})
-    G = LaurentPolynomial({(0, 1): one, (3, 0): -b, (4, 0): b - 1})
-    R = sylvester_resultant(F, G, "y")
-    expected = UnivariatePolynomial([-one, one], "x") * UnivariatePolynomial(
-        [a - one, -one, -one, b - one], "x"
-    )
-    _check(checks, "resultant equals (x-1)(-1+a-x-x^2-x^3+b x^3)", R == expected)
+    x, y, a, b = (MPoly.var(("x", "y", "a", "b"), v) for v in "xyab")
+    F = y + a - 1 - a * x
+    G = y - b * x ** 3 + (b - 1) * x ** 4
+    R = mpoly_resultant(F, G, "y")
+    x, a, b = (MPoly.var(R.vars, v) for v in R.vars)  # R is over (x, a, b)
+    _check(checks, "resultant equals (x-1)(-1+a-x-x^2-x^3+b x^3)",
+           R == (x - 1) * (a - 1 - x - x ** 2 - x ** 3 + b * x ** 3))
 
-    # reduced factor and the order conditions at x = 1
-    reduced, rem = R.divmod_linear(Fraction(1))
-    _check(checks, "x = 1 divides the resultant exactly", not rem)
-    one_f = Fraction(1)
-    c0 = reduced(one_f)
-    c1 = reduced.derivative()(one_f)
-    c2 = reduced.derivative().derivative()(one_f)
-    conds = [c0, c1, c2]
+    # reduced factor and the order conditions at x = 1: the value and the
+    # first two derivatives there, sums over the coefficients in x
+    _check(checks, "x = 1 divides the resultant exactly", not sum(R.coeffs_in("x")))
+    cs = list(enumerate((R // (x - 1)).coeffs_in("x")))
+    conds = [sum(c for _, c in cs), sum(i * c for i, c in cs), sum(i * (i - 1) * c for i, c in cs)]
     nonzero, transcript = eliminate_chain(conds, ["a", "b"])
     _check(
         checks,

@@ -195,33 +195,26 @@ _EXPONENTS = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
 @settings(deadline=None, max_examples=300)
 @given(st.dictionaries(_EXPONENTS, _rationals, max_size=8),
-       _rationals.filter(lambda v: v != 0), _rationals.filter(lambda v: v != 0),
-       st.one_of(st.none(), _EXPONENTS))
-def test_jet_is_the_value_and_the_evaluated_partials(terms, px, py, parameter_at):
+       _rationals.filter(lambda v: v != 0), _rationals.filter(lambda v: v != 0))
+def test_jet_is_the_value_and_the_evaluated_partials(terms, px, py):
     # one pass gives the value and both partials, integers over one positive
     # denominator, at torus points (Laurent terms included) and at points
-    # with one or two zero coordinates; a negative exponent there, else an
-    # MPoly coefficient, raises in jet, evaluate and gradient alike
-    if parameter_at is not None:
-        terms = {**terms, parameter_at: MPoly.var(("s",), "s")}
+    # with one or two zero coordinates; a negative exponent there raises in
+    # jet, evaluate and gradient alike
     p = LaurentPolynomial(terms)
     for point in ((px, py), (F(0), py), (px, F(0)), (F(0), F(0))):
         if any((e1 < 0 and point[0] == 0) or (e2 < 0 and point[1] == 0) for e1, e2 in p.terms):
-            message = "negative exponent at a zero coordinate"
-        elif parameter_at is not None:
-            message = "only a polynomial with rational coefficients can be evaluated"
-        else:
-            v, dx, dy, den = p.jet(point)
-            assert all(type(n) is int for n in (v, dx, dy, den)) and den > 0
-            want = [_ref_evaluate(h, point) for h in (p, p.partial("x"), p.partial("y"))]
-            assert [F(v, den), F(dx, den), F(dy, den)] == want
-            read = [p.evaluate(point), *p.gradient(point)]
-            assert read == want and all(type(c) is F for c in read)
+            for method in (p.jet, p.evaluate, p.gradient):
+                with pytest.raises(InputError) as raised:
+                    method(point)
+                assert str(raised.value) == "negative exponent at a zero coordinate"
             continue
-        for method in (p.jet, p.evaluate, p.gradient):
-            with pytest.raises(InputError) as raised:
-                method(point)
-            assert str(raised.value) == message
+        v, dx, dy, den = p.jet(point)
+        assert all(type(n) is int for n in (v, dx, dy, den)) and den > 0
+        want = [_ref_evaluate(h, point) for h in (p, p.partial("x"), p.partial("y"))]
+        assert [F(v, den), F(dx, den), F(dy, den)] == want
+        read = [p.evaluate(point), *p.gradient(point)]
+        assert read == want and all(type(c) is F for c in read)
 
 
 @settings(deadline=None, max_examples=100)
@@ -249,7 +242,7 @@ def test_jets_are_kept_one_per_point(terms, points):
                                          for x, y in asked)
 
 
-def test_evaluate_at_a_zero_coordinate_and_with_parameters():
+def test_evaluate_at_a_zero_coordinate():
     p = LaurentPolynomial({(2, 0): F(3, 2), (0, 1): F(-1), (1, 1): F(5, 7)})
     assert p.evaluate((F(0), F(-2, 3))) == F(2, 3)
     assert p.evaluate((F(-1, 2), F(0))) == F(3, 8)
@@ -257,14 +250,19 @@ def test_evaluate_at_a_zero_coordinate_and_with_parameters():
     for point in ((F(0), F(1)), (F(1), F(0))):
         with pytest.raises(InputError):
             LaurentPolynomial({(-1, 0): F(1), (0, -1): F(1)}).evaluate(point)
-    # parameters are carried by the resultant, never evaluated
+
+
+def test_polynomial_coefficients_are_rational():
+    # an MPoly is no coefficient: parameters are eliminated by mpoly_resultant
     s = MPoly.var(("s",), "s")
-    q = LaurentPolynomial({(1, -1): s, (0, 2): F(1, 2), (-2, 0): s * s})
-    for point in ((F(2), F(-1, 3)), (F(0), F(1))):
-        with pytest.raises(InputError):
-            q.evaluate(point)
-        with pytest.raises(InputError):
-            q.gradient(point)
+    for build in (lambda c: LaurentPolynomial({(1, -1): F(1, 2), (0, 2): c}),
+                  lambda c: UnivariatePolynomial([F(1, 2), c], "x")):
+        for c in (s, s * s + 1, MPoly.const(("s",), 3)):
+            with pytest.raises(InputError, match="not an exact rational"):
+                build(c)
+        assert build(3) == build(F(3))
+    with pytest.raises(InputError, match="not an exact rational"):
+        UnivariatePolynomial([1, 2], "x") + s
 
 
 # --- kernels and ranks ---------------------------------------------------------
@@ -697,9 +695,6 @@ def test_univariate_ring_operations_match_fraction_lists(a, b, x, c):
     if a:
         prim = pa.primitive_integer()
         assert _in_normal_form(prim) and prim.den == 1 and list(prim.coeffs) == _uref_primitive(a)
-    q, rem = pa.divmod_linear(x)
-    ref_q, ref_rem = _ref_synthetic_division(a, x) if a else ([], F(0))
-    assert _in_normal_form(q) and list(q.coeffs) == _trim(ref_q) and rem == ref_rem
     assert (pa == c) == (a == _trim([c])) and (pa != 0) == bool(a)
 
 
@@ -792,18 +787,36 @@ def test_resultant_substitution_oracle():
     assert ratio != 0
 
 
+def _specialize(p, values):
+    """An MPoly with its trailing variables set to ``values``: a dict from
+    the exponents of its leading variables to rational coefficients."""
+    k = len(p.vars) - len(values)
+    out = {}
+    for e, c in p.terms.items():
+        for v, n in zip(values, e[k:]):
+            c *= F(v) ** n
+        out[e[:k]] = out.get(e[:k], 0) + c
+    return out
+
+
 def test_resultant_symbolic_parameters():
-    pv = ("a", "b")
-    a = MPoly.var(pv, "a")
-    b = MPoly.var(pv, "b")
-    one = MPoly.const(pv, 1)
-    Fp = LaurentPolynomial({(0, 1): one, (0, 0): a - 1, (1, 0): -a})
-    Gp = LaurentPolynomial({(0, 1): one, (3, 0): -b, (4, 0): b - 1})
-    R = sylvester_resultant(Fp, Gp, "y")
-    expected = UnivariatePolynomial([-one, one], "x") * UnivariatePolynomial(
-        [a - one, -one, -one, b - one], "x"
-    )
-    assert R == expected
+    # the tangency family of the exim scenario, over Q[x, a, b]
+    x, y, a, b = (MPoly.var(("x", "y", "a", "b"), v) for v in "xyab")
+    Fp = y + a - 1 - a * x
+    Gp = y - b * x ** 3 + (b - 1) * x ** 4
+    R = mpoly_resultant(Fp, Gp, "y")
+    assert R.vars == ("x", "a", "b")
+    x, a, b = (MPoly.var(R.vars, v) for v in R.vars)
+    assert R == (x - 1) * (a - 1 - x - x ** 2 - x ** 3 + b * x ** 3)
+    # both inputs are monic in y, so the resultant specializes: at each
+    # rational (a, b) it is the Q-only resultant of the specialized inputs
+    grid = (F(-2), F(-1), F(0), F(1, 2), F(1), F(3))
+    for av in grid:
+        for bv in grid:
+            f, g = (LaurentPolynomial(_specialize(h, (av, bv))) for h in (Fp, Gp))
+            want = _specialize(R, (av, bv))
+            got = sylvester_resultant(f, g, "y")
+            assert got == UnivariatePolynomial([want.get((i,), 0) for i in range(6)], "x")
 
 
 def test_resultant_shared_factor_is_zero():
@@ -824,6 +837,45 @@ def test_resultant_requires_variable():
     g = LaurentPolynomial({(2, 0): 1, (0, 0): -1})
     with pytest.raises(InputError):
         sylvester_resultant(f, g, "y")
+
+
+def _resultant_or_error(f, g, var):
+    try:
+        return sylvester_resultant(f, g, var)
+    except InputError as exc:
+        return str(exc)
+
+
+_SHIFT = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-3, 3).filter(bool),
+                       min_size=1, max_size=4),
+       st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 3)), st.integers(-3, 3).filter(bool),
+                       min_size=1, max_size=4),
+       _SHIFT, _SHIFT, st.sampled_from("xy"))
+def test_resultant_ignores_monomial_factors(fterms, gterms, fshift, gshift, var):
+    # a monomial is a unit on the torus: multiplying f or g by x^i y^j
+    # changes neither the resultant nor the InputError of an input that
+    # does not depend on var
+    f, g = LaurentPolynomial(fterms), LaurentPolynomial(gterms)
+    u, v = LaurentPolynomial({fshift: 1}), LaurentPolynomial({gshift: 1})
+    want = _resultant_or_error(f, g, var)
+    assert _resultant_or_error(f * u, g * v, var) == want
+    assert _resultant_or_error(f * u, g, var) == want
+
+
+def test_resultant_of_monomial_multiples():
+    # y(x - 1) and y(x + 1) share only the unit y: both are independent of y
+    # on the torus, as y^-1(x - 1) and y^-1(x + 1) are
+    for k in (1, -1):
+        f = LaurentPolynomial({(1, k): 1, (0, k): -1})
+        g = LaurentPolynomial({(1, k): 1, (0, k): 1})
+        with pytest.raises(InputError, match="both inputs independent of y"):
+            sylvester_resultant(f, g, "y")
+        # eliminating x instead: the resultant of x - 1 and x + 1 is 2
+        assert sylvester_resultant(f, g, "x") == UnivariatePolynomial([2], "y")
 
 
 def test_mpoly_resultant_linear():

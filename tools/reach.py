@@ -1,12 +1,13 @@
 """Print the functions in src/sparsemult that no command reaches.
 
 Runs the command-level test modules and every script under demos/ in this
-process under sys.setprofile, then prints each non-dunder function defined
-in src/sparsemult that none of them called, one ``module.qualname`` a line.
-Exits 1 when the tests fail or when a function outside ``KEEPS`` is
-unreached, so a helper that a refactor leaves without callers fails the
-run.  Writes no bytecode and no pytest cache.  Not part of Tier-1; CI runs
-it:
+process under sys.setprofile, then prints each function defined in
+src/sparsemult, dunders included, that none of them called, one
+``module.qualname`` a line.  Exits 1 when the tests fail, when a function
+outside ``KEEPS`` is unreached, so a helper that a refactor leaves without
+callers fails the run, or when an entry of ``KEEPS`` is stale: reached, or
+no longer defined.  Writes no bytecode and no pytest cache.  Not part of
+Tier-1; CI runs it:
 
     python tools/reach.py
 """
@@ -29,6 +30,17 @@ sys.path.insert(0, str(ROOT / "src"))
 KEEPS = {
     # read by the benchmark tracer's series_mul observer
     "algebra.TruncatedSeries.coeffs",
+    # wrapped by name in the benchmark tracer's PLAN (algebra.series_add)
+    "algebra.TruncatedSeries.__add__",
+    # wrapped by name in the benchmark tracer's PLAN (algebra.resultant), and
+    # the tests' Q-only oracle for non-isolated intersections
+    "algebra.sylvester_resultant",
+    # the tests' ring operations and normal-form checks of UnivariatePolynomial
+    "algebra.UnivariatePolynomial.__rsub__",
+    "algebra.UnivariatePolynomial.__pow__",
+    "algebra.UnivariatePolynomial.__hash__",
+    # the tests' comparisons of series: ring operations, rungs as prefixes
+    "algebra.TruncatedSeries.__eq__",
     # the tests' oracle for LaurentPolynomial.jet's gradient
     "algebra.LaurentPolynomial.partial",
     # the tests' oracle for UnimodularAffineMap.apply_set
@@ -41,15 +53,15 @@ import pytest  # noqa: E402
 
 
 def defined():
-    """(file, first line, name) of each non-dunder def; the first line is
-    that of its first decorator, as in ``co_firstlineno``."""
+    """(file, first line, name) of each def; the first line is that of its
+    first decorator, as in ``co_firstlineno``."""
     out = []
 
     def visit(node, prefix, path):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = prefix + child.name
-                if not isinstance(child, ast.ClassDef) and not (child.name.startswith("__") and child.name.endswith("__")):
+                if not isinstance(child, ast.ClassDef):
                     first = min([d.lineno for d in child.decorator_list] + [child.lineno])
                     out.append((str(path), first, f"{path.stem}.{name}"))
                 visit(child, name + ".", path)
@@ -78,7 +90,10 @@ def main():
     orphans = [name for name in unreached if name not in KEEPS]
     if orphans:
         print(f"unreached outside KEEPS: {', '.join(orphans)}", file=sys.stderr)
-    return 1 if orphans or code != 0 else 0
+    stale = sorted(KEEPS - set(unreached))
+    if stale:
+        print(f"stale KEEPS entries, reached or not defined: {', '.join(stale)}", file=sys.stderr)
+    return 1 if orphans or stale or code != 0 else 0
 
 
 if __name__ == "__main__":
